@@ -26,7 +26,6 @@ from .moments import (
     moment_residuals,
     radial_moment_residuals,
     shifted_legendre_eval,
-    solve_cosine_moment_problem,
     solve_moment_problem,
 )
 from .profiles import RadialProfile, cosine_profile, poly_profile

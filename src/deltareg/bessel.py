@@ -1,138 +1,9 @@
-"""Bessel functions J0, Y0, J1, Y1 via classical rational fits (split at x = 8).
+"""Bessel functions J0, Y0, J1, Y1, re-exported from `scipy.special` (Cephes).
 
-Small arguments use rational approximations in x^2; large arguments use the
-amplitude-phase asymptotic form.  Absolute error is below 1e-7 on (0, 50],
-which is all the elliptic benchmarks require.
+They take and return floats or arrays.  `y0` and `y1` return -inf at 0 and nan
+for negative arguments instead of raising; callers validate their own domains.
 """
 
-from __future__ import annotations
-
-import numpy as np
+from scipy.special import j0, j1, y0, y1
 
 __all__ = ["j0", "y0", "j1", "y1"]
-
-_TWO_OVER_PI = 2.0 / np.pi
-
-_J0_R = (57568490574.0, -13362590354.0, 651619640.7, -11214424.18, 77392.33017,
-         -184.9052456)
-_J0_S = (57568490411.0, 1029532985.0, 9494680.718, 59272.64853, 267.8532712, 1.0)
-_Y0_R = (-2957821389.0, 7062834065.0, -512359803.6, 10879881.29, -86327.92757,
-         228.4622733)
-_Y0_S = (40076544269.0, 745249964.8, 7189466.438, 47447.26470, 226.1030244, 1.0)
-_P0 = (1.0, -0.1098628627e-2, 0.2734510407e-4, -0.2073370639e-5, 0.2093887211e-6)
-_Q0 = (-0.1562499995e-1, 0.1430488765e-3, -0.6911147651e-5, 0.7621095161e-6,
-       -0.934935152e-7)
-
-_J1_R = (72362614232.0, -7895059235.0, 242396853.1, -2972611.439, 15704.48260,
-         -30.16036606)
-_J1_S = (144725228442.0, 2300535178.0, 18583304.74, 99447.43394, 376.9991397, 1.0)
-_P1 = (1.0, 0.183105e-2, -0.3516396496e-4, 0.2457520174e-5, -0.240337019e-6)
-_Q1 = (0.04687499995, -0.2002690873e-3, 0.8449199096e-5, -0.88228987e-6,
-       0.105787412e-6)
-
-
-def _polyval_ascending(coeffs, y):
-    out = np.zeros_like(y)
-    for c in reversed(coeffs):
-        out = out * y + c
-    return out
-
-
-def _asymptotic(x, p, q, phase_shift):
-    z = 8.0 / x
-    y = z * z
-    xx = x - phase_shift
-    amp = np.sqrt(_TWO_OVER_PI / x)
-    return amp, xx, _polyval_ascending(p, y), _polyval_ascending(q, y), z
-
-
-def j0(x):
-    """Bessel function of the first kind, order zero."""
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = x < 8.0
-    if np.any(small):
-        y = x[small] ** 2
-        out[small] = _polyval_ascending(_J0_R, y) / _polyval_ascending(_J0_S, y)
-    if np.any(~small):
-        amp, xx, p, q, z = _asymptotic(x[~small], _P0, _Q0, 0.785398164)
-        out[~small] = amp * (np.cos(xx) * p - z * np.sin(xx) * q)
-    return float(out[0]) if scalar else out
-
-
-def y0(x):
-    """Bessel function of the second kind, order zero; requires x > 0."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0.0):
-        raise ValueError("y0 requires x > 0")
-    out = np.empty_like(x)
-    small = x < 8.0
-    if np.any(small):
-        xs = x[small]
-        y = xs * xs
-        out[small] = (_polyval_ascending(_Y0_R, y) / _polyval_ascending(_Y0_S, y)
-                      + _TWO_OVER_PI * j0(xs) * np.log(xs))
-    if np.any(~small):
-        amp, xx, p, q, z = _asymptotic(x[~small], _P0, _Q0, 0.785398164)
-        out[~small] = amp * (np.sin(xx) * p + z * np.cos(xx) * q)
-    return float(out[0]) if scalar else out
-
-
-def j1(x):
-    """Bessel function of the first kind, order one (odd in x)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    sign = np.sign(x)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax < 8.0
-    if np.any(small):
-        xs = ax[small]
-        y = xs * xs
-        out[small] = xs * _polyval_ascending(_J1_R, y) / _polyval_ascending(_J1_S, y)
-    if np.any(~small):
-        amp, xx, p, q, z = _asymptotic(ax[~small], _P1, _Q1, 2.356194491)
-        out[~small] = amp * (np.cos(xx) * p - z * np.sin(xx) * q)
-    out *= sign
-    return float(out[0]) if scalar else out
-
-
-_EULER_GAMMA = 0.5772156649015329
-
-
-def _y1_series(x):
-    # ascending series: (2/pi) ln(x/2) J1 - 2/(pi x)
-    #   - (1/pi) sum_k (-1)^k [psi(k+1) + psi(k+2)] (x/2)^(2k+1) / (k! (k+1)!)
-    half = 0.5 * x
-    total = np.zeros_like(x)
-    term = half.copy()  # (x/2)^(2k+1) / (k! (k+1)!) at k = 0
-    harmonic = 0.0  # H_k
-    for k in range(40):
-        psi_sum = -2.0 * _EULER_GAMMA + 2.0 * harmonic + 1.0 / (k + 1)
-        total += ((-1) ** k) * psi_sum * term
-        harmonic += 1.0 / (k + 1)
-        term = term * half * half / ((k + 1) * (k + 2))
-    return (_TWO_OVER_PI * np.log(half) * j1(x) - _TWO_OVER_PI / x
-            - total / np.pi)
-
-
-def y1(x):
-    """Bessel function of the second kind, order one; requires x > 0."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0.0):
-        raise ValueError("y1 requires x > 0")
-    out = np.empty_like(x)
-    small = x < 8.0
-    if np.any(small):
-        out[small] = _y1_series(x[small])
-    if np.any(~small):
-        amp, xx, p, q, z = _asymptotic(x[~small], _P1, _Q1, 2.356194491)
-        out[~small] = amp * (np.sin(xx) * p + z * np.cos(xx) * q)
-    return float(out[0]) if scalar else out

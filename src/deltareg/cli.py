@@ -17,9 +17,11 @@ from .moments import (
     BasisKind,
     MomentProblemSpec,
     Normalization,
+    SingularSystemError,
     moment_residuals,
     solve_moment_problem,
 )
+from .quadrature import QuadratureError
 from .reports import (
     ConfigError,
     ExperimentConfig,
@@ -54,8 +56,6 @@ def _study_options(args, extra: dict) -> dict:
         options["out"] = args.out
     if getattr(args, "format", None):
         options["format"] = args.format
-    if getattr(args, "seedless", False):
-        options["seedless"] = "true"  # no-op guard: nothing here draws random numbers
     return options
 
 
@@ -229,8 +229,6 @@ def _cmd_study(args) -> int:
 def _add_common(p) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--seedless", action="store_true",
-                   help="assert the run uses no randomness (always true; guard flag)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError, spectral.BlowUpError, QuadratureError,
+            SingularSystemError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -13,7 +13,7 @@ from scipy.interpolate import CubicSpline
 
 from . import bessel
 from .kernels import RegularizedDelta
-from .quadrature import gauss_legendre, integrate_panels
+from .quadrature import QuadratureError, gauss_legendre, integrate_panels
 
 __all__ = [
     "ResonanceError",
@@ -72,7 +72,6 @@ class SolutionProfile:
 class Helmholtz1D:
     kernel: RegularizedDelta
     k0: float = 10.0
-    cutoff: float = 0.25  # deleted-neighborhood radius
 
     def __post_init__(self):
         if abs(math.sin(self.k0)) < 1e-8:
@@ -87,7 +86,6 @@ class Helmholtz1D:
 class RadialHelmholtz2D:
     kernel: RegularizedDelta
     k0: float = 10.0
-    cutoff: float = 0.25
     n_cells: int = 20480  # radial mesh cells; nodes = n_cells + 1
 
     def __post_init__(self):
@@ -217,7 +215,7 @@ def solve_regularized_1d(problem: Helmholtz1D, nodes: np.ndarray | None = None,
     if np.max(np.abs(vals2 - vals)) > 1e-10 * max(scale, 1e-300):
         vals = _convolve_greens(xs, problem.kernel, k0, 4 * order, deriv=False)
         if np.max(np.abs(vals - vals2)) > 1e-10 * max(scale, 1e-300):
-            raise RuntimeError("1D convolution quadrature failed the order-doubling check")
+            raise QuadratureError("1D convolution quadrature failed the order-doubling check")
         vals2 = vals
     derivs = _convolve_greens(xs, problem.kernel, k0, 2 * order, deriv=True)
     profile = SolutionProfile(
@@ -245,6 +243,8 @@ def exact_profile_1d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
 
 def exact_point_solution_2d_radial(r, k0: float = 10.0):
     """Radial point-source solution on the unit disk; r = 0 is a log singularity."""
+    if k0 <= 0.0:
+        raise ValueError("k0 must be positive")
     j0k = bessel.j0(k0)
     if abs(j0k) < 1e-8:
         raise ResonanceError("J0(k0) vanishes")
@@ -257,6 +257,8 @@ def exact_point_solution_2d_radial(r, k0: float = 10.0):
 
 def exact_point_solution_2d_radial_deriv(r, k0: float = 10.0):
     """d/dr of the radial point-source solution; behaves like -1/(2 pi r) near 0."""
+    if k0 <= 0.0:
+        raise ValueError("k0 must be positive")
     j0k = bessel.j0(k0)
     if abs(j0k) < 1e-8:
         raise ResonanceError("J0(k0) vanishes")

@@ -26,7 +26,6 @@ __all__ = [
     "assemble_moment_system",
     "solve_dense",
     "solve_moment_problem",
-    "solve_cosine_moment_problem",
     "moment_residuals",
     "radial_moment_residuals",
 ]
@@ -332,13 +331,6 @@ def solve_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
     if monomial is not None:
         monomial.setflags(write=False)
     return EtaKernel(spec=spec, coeffs=beta, monomial=monomial, name=name)
-
-
-def solve_cosine_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
-    """Trigonometric-basis variant of solve_moment_problem."""
-    if spec.basis.kind is not BasisKind.COSINE:
-        raise MomentSystemError("solve_cosine_moment_problem requires a cosine basis")
-    return solve_moment_problem(spec, name=name)
 
 
 def _profile_of(obj) -> RadialProfile:

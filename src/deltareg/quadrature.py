@@ -39,48 +39,15 @@ class GaussRule:
         return mid + half * self.nodes, half * self.weights
 
 
-def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Three-term recurrence for P_n and its derivative on [-1, 1].
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> GaussRule:
-    """Build the `order`-point Gauss-Legendre rule by Newton iteration.
+    """The `order`-point Gauss-Legendre rule, from `numpy.polynomial.legendre.leggauss`.
 
-    Initial guesses are Chebyshev points; iteration stops when the nodes are
-    stationary and |P_order(node)| <= 1e-14.
+    Nodes ascend; both arrays are read-only because the rule is cached and shared.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        nodes = np.array([0.0])
-        weights = np.array([2.0])
-    else:
-        i = np.arange(order)
-        x = np.cos(np.pi * (4 * i + 3) / (4 * order + 2))
-        for _ in range(100):
-            p, dp = _legendre_and_deriv(order, x)
-            dx = p / dp
-            x = x - dx
-            if np.max(np.abs(dx)) < 1e-15:
-                break
-        else:
-            raise QuadratureError(f"Gauss-Legendre Newton iteration failed for order {order}")
-        p, dp = _legendre_and_deriv(order, x)
-        # recurrence evaluation noise grows roughly linearly with the order
-        if np.max(np.abs(p)) > 1e-14 * max(1.0, order / 8.0):
-            raise QuadratureError(f"Gauss-Legendre residual too large for order {order}")
-        nodes = np.sort(x)
-        _, dp = _legendre_and_deriv(order, nodes)
-        weights = 2.0 / ((1.0 - nodes**2) * dp**2)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return GaussRule(nodes=nodes, weights=weights, order=order)

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import elliptic, spectral
 from .kernels import catalog_lookup, tensor_product
-from .moments import Normalization
 from .quadrature import convergence_slope, weak_star_error
 
 __all__ = [
@@ -67,7 +66,7 @@ def parse_h_schedule(text: str) -> list[float]:
     return sorted(values, reverse=True)
 
 
-_COMMON_KEYS = {"study", "out", "format", "normalization", "seedless"}
+_COMMON_KEYS = {"study", "out", "format"}
 _STUDY_KEYS = {
     "weakstar": {"kernels", "H", "slope_min", "slope_max", "parity_pairs",
                  "parity_tolerance"},
@@ -325,7 +324,7 @@ def _study_helmholtz1d(config: ExperimentConfig) -> ConvergenceReport:
             raise ConfigError(f"{name} is not a 1D kernel")
 
         def one(H):
-            problem = elliptic.Helmholtz1D(kernel=make(H), k0=k0, cutoff=cutoff)
+            problem = elliptic.Helmholtz1D(kernel=make(H), k0=k0)
             u_reg = elliptic.solve_regularized_1d(problem, nodes)
             return elliptic.pointwise_error(u_exact, u_reg, cutoff)
 
@@ -354,8 +353,7 @@ def _study_helmholtz2d(config: ExperimentConfig) -> ConvergenceReport:
             raise ConfigError(f"{name} is not a 2D kernel")
 
         def one(H):
-            problem = elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0,
-                                                 cutoff=cutoff, n_cells=n_cells)
+            problem = elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0, n_cells=n_cells)
             prof = elliptic.solve_regularized_2d_radial(problem)
             if n_cells not in exact_cache:
                 exact_cache[n_cells] = elliptic.exact_profile_2d(prof.nodes[1:], k0)

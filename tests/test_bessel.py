@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from deltareg import bessel
+from deltareg.elliptic import (
+    exact_point_solution_2d_radial,
+    exact_point_solution_2d_radial_deriv,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -47,45 +51,48 @@ def bisect(fn, lo, hi, iters=60):
 
 def test_j0_against_series_oracle():
     x = np.linspace(0.02, 20.0, 1000)
-    assert np.max(np.abs(bessel.j0(x) - j0_series(x))) <= 1e-7
+    assert np.max(np.abs(bessel.j0(x) - j0_series(x))) <= 1e-8
 
 
 def test_y0_against_series_oracle():
     x = np.linspace(0.02, 20.0, 1000)
-    assert np.max(np.abs(bessel.y0(x) - y0_series(x))) <= 1e-7
+    assert np.max(np.abs(bessel.y0(x) - y0_series(x))) <= 1e-8
 
 
 def test_j0_at_zero_limit():
-    # the rational fit carries its documented absolute error budget here
-    assert bessel.j0(0.0) == pytest.approx(1.0, abs=1e-7)
-    assert bessel.j0(1e-8) == pytest.approx(1.0, abs=1e-7)
+    # J0(x) = 1 - x^2/4 + ..., within 1e-16 of 1 at x = 1e-8
+    assert bessel.j0(0.0) == 1.0
+    assert bessel.j0(1e-8) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_first_j0_zero_location():
     oracle_zero = bisect(j0_series, 2.0, 3.0)
-    assert oracle_zero == pytest.approx(2.4048256, abs=1e-6)
+    assert oracle_zero == pytest.approx(2.404825557695773, abs=1e-12)
     impl_zero = bisect(bessel.j0, 2.0, 3.0)
-    assert abs(impl_zero - oracle_zero) <= 1e-6
+    assert abs(impl_zero - 2.404825557695773) <= 1e-12
 
 
 def test_y0_at_one():
-    assert bessel.y0(1.0) == pytest.approx(0.0882570, abs=1e-7)
+    assert bessel.y0(1.0) == pytest.approx(0.08825696421567696, abs=1e-12)
 
 
 def test_y0_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        bessel.y0(0.0)
-    with pytest.raises(ValueError):
-        bessel.y0(-1.0)
-    with pytest.raises(ValueError):
-        bessel.y1(0.0)
+    # scipy's y0/y1 return -inf or nan off (0, inf); the exact solution, which
+    # evaluates them at k0 and k0 r, rejects those arguments instead
+    for fn in (exact_point_solution_2d_radial, exact_point_solution_2d_radial_deriv):
+        for k0 in (0.0, -10.0):
+            with pytest.raises(ValueError, match="k0"):
+                fn(0.5, k0)
+        for r in (0.0, -0.5):
+            with pytest.raises(ValueError, match="positive"):
+                fn(r, 10.0)
 
 
 def test_wronskian_identity():
     # J1 Y0 - J0 Y1 = 2 / (pi x): couples all four implementations
     x = np.linspace(0.05, 50.0, 4000)
     w = bessel.j1(x) * bessel.y0(x) - bessel.j0(x) * bessel.y1(x)
-    assert np.max(np.abs(w - 2.0 / (np.pi * x))) <= 2e-7
+    assert np.max(np.abs(w - 2.0 / (np.pi * x))) <= 1e-13
 
 
 def test_j1_is_derivative_of_j0():

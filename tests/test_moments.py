@@ -20,7 +20,6 @@ from deltareg.moments import (
     radial_moment_residuals,
     shifted_legendre_eval,
     shifted_legendre_monomial,
-    solve_cosine_moment_problem,
     solve_dense,
     solve_moment_problem,
 )
@@ -198,28 +197,28 @@ def test_quadratic_without_continuity_is_discontinuous():
 # ---------------------------------------------------------------------------
 
 def test_cosine_zero_moment_1d():
-    kernel = solve_cosine_moment_problem(cosine_spec(1, 0, 1, s=1))
+    kernel = solve_moment_problem(cosine_spec(1, 0, 1, s=1))
     # boundary constraint eta(1) = 0 fixes the cosine weight to +1/2
     assert kernel.coeffs == pytest.approx([0.5, 0.5], abs=1e-12)
     assert kernel.eval(1.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cosine_two_moment_1d_closed_form():
-    kernel = solve_cosine_moment_problem(cosine_spec(1, 2, 3, s=1))
+    kernel = solve_moment_problem(cosine_spec(1, 2, 3, s=1))
     expected = [0.5, 23 * PI**2 / 192 - 1 / 16, PI**2 / 6, 3 * PI**2 / 64 + 9 / 16]
     assert kernel.coeffs == pytest.approx(expected, abs=1e-10)
 
 
 def test_cosine_zero_moment_2d_closed_form():
     spec = cosine_spec(2, 0, 1, s=1, norm=Normalization.PAPER_TABLE1_2D)
-    kernel = solve_cosine_moment_problem(spec)
+    kernel = solve_moment_problem(spec)
     c = 2 * PI / (PI**2 - 4)
     assert kernel.coeffs == pytest.approx([c, c], abs=1e-12)
 
 
 def test_cosine_two_moment_2d_closed_form():
     spec = cosine_spec(2, 2, 3, s=1, norm=Normalization.PAPER_TABLE1_2D)
-    kernel = solve_cosine_moment_problem(spec)
+    kernel = solve_moment_problem(spec)
     d = 9 * PI**4 - 104 * PI**2 + 48
     expected = [
         -144 * PI / d,
@@ -228,11 +227,6 @@ def test_cosine_two_moment_2d_closed_form():
         -81 * PI * (3 * PI**4 - 32 * PI**2 + 48) / (16 * d),
     ]
     assert kernel.coeffs == pytest.approx(expected, abs=1e-10)
-
-
-def test_cosine_solver_requires_cosine_basis():
-    with pytest.raises(MomentSystemError):
-        solve_cosine_moment_problem(legendre_spec(1, 0, 0))
 
 
 def test_cosine_rejects_redundant_origin_constraints():
@@ -319,7 +313,7 @@ def test_json_round_trip_is_bit_faithful():
 
 
 def test_cosine_kernel_serializes_without_monomial():
-    kernel = solve_cosine_moment_problem(cosine_spec(1, 2, 3, s=1))
+    kernel = solve_moment_problem(cosine_spec(1, 2, 3, s=1))
     payload = json.loads(kernel.to_json())
     assert "monomial" not in payload
     back = EtaKernel.from_json(kernel.to_json())

@@ -36,7 +36,7 @@ def test_order_five_on_x8():
     assert val == pytest.approx(2.0 / 9.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 32])
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 32, 128, 192])
 def test_exactness_and_weight_sum(order):
     rule = gauss_legendre(order)
     assert float(np.sum(rule.weights)) == pytest.approx(2.0, abs=1e-13)
@@ -56,14 +56,6 @@ def test_newton_residual(order):
         p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
     resid = p if order > 1 else p_prev
     assert np.max(np.abs(resid)) <= 1e-14
-
-
-@pytest.mark.parametrize("order", [8, 16, 64])
-def test_against_numpy_leggauss(order):
-    rule = gauss_legendre(order)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    assert np.max(np.abs(rule.nodes - nodes)) < 1e-13
-    assert np.max(np.abs(rule.weights - weights)) < 1e-13
 
 
 def test_integrate_polynomial():
@@ -107,6 +99,14 @@ def test_weak_star_two_moment_ratio_sixteen():
     e1 = weak_star_error(builder(1 / 8))
     e2 = weak_star_error(builder(1 / 16))
     assert e1 / e2 == pytest.approx(16.0, rel=0.03)
+
+
+def test_weak_star_doubles_order_up_to_192():
+    # the narrow Lorentzian needs order 192 (24 -> 48 -> 96 -> 192) to settle;
+    # oracle: scipy.integrate.quad on the same integrand
+    delta = catalog_lookup("eta_1_1_1d")(0.5)
+    val = weak_star_error(delta, phi=lambda x: 1.0 / (1.0 + ((x - 0.125) / 0.05) ** 2))
+    assert val == pytest.approx(0.0710773122544052, abs=1e-14)
 
 
 def test_weak_star_constant_test_function_is_mass():

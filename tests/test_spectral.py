@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from deltareg.kernels import catalog_lookup
 from deltareg.spectral import (
@@ -14,9 +12,7 @@ from deltareg.spectral import (
     PeriodicGrid1D,
     advect_leapfrog,
     conserved_quantities,
-    dft,
     gaussian_source,
-    idft,
     kdv_solve,
     leapfrog_phase_factors,
     peak_location,
@@ -24,52 +20,6 @@ from deltareg.spectral import (
     soliton,
     transport_diagnostics,
 )
-
-RNG = np.random.default_rng(7)
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-def test_dft_constant_vector():
-    coeffs = dft(np.full(16, 3.0))
-    assert coeffs[0] == pytest.approx(48.0)
-    assert np.max(np.abs(coeffs[1:])) <= 1e-12
-
-
-def test_dft_single_cosine_mode():
-    grid = PeriodicGrid1D(n=8)
-    coeffs = dft(np.cos(grid.nodes))
-    mags = np.abs(coeffs)
-    assert mags[1] == pytest.approx(4.0, abs=1e-12)
-    assert mags[7] == pytest.approx(4.0, abs=1e-12)
-    mags[[1, 7]] = 0.0
-    assert np.max(mags) <= 1e-12
-
-
-def test_dft_matches_direct_summation_oracle():
-    n = 64
-    v = RNG.standard_normal(n)
-    j = np.arange(n)
-    direct = np.array([np.sum(v * np.exp(-2j * np.pi * k * j / n)) for k in range(n)])
-    assert np.max(np.abs(dft(v) - direct)) <= 1e-11
-
-
-@given(st.integers(min_value=2, max_value=8))
-@settings(max_examples=7, deadline=None)
-def test_dft_round_trip(p):
-    v = RNG.standard_normal(2**p)
-    assert np.max(np.abs(idft(dft(v)) - v)) <= 1e-12
-
-
-def test_dft_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        dft(np.zeros(12))
-    with pytest.raises(ValueError):
-        idft(np.zeros(3))
-    with pytest.raises(ValueError):
-        PeriodicGrid1D(n=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +32,11 @@ def test_grid_layout():
     assert grid.dx == pytest.approx(math.pi / 4)
     assert grid.wavenumbers[-1] == pytest.approx(4.0)
     assert grid.deriv_wavenumbers[-1] == 0.0
+
+
+def test_grid_rejects_non_power_of_two():
+    with pytest.raises(ValueError):
+        PeriodicGrid1D(n=1000)
 
 
 def test_cfl_violation_raises():

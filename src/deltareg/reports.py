@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -166,9 +167,9 @@ def emit(report: ConvergenceReport, fmt: str = "csv") -> bytes:
     """Deterministic serialization: CSV with 12 significant digits, or JSON."""
     if fmt == "csv":
         buf = io.StringIO()
-        buf.write(",".join(report.columns) + "\n")
-        for row in report.rows:
-            buf.write(",".join(_fmt(row.get(c)) for c in report.columns) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")  # quotes only fields that need it
+        writer.writerow(report.columns)
+        writer.writerows([_fmt(row.get(c)) for c in report.columns] for row in report.rows)
         return buf.getvalue().encode()
     if fmt == "json":
         payload = {

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deltareg import elliptic
 from deltareg.elliptic import (
     Helmholtz1D,
     RadialHelmholtz2D,
@@ -20,7 +21,7 @@ from deltareg.elliptic import (
     weighted_sobolev_error,
 )
 from deltareg.kernels import catalog_lookup
-from deltareg.quadrature import gauss_legendre, integrate_panels
+from deltareg.quadrature import QuadratureError, gauss_legendre, integrate_panels
 
 from test_bessel import j0_series, y0_series
 
@@ -88,6 +89,62 @@ def test_solution_boundary_and_edge_continuity():
 def test_kernel_support_must_fit_in_domain():
     with pytest.raises(ValueError):
         Helmholtz1D(kernel=catalog_lookup("eta_cubic")(0.6), k0=K0)  # support 1.2
+
+
+def _convolve_one_node(x, delta, order, deriv):
+    """Reference: split the panels at the kink y = x for this one node, rule per sub-panel."""
+    kernel_fn = elliptic._greens_dx_1d if deriv else greens_function_1d
+    rule = gauss_legendre(order)
+    split = np.unique(np.concatenate([elliptic._kernel_panel_edges_1d(delta), [x]]))
+    total = 0.0
+    for lo, hi in zip(split[:-1], split[1:]):
+        n, w = rule.mapped(lo, hi)
+        total += float(np.dot(w, kernel_fn(x, n, K0) * delta.eval(n)))
+    return total
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("name", ["eta_1_2_1d", "eta_cos", "eta_cubic"])
+def test_batched_convolution_matches_per_node_oracle(name, deriv):
+    delta = catalog_lookup(name)(0.3)
+    edges = elliptic._kernel_panel_edges_1d(delta)
+    w = edges[-1]
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    xs = np.unique(np.concatenate([
+        [-1.0, 0.0, 1.0], edges, mids, edges[:-1] + 1e-3, edges[1:] - 1e-3,
+        [-w - 1e-9, -w + 1e-9, w - 1e-9, w + 1e-9], np.linspace(-0.95, 0.95, 7),
+    ]))
+    got = elliptic._convolve_greens(xs, delta, K0, 16, deriv)
+    ref = np.array([_convolve_one_node(x, delta, 16, deriv) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_1d_solve_reports_accepted_order_and_doubling_delta():
+    problem = Helmholtz1D(kernel=catalog_lookup("eta_2_3_1d")(1 / 32), k0=K0)
+    profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 4001))
+    assert profile.metadata["order"] in (32, 64)
+    assert profile.metadata["doubling_delta"] <= 1e-10 * np.max(np.abs(profile.values))
+
+
+def _fake_convolution(factor):
+    """A convolution whose values are (1 - x^2) * factor(order)."""
+    return lambda xs, delta, k0, order, deriv: (1.0 - xs**2) * factor(order)
+
+
+def test_1d_solve_accepts_the_third_order(monkeypatch):
+    monkeypatch.setattr(elliptic, "_convolve_greens",
+                        _fake_convolution(lambda order: 2.0 if order == 16 else 1.0))
+    problem = Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0)
+    profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 41))
+    assert profile.metadata["order"] == 64
+    assert profile.metadata["doubling_delta"] == 0.0
+
+
+def test_1d_solve_raises_when_order_doubling_fails(monkeypatch):
+    monkeypatch.setattr(elliptic, "_convolve_greens", _fake_convolution(float))
+    problem = Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0)
+    with pytest.raises(QuadratureError, match="order-doubling"):
+        solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 41))
 
 
 # ---------------------------------------------------------------------------

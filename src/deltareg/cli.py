@@ -72,10 +72,9 @@ def _cmd_kernel(args) -> int:
             _write_output(catalog_json().encode() + b"\n", args.out)
         else:
             lines = ["name,dim,moments,weak_order,smoothness,support_factor,source"]
-            from .kernels import catalog_entries
-
-            for e in catalog_entries():
-                lines.append(f"{e.name},{e.dim},{e.moments},{e.weak_order},"
+            for name in catalog_names():
+                e = catalog_lookup(name).entry
+                lines.append(f"{name},{e.dim},{e.moments},{e.weak_order},"
                              f"{e.smoothness},{e.support_factor:g},{e.source}")
             _write_output(("\n".join(lines) + "\n").encode(), args.out)
         return 0

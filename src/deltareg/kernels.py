@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .moments import Normalization
+from .moments import BasisFamily, BasisKind, MomentProblemSpec, solve_moment_problem
 from .profiles import PolyPiece, RadialProfile, cosine_profile, poly_profile
 from .quadrature import gauss_legendre, integrate_panels
 
@@ -26,8 +27,6 @@ __all__ = [
     "fourier_transform_1d",
 ]
 
-PI = math.pi
-
 
 class UnknownKernelError(KeyError):
     pass
@@ -42,7 +41,6 @@ class RegularizedDelta:
 
     dim: int
     name: str
-    normalization: Normalization
     profiles: tuple  # one RadialProfile (radial) or dim profiles (tensor)
     half_widths: tuple  # scale factors matching profiles
     is_radial: bool
@@ -80,10 +78,6 @@ class RegularizedDelta:
             return self.half_widths[0] * self.profiles[0].support
         widths = [h * p.support for h, p in zip(self.half_widths, self.profiles)]
         return math.hypot(*widths)
-
-    @property
-    def normalization_name(self) -> str:
-        return self.normalization.value
 
     def profile_breakpoints(self) -> tuple:
         return self.profiles[0].breakpoints
@@ -137,35 +131,38 @@ class CatalogEntry:
     builder_spec: dict | None = None
 
 
+@lru_cache(maxsize=None)
+def _solved_profile(spec: MomentProblemSpec) -> RadialProfile:
+    # one solve per moment problem and process, on first use
+    return solve_moment_problem(spec).profile()
+
+
 @dataclass(frozen=True)
 class KernelBuilder:
     """Catalog entry plus a constructor parameterized by the support scale H."""
 
     entry: CatalogEntry
-    _poly: tuple = ()  # PolyPiece data under PaperTable1_2D scaling for 2D, printed for 1D
-    _cos: tuple = ()
-    _support: float = 1.0
+    printed: RadialProfile | None = None  # literature kernels only; Table-1 ones are solved
 
-    def profile(self, normalization: Normalization = Normalization.SURFACE_MEASURE) -> RadialProfile:
-        factor = 1.0
-        if self.entry.dim == 2 and normalization is Normalization.SURFACE_MEASURE:
-            factor = 0.5  # printed 2D forms carry the nu(2)=pi convention
-        if self._poly:
-            prof = RadialProfile(pieces=self._poly, support=self._support)
-        else:
-            prof = RadialProfile(cos_coeffs=self._cos, support=self._support)
-        return prof.scaled(factor) if factor != 1.0 else prof
+    def profile(self) -> RadialProfile:
+        """The radial profile: printed for literature kernels, else solved from builder_spec."""
+        if self.printed is not None:
+            return self.printed
+        e, b = self.entry, self.entry.builder_spec
+        kind = BasisKind.COSINE if b.get("basis") == "cosine" else BasisKind.SHIFTED_LEGENDRE
+        return _solved_profile(MomentProblemSpec(
+            dim=e.dim, moments=b["m"], degree=b["p"], basis=BasisFamily(kind, b["p"]),
+            boundary_smoothness=b["s"], origin_smoothness=b["origin"],
+        ))
 
-    def __call__(self, H: float,
-                 normalization: Normalization = Normalization.SURFACE_MEASURE) -> RegularizedDelta:
+    def __call__(self, H: float) -> RegularizedDelta:
         if H <= 0:
             raise ValueError("H must be positive")
         e = self.entry
         return RegularizedDelta(
             dim=e.dim,
             name=e.name,
-            normalization=normalization,
-            profiles=(self.profile(normalization),),
+            profiles=(self.profile(),),
             half_widths=(H,),
             is_radial=True,
             moments=e.moments,
@@ -174,110 +171,86 @@ class KernelBuilder:
         )
 
 
-def _poly1(coeffs, support=1.0):
-    return (PolyPiece(0.0, support, tuple(coeffs)),)
-
-
 _CATALOG: dict[str, KernelBuilder] = {}
 
 
 def _register(name, dim, moments, weak_order, smoothness, closed_form, source,
-              poly=(), cos=(), support=1.0, builder_spec=None):
+              builder_spec=None, printed=None):
     entry = CatalogEntry(
         name=name, dim=dim, moments=moments, weak_order=weak_order, smoothness=smoothness,
-        closed_form=closed_form, source=source, support_factor=support,
+        closed_form=closed_form, source=source,
+        support_factor=printed.support if printed is not None else 1.0,
         builder_spec=builder_spec,
     )
-    _CATALOG[name] = KernelBuilder(entry=entry, _poly=poly, _cos=cos, _support=support)
+    _CATALOG[name] = KernelBuilder(entry=entry, printed=printed)
 
 
-# ---- 1D polynomial kernels -------------------------------------------------
+# ---- Table 1: profiles solved from builder_spec under SurfaceMeasure --------
+# The closed forms are the printed ones (2D under nu(2) = pi, i.e. twice the
+# solved profile); tests/test_moments.py checks the solved coefficients against them.
 _register("eta_1_0_1d", 1, 1, 1, "L1", "1/2", "table1",
-          poly=_poly1([0.5]),
           builder_spec=dict(m=0, p=0, s=0, origin=0))
 _register("eta_1_1_1d", 1, 1, 1, "C0", "1 - r", "table1",
-          poly=_poly1([1.0, -1.0]),
           builder_spec=dict(m=0, p=1, s=1, origin=0))
 _register("eta_1_2_1d", 1, 1, 1, "C0", "3 - 9 r + 6 r^2", "table1",
-          poly=_poly1([3.0, -9.0, 6.0]),
           builder_spec=dict(m=1, p=2, s=1, origin=0))
 _register("eta_2_2_1d", 1, 2, 3, "L1", "9/2 - 18 r + 15 r^2", "table1",
-          poly=_poly1([4.5, -18.0, 15.0]),
           builder_spec=dict(m=2, p=2, s=0, origin=0))
 _register("eta_2_3_1d", 1, 2, 3, "C0", "-30 r^3 + 60 r^2 - 36 r + 6", "table1",
-          poly=_poly1([6.0, -36.0, 60.0, -30.0]),
           builder_spec=dict(m=2, p=3, s=1, origin=0))
 _register("eta_2_5_1d", 1, 2, 3, "C1",
           "168 r^5 - 945/2 r^4 + 450 r^3 - 150 r^2 + 9/2", "table1",
-          poly=_poly1([4.5, 0.0, -150.0, 450.0, -472.5, 168.0]),
           builder_spec=dict(m=2, p=5, s=2, origin=2))
-
-# ---- 2D polynomial kernels (printed forms; SurfaceMeasure halves them) -----
 _register("eta_0_1_2d", 2, 1, 1, "C0", "(6/pi) (1 - r)", "table1",
-          poly=_poly1([6 / PI, -6 / PI]),
           builder_spec=dict(m=0, p=1, s=1, origin=0))
 _register("eta_1_1_2d", 2, 1, 1, "L1", "(6/pi) (3 - 4 r)", "table1",
-          poly=_poly1([18 / PI, -24 / PI]),
           builder_spec=dict(m=1, p=1, s=0, origin=0))
 _register("eta_1_2_2d", 2, 1, 1, "C0", "(12/pi) (5 r^2 - 8 r + 3)", "table1",
-          poly=_poly1([36 / PI, -96 / PI, 60 / PI]),
           builder_spec=dict(m=1, p=2, s=1, origin=0))
 _register("eta_2_2_2d", 2, 2, 3, "L1", "(12/pi) (15 r^2 - 20 r + 6)", "table1",
-          poly=_poly1([72 / PI, -240 / PI, 180 / PI]),
           builder_spec=dict(m=2, p=2, s=0, origin=0))
 _register("eta_2_3_2d", 2, 2, 3, "C0", "(-60/pi) (7 r^3 - 15 r^2 + 10 r - 2)", "table1",
-          poly=_poly1([120 / PI, -600 / PI, 900 / PI, -420 / PI]),
           builder_spec=dict(m=2, p=3, s=1, origin=0))
 _register("eta_2_5_2d", 2, 2, 3, "C1",
           "(84/pi) (24 r^5 - 70 r^4 + 70 r^3 - 25 r^2 + 1)", "table1",
-          poly=_poly1([84 / PI, 0.0, -2100 / PI, 5880 / PI, -5880 / PI, 2016 / PI]),
           builder_spec=dict(m=2, p=5, s=2, origin=2))
-
-# ---- trigonometric kernels --------------------------------------------------
 _register("eta_1_cos_1d", 1, 1, 1, "C0", "(1/2) (1 + cos(pi r))", "table1",
-          cos=(0.5, 0.5),
           builder_spec=dict(m=0, p=1, s=1, origin=0, basis="cosine"))
 _register("eta_2_cos_1d", 1, 2, 3, "C0",
           "1/2 + (23 pi^2/192 - 1/16) cos(pi r) + (pi^2/6) cos(2 pi r) "
           "+ (3 pi^2/64 + 9/16) cos(3 pi r)", "table1",
-          cos=(0.5, 23 * PI**2 / 192 - 1 / 16, PI**2 / 6, 3 * PI**2 / 64 + 9 / 16),
           builder_spec=dict(m=2, p=3, s=1, origin=0, basis="cosine"))
 _register("eta_1_cos_2d", 2, 1, 1, "C0", "(2 pi / (pi^2 - 4)) (cos(pi r) + 1)", "table1",
-          cos=(2 * PI / (PI**2 - 4), 2 * PI / (PI**2 - 4)),
           builder_spec=dict(m=0, p=1, s=1, origin=0, basis="cosine"))
-_D2 = 9 * PI**4 - 104 * PI**2 + 48
 _register("eta_2_cos_2d", 2, 2, 3, "C0",
           "-(144 pi + (pi (45 pi^4 + 32 pi^2 - 48)/16) cos(pi r) "
           "+ 2 pi (9 pi^4 - 80 pi^2 + 48) cos(2 pi r) "
           "+ (81 pi (3 pi^4 - 32 pi^2 + 48)/16) cos(3 pi r)) / (9 pi^4 - 104 pi^2 + 48)",
           "table1",
-          cos=(-144 * PI / _D2,
-               -PI * (45 * PI**4 + 32 * PI**2 - 48) / (16 * _D2),
-               -2 * PI * (9 * PI**4 - 80 * PI**2 + 48) / _D2,
-               -81 * PI * (3 * PI**4 - 32 * PI**2 + 48) / (16 * _D2)),
           builder_spec=dict(m=2, p=3, s=1, origin=0, basis="cosine"))
 
-# ---- literature kernels ------------------------------------------------------
-_register("eta_hat1", 1, 1, 1, "C0", "1 - |z| on [-1, 1]", "hat_literature",
-          poly=_poly1([1.0, -1.0]))
+# ---- literature kernels: no moment spec, the printed profile is the source ----
 _register("eta_hat2", 1, 1, 1, "C0", "1/4 (2 - |z|) on [-2, 2]", "hat_literature",
-          poly=_poly1([0.5, -0.25], support=2.0), support=2.0)
+          printed=poly_profile([0.5, -0.25], support=2.0))
 _register("eta_cos", 1, 1, 1, "C0", "1/4 (1 + cos(pi z / 2)) on [-2, 2]", "cos_literature",
-          cos=(0.25, 0.25), support=2.0)
+          printed=cosine_profile([0.25, 0.25], support=2.0))
 _register("eta_cubic", 1, 2, 3, "C0",
           "1 - |z|/2 - z^2 + |z|^3/2 on [0, 1]; 1 - 11|z|/6 + z^2 - |z|^3/6 on (1, 2]",
           "cubic_literature",
-          poly=(PolyPiece(0.0, 1.0, (1.0, -0.5, -1.0, 0.5)),
-                PolyPiece(1.0, 2.0, (1.0, -11.0 / 6.0, 1.0, -1.0 / 6.0))),
-          support=2.0)
+          printed=RadialProfile(pieces=(
+              PolyPiece(0.0, 1.0, (1.0, -0.5, -1.0, 0.5)),
+              PolyPiece(1.0, 2.0, (1.0, -11.0 / 6.0, 1.0, -1.0 / 6.0)),
+          ), support=2.0))
 
 _ALIASES = {
     "eta_0_1_1d": "eta_1_1_1d",  # study name for the 1D hat built from mass + C0
+    "eta_hat1": "eta_1_1_1d",  # the literature hat 1 - |z| on [-1, 1]
 }
 
 
 def catalog_names() -> list[str]:
-    return sorted(_CATALOG)
+    """Every name catalog_lookup resolves, aliases included."""
+    return sorted(set(_CATALOG) | set(_ALIASES))
 
 
 def catalog_lookup(name: str) -> KernelBuilder:
@@ -296,9 +269,10 @@ def catalog_entries() -> list[CatalogEntry]:
 
 def catalog_json() -> str:
     rows = []
-    for e in catalog_entries():
+    for name in catalog_names():
+        e = catalog_lookup(name).entry
         rows.append({
-            "name": e.name, "dim": e.dim, "moments": e.moments,
+            "name": name, "dim": e.dim, "moments": e.moments,
             "weak_order": e.weak_order, "smoothness": e.smoothness,
             "closed_form": e.closed_form, "source": e.source,
             "support_factor": e.support_factor,
@@ -353,13 +327,12 @@ def tensor_product(axes, fit_in_ball: bool) -> RegularizedDelta:
     if n == 1:
         prof = profs[0]
         return RegularizedDelta(
-            dim=1, name=f"tensor({names[0]})", normalization=Normalization.SURFACE_MEASURE,
+            dim=1, name=f"tensor({names[0]})",
             profiles=(prof,), half_widths=(scales[0],), is_radial=True,
             moments=moments[0] if moments else 0, weak_order=weak[0] if weak else 0,
         )
     return RegularizedDelta(
         dim=n, name="tensor(" + ",".join(names) + ")",
-        normalization=Normalization.SURFACE_MEASURE,
         profiles=tuple(profs), half_widths=tuple(scales), is_radial=False,
         moments=min(moments) if moments else 0,
         weak_order=min(weak) if weak else 0,

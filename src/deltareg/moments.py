@@ -358,8 +358,6 @@ def _norm_of(obj, normalization) -> Normalization:
         return normalization
     if isinstance(obj, EtaKernel):
         return obj.spec.normalization
-    if hasattr(obj, "normalization"):
-        return obj.normalization
     return Normalization.SURFACE_MEASURE
 
 

@@ -113,17 +113,6 @@ class RadialProfile:
         rule = gauss_legendre(order)
         return integrate_panels(lambda r: self.eval(r) * r**power, self.breakpoints, rule)
 
-    def scaled(self, factor: float) -> "RadialProfile":
-        """Profile multiplied by a constant."""
-        if self.is_polynomial:
-            pieces = tuple(
-                PolyPiece(p.lo, p.hi, tuple(factor * c for c in p.coeffs)) for p in self.pieces
-            )
-            return RadialProfile(pieces=pieces, support=self.support)
-        return RadialProfile(
-            cos_coeffs=tuple(factor * c for c in self.cos_coeffs), support=self.support
-        )
-
 
 def poly_profile(coeffs, support: float = 1.0) -> RadialProfile:
     """Single-piece polynomial profile on [0, support] from ascending monomial coefficients."""

@@ -249,10 +249,12 @@ def _study_weakstar(config: ExperimentConfig) -> ConvergenceReport:
             fit = convergence_slope(Hs, Es)
             slopes[name] = fit.slope
             expected = entry.weak_order + 1
-            lo = float(opts.get("slope_min", expected - 0.1)) if "slope_min" in opts else expected - 0.1
-            hi = float(opts.get("slope_max", expected + 0.1)) if "slope_max" in opts else expected + 0.1
             if entry.source == "cubic_literature":
                 lo, hi = 3.9, expected + 0.35
+            else:
+                lo, hi = expected - 0.1, expected + 0.1
+            lo = float(opts.get("slope_min", lo))
+            hi = float(opts.get("slope_max", hi))
             ok = lo <= fit.slope <= hi
             ratios = _ratio_chain(Hs, Es)
             for i, H in enumerate(Hs):

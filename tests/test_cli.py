@@ -7,7 +7,7 @@ from deltareg.cli import main
 
 # rows each table emits; weakstar-2d adds two parity rows, helm2d-sobolev one set per alpha
 GATED_TABLES = {"weakstar-1d": 50, "weakstar-2d": 22, "helm1d": 20, "helm2d": 15,
-                "helm2d-sobolev": 63}
+                "helm2d-sobolev": 63, "advect-dispersion": 3, "kdv-impulse": 3}
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +65,15 @@ def test_csv_rows_have_header_width_and_match_json(tmp_path):
                 assert cell == str(value)
 
 
-def test_failing_gate_exits_2(tmp_path, capsys):
+# eta_cubic has its own default band; a configured one must still override it
+@pytest.mark.parametrize("kernel", ["eta_1_1_1d", "eta_cubic"])
+def test_failing_gate_exits_2(tmp_path, capsys, kernel):
     config = tmp_path / "study.cfg"
-    config.write_text("study = weakstar\nkernels = eta_1_1_1d\nslope_min = 5\nslope_max = 6\n")
+    config.write_text(f"study = weakstar\nkernels = {kernel}\nslope_min = 5\nslope_max = 6\n")
     assert main(["study", str(config)]) == 2
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert rows and {row["status"] for row in rows} == {"fail"}
+    assert {float(row["slope_min"]) for row in rows} == {5.0}
 
 
 def test_blow_up_is_reported_without_traceback(capsys):

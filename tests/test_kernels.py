@@ -14,7 +14,7 @@ from deltareg.kernels import (
     fourier_transform_1d,
     tensor_product,
 )
-from deltareg.moments import Normalization, moment_residuals
+from deltareg.moments import moment_residuals
 from deltareg.quadrature import gauss_legendre, integrate_panels
 
 RNG = np.random.default_rng(1234)
@@ -141,12 +141,6 @@ def test_catalog_moment_residuals(name):
     res = moment_residuals(builder.profile(), builder.entry.moments,
                            dim=builder.entry.dim)
     assert np.max(np.abs(res)) <= 1e-10
-
-
-def test_paper_normalization_reproduces_printed_2d_mass():
-    # under the printed convention the 2D radial mass integral is 1/pi
-    prof = catalog_lookup("eta_1_1_2d").profile(Normalization.PAPER_TABLE1_2D)
-    assert prof.moment(1) == pytest.approx(1.0 / math.pi, abs=1e-14)
 
 
 def test_tensor_ball_mass_differs_from_full_mass():

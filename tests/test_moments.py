@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltareg.kernels import catalog_entries, catalog_lookup
 from deltareg.moments import (
     BasisFamily,
     BasisKind,
@@ -154,37 +155,72 @@ def test_singular_system_fails_loudly():
 
 
 # ---------------------------------------------------------------------------
-# printed polynomial kernels (coefficient regeneration)
+# printed Table-1 kernels (coefficient regeneration and the catalog profiles)
 # ---------------------------------------------------------------------------
 
+# Printed Table-1 forms as (catalog name, moment problem, coefficients): monomial
+# coefficients for the polynomial kernels, cosine weights for the trigonometric
+# ones; the 2D forms carry the printed nu(2) = pi convention.
+P2 = Normalization.PAPER_TABLE1_2D
+D_COS2 = 9 * PI**4 - 104 * PI**2 + 48
+
 TABLE_1D = [
-    (legendre_spec(1, 0, 0), [0.5]),
-    (legendre_spec(1, 0, 1, s=1), [1.0, -1.0]),
-    (legendre_spec(1, 2, 2), [4.5, -18.0, 15.0]),
-    (legendre_spec(1, 2, 3, s=1), [6.0, -36.0, 60.0, -30.0]),
-    (legendre_spec(1, 2, 5, s=2, origin=2), [4.5, 0.0, -150.0, 450.0, -472.5, 168.0]),
+    ("eta_1_0_1d", legendre_spec(1, 0, 0), [0.5]),
+    ("eta_1_1_1d", legendre_spec(1, 0, 1, s=1), [1.0, -1.0]),
+    ("eta_1_2_1d", legendre_spec(1, 1, 2, s=1), [3.0, -9.0, 6.0]),
+    ("eta_2_2_1d", legendre_spec(1, 2, 2), [4.5, -18.0, 15.0]),
+    ("eta_2_3_1d", legendre_spec(1, 2, 3, s=1), [6.0, -36.0, 60.0, -30.0]),
+    ("eta_2_5_1d", legendre_spec(1, 2, 5, s=2, origin=2),
+     [4.5, 0.0, -150.0, 450.0, -472.5, 168.0]),
 ]
 
 TABLE_2D = [
-    (legendre_spec(2, 0, 1, s=1, norm=Normalization.PAPER_TABLE1_2D),
-     [6 / PI, -6 / PI]),
-    (legendre_spec(2, 1, 1, norm=Normalization.PAPER_TABLE1_2D),
-     [18 / PI, -24 / PI]),
-    (legendre_spec(2, 1, 2, s=1, norm=Normalization.PAPER_TABLE1_2D),
-     [36 / PI, -96 / PI, 60 / PI]),
-    (legendre_spec(2, 2, 2, norm=Normalization.PAPER_TABLE1_2D),
-     [72 / PI, -240 / PI, 180 / PI]),
-    (legendre_spec(2, 2, 3, s=1, norm=Normalization.PAPER_TABLE1_2D),
+    ("eta_0_1_2d", legendre_spec(2, 0, 1, s=1, norm=P2), [6 / PI, -6 / PI]),
+    ("eta_1_1_2d", legendre_spec(2, 1, 1, norm=P2), [18 / PI, -24 / PI]),
+    ("eta_1_2_2d", legendre_spec(2, 1, 2, s=1, norm=P2), [36 / PI, -96 / PI, 60 / PI]),
+    ("eta_2_2_2d", legendre_spec(2, 2, 2, norm=P2), [72 / PI, -240 / PI, 180 / PI]),
+    ("eta_2_3_2d", legendre_spec(2, 2, 3, s=1, norm=P2),
      [120 / PI, -600 / PI, 900 / PI, -420 / PI]),
-    (legendre_spec(2, 2, 5, s=2, origin=2, norm=Normalization.PAPER_TABLE1_2D),
+    ("eta_2_5_2d", legendre_spec(2, 2, 5, s=2, origin=2, norm=P2),
      [84 / PI, 0.0, -2100 / PI, 5880 / PI, -5880 / PI, 2016 / PI]),
 ]
 
+TABLE_COS = {
+    "eta_1_cos_1d": (cosine_spec(1, 0, 1, s=1), [0.5, 0.5]),
+    "eta_2_cos_1d": (cosine_spec(1, 2, 3, s=1),
+                     [0.5, 23 * PI**2 / 192 - 1 / 16, PI**2 / 6, 3 * PI**2 / 64 + 9 / 16]),
+    "eta_1_cos_2d": (cosine_spec(2, 0, 1, s=1, norm=P2),
+                     [2 * PI / (PI**2 - 4), 2 * PI / (PI**2 - 4)]),
+    "eta_2_cos_2d": (cosine_spec(2, 2, 3, s=1, norm=P2),
+                     [-144 * PI / D_COS2,
+                      -PI * (45 * PI**4 + 32 * PI**2 - 48) / (16 * D_COS2),
+                      -2 * PI * (9 * PI**4 - 80 * PI**2 + 48) / D_COS2,
+                      -81 * PI * (3 * PI**4 - 32 * PI**2 + 48) / (16 * D_COS2)]),
+}
 
-@pytest.mark.parametrize("spec,expected", TABLE_1D + TABLE_2D)
+PRINTED = TABLE_1D + TABLE_2D + [
+    (name, spec, coeffs) for name, (spec, coeffs) in TABLE_COS.items()]
+
+
+@pytest.mark.parametrize("spec,expected", [(spec, c) for _, spec, c in TABLE_1D + TABLE_2D])
 def test_polynomial_kernel_regeneration(spec, expected):
     kernel = solve_moment_problem(spec)
     assert kernel.monomial == pytest.approx(expected, abs=1e-10)
+
+
+def test_printed_forms_cover_every_table1_kernel():
+    table1 = {e.name for e in catalog_entries() if e.source == "table1"}
+    assert sorted(name for name, _, _ in PRINTED) == sorted(table1)
+
+
+@pytest.mark.parametrize("name,spec,printed", PRINTED, ids=[row[0] for row in PRINTED])
+def test_catalog_profile_matches_printed_form(name, spec, printed):
+    # the catalog solves under SurfaceMeasure, nu(2) = 2 pi: half the printed 2D form
+    prof = catalog_lookup(name).profile()
+    coeffs = np.asarray(prof.pieces[0].coeffs if prof.is_polynomial else prof.cos_coeffs)
+    expected = np.asarray(printed) * (0.5 if spec.dim == 2 else 1.0)
+    assert coeffs.shape == expected.shape
+    assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_quadratic_without_continuity_is_discontinuous():
@@ -197,35 +233,28 @@ def test_quadratic_without_continuity_is_discontinuous():
 # ---------------------------------------------------------------------------
 
 def test_cosine_zero_moment_1d():
-    kernel = solve_moment_problem(cosine_spec(1, 0, 1, s=1))
+    spec, expected = TABLE_COS["eta_1_cos_1d"]
+    kernel = solve_moment_problem(spec)
     # boundary constraint eta(1) = 0 fixes the cosine weight to +1/2
-    assert kernel.coeffs == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert kernel.coeffs == pytest.approx(expected, abs=1e-12)
     assert kernel.eval(1.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cosine_two_moment_1d_closed_form():
-    kernel = solve_moment_problem(cosine_spec(1, 2, 3, s=1))
-    expected = [0.5, 23 * PI**2 / 192 - 1 / 16, PI**2 / 6, 3 * PI**2 / 64 + 9 / 16]
+    spec, expected = TABLE_COS["eta_2_cos_1d"]
+    kernel = solve_moment_problem(spec)
     assert kernel.coeffs == pytest.approx(expected, abs=1e-10)
 
 
 def test_cosine_zero_moment_2d_closed_form():
-    spec = cosine_spec(2, 0, 1, s=1, norm=Normalization.PAPER_TABLE1_2D)
+    spec, expected = TABLE_COS["eta_1_cos_2d"]
     kernel = solve_moment_problem(spec)
-    c = 2 * PI / (PI**2 - 4)
-    assert kernel.coeffs == pytest.approx([c, c], abs=1e-12)
+    assert kernel.coeffs == pytest.approx(expected, abs=1e-12)
 
 
 def test_cosine_two_moment_2d_closed_form():
-    spec = cosine_spec(2, 2, 3, s=1, norm=Normalization.PAPER_TABLE1_2D)
+    spec, expected = TABLE_COS["eta_2_cos_2d"]
     kernel = solve_moment_problem(spec)
-    d = 9 * PI**4 - 104 * PI**2 + 48
-    expected = [
-        -144 * PI / d,
-        -PI * (45 * PI**4 + 32 * PI**2 - 48) / (16 * d),
-        -2 * PI * (9 * PI**4 - 80 * PI**2 + 48) / d,
-        -81 * PI * (3 * PI**4 - 32 * PI**2 + 48) / (16 * d),
-    ]
     assert kernel.coeffs == pytest.approx(expected, abs=1e-10)
 
 

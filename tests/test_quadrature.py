@@ -115,12 +115,11 @@ def test_weak_star_constant_test_function_is_mass():
     assert val <= 1e-12
 
 
-def test_weak_star_requires_surface_measure():
-    from deltareg.moments import Normalization
-
-    delta = catalog_lookup("eta_1_1_2d")(0.25, normalization=Normalization.PAPER_TABLE1_2D)
-    with pytest.raises(ValueError):
-        weak_star_error(delta)
+def test_weak_star_radial_2d_anisotropic_test_function():
+    # oracle: scipy.integrate.dblquad of delta_H * phi in polar coordinates
+    delta = catalog_lookup("eta_1_1_2d")(0.5)
+    val = weak_star_error(delta, phi=lambda x, y: np.exp(-(x**2) - 4 * y**2))
+    assert val == pytest.approx(0.1104040125256, abs=1e-12)
 
 
 def test_weak_star_support_exceeding_box():

@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from deltareg import elliptic
+from deltareg.cli import main
 from deltareg.elliptic import (
     Helmholtz1D,
     RadialHelmholtz2D,
@@ -21,6 +23,7 @@ from deltareg.elliptic import (
     weighted_sobolev_error,
 )
 from deltareg.kernels import catalog_lookup
+from deltareg.moments import SingularSystemError
 from deltareg.quadrature import QuadratureError, gauss_legendre, integrate_panels
 
 from test_bessel import j0_series, y0_series
@@ -201,14 +204,43 @@ def _ring_kernel_oracle(delta, rr, k0=K0):
     return integrate_panels(integrand, edges, rule)
 
 
-def test_fd_solver_matches_ring_kernel_oracle():
-    delta = catalog_lookup("eta_2_3_2d")(0.125)
+@pytest.mark.parametrize("H", [0.25, 0.125])
+@pytest.mark.parametrize("name", ["eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d"])
+def test_fd_solver_matches_ring_kernel_oracle(name, H):
+    delta = catalog_lookup(name)(H)
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
     n = len(profile.nodes) - 1
     for rr in (0.05, 0.3, 0.55, 0.9):
         j = int(round(rr * n))
         assert profile.values[j] == pytest.approx(
             _ring_kernel_oracle(delta, rr), abs=5e-8)
+
+
+def test_fd_solve_reports_mesh_and_residual_diagnostics():
+    delta = catalog_lookup("eta_2_3_2d")(0.125)
+    meta = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta)).metadata
+    assert meta["cells_per_radius"] == 2560
+    r = np.linspace(0.0, 1.0, meta["n_cells"] + 1)
+    b_inf = np.max(np.abs(delta.eval(np.stack([r, np.zeros_like(r)], axis=-1))))
+    # measured 1.4e-10 and 9.0e-11 of |b|, the rounding floor of entries ~ 1/h^2;
+    # the bound leaves a 7x margin for LAPACK builds that round differently
+    assert 0.0 < meta["residual_before"] <= 1e-9 * b_inf
+    assert 0.0 < meta["residual_after"] <= 1e-9 * b_inf
+
+
+def test_fd_singular_factor_raises(monkeypatch, capsys):
+    def singular(ab, kl, ku):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7
+
+    monkeypatch.setattr(elliptic, "dgbtrf", singular)
+    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
+    with pytest.raises(SingularSystemError, match="zero pivot in column 6"):
+        solve_regularized_2d_radial(problem)
+    # a study turns the solver error into an error row and exits 1
+    assert main(["helmholtz2d", "--kernels", "eta_2_3_2d", "--H", "2^-2..2^-3"]) == 1
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["status"] for row in rows] == ["error"]
+    assert "zero pivot" in rows[0]["message"]
 
 
 def test_fd_mesh_halving_self_consistency():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltareg.kernels import catalog_lookup, catalog_names
+from deltareg.kernels import catalog_lookup, catalog_names, tensor_product
 from deltareg.quadrature import (
     QuadratureError,
+    _weak_star_once,
     convergence_slope,
     gauss_legendre,
     integrate_1d,
@@ -120,6 +121,25 @@ def test_weak_star_radial_2d_anisotropic_test_function():
     delta = catalog_lookup("eta_1_1_2d")(0.5)
     val = weak_star_error(delta, phi=lambda x, y: np.exp(-(x**2) - 4 * y**2))
     assert val == pytest.approx(0.1104040125256, abs=1e-12)
+
+
+# the tensor path integrates a product of two 1D kernels against a separable phi;
+# it must factor into the two 1D radial-path integrals
+@pytest.mark.parametrize("a, b, H", [("eta_2_3_1d", "eta_1_2_1d", 0.25),
+                                     ("eta_cubic", "eta_cos", 0.5)])
+def test_weak_star_tensor_path_factors_into_radial_paths(a, b, H):
+    def f(x):
+        return np.exp(0.8 * x) * np.cos(3 * x)
+
+    def g(y):
+        return 1.0 / (1.0 + ((y - 0.1) / 0.3) ** 2)
+
+    ka, kb = catalog_lookup(a), catalog_lookup(b)
+    tensor = tensor_product([(ka, H), (kb, H)], fit_in_ball=False)
+    for order in (24, 48):
+        product = _weak_star_once(ka(H), f, order) * _weak_star_once(kb(H), g, order)
+        assert _weak_star_once(tensor, lambda x, y: f(x) * g(y), order) == pytest.approx(
+            product, abs=1e-13)
 
 
 def test_weak_star_support_exceeding_box():

@@ -8,9 +8,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import elliptic, spectral
+from . import spectral
 from .kernels import catalog_json, catalog_lookup, catalog_names, eval_delta
 from .moments import (
     BasisFamily,
@@ -22,14 +20,7 @@ from .moments import (
     solve_moment_problem,
 )
 from .quadrature import QuadratureError
-from .reports import (
-    ConfigError,
-    ExperimentConfig,
-    emit,
-    parse_config_text,
-    parse_h_schedule,
-    run_study,
-)
+from .reports import STUDIES, ConfigError, emit, parse_config_text, parse_h_schedule, run_study
 
 _TABLE_IDS = (
     "helm1d",
@@ -50,17 +41,19 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode())
 
 
-def _study_options(args, extra: dict) -> dict:
-    options = {k: v for k, v in extra.items() if v is not None}
-    if getattr(args, "out", None):
-        options["out"] = args.out
-    if getattr(args, "format", None):
-        options["format"] = args.format
-    return options
+# per-study subcommand flags that steer the command rather than its study; every
+# other flag is a config key of the study and reaches it through parse_config_text
+_COMMAND_FLAGS = {"command", "fn", "dims", "detail", "sigma", "normalized_gaussian",
+                  "snapshots"}
 
 
-def _run_and_emit(study: str, options: dict) -> int:
-    config = ExperimentConfig(study=study, options=options)
+def _flag_config(args):
+    """The subcommand's study config: its flags override the study's defaults."""
+    overrides = {k: v for k, v in vars(args).items() if k not in _COMMAND_FLAGS}
+    return parse_config_text(f"study = {args.command}", overrides)
+
+
+def _emit_study(config) -> int:
     report = run_study(config)
     _write_output(emit(report, config.format), config.out)
     return report.exit_code
@@ -108,95 +101,72 @@ def _cmd_kernel(args) -> int:
     raise ConfigError(f"unknown kernel action {args.action}")
 
 
+def _cmd_study_flags(args) -> int:
+    return _emit_study(_flag_config(args))
+
+
 def _cmd_weakstar(args) -> int:
-    kernels = args.kernels
     if args.dims:
         dims = {int(d) for d in args.dims.split(",")}
         names = []
-        for name in kernels.split(","):
+        for name in args.kernels.split(","):
             name = name.strip()
             entry_dim = 2 if name.startswith("tensor:") else catalog_lookup(name).entry.dim
             if entry_dim in dims:
                 names.append(name)
-        kernels = ",".join(names)
-    return _run_and_emit("weakstar", _study_options(args, {
-        "kernels": kernels, "H": args.H,
-    }))
-
-
-def _cmd_helmholtz1d(args) -> int:
-    return _run_and_emit("helmholtz1d", _study_options(args, {
-        "kernels": args.kernels, "H": args.H, "k0": str(args.k0),
-        "cutoff": args.cutoff, "grid_points": args.grid_points,
-    }))
-
-
-def _cmd_helmholtz2d(args) -> int:
-    return _run_and_emit("helmholtz2d", _study_options(args, {
-        "kernels": args.kernels, "H": args.H, "k0": str(args.k0),
-        "cutoff": args.cutoff, "nodes": args.nodes,
-    }))
-
-
-def _cmd_sobolev(args) -> int:
-    return _run_and_emit("helmholtz2d_sobolev", _study_options(args, {
-        "kernels": args.kernels, "H": args.H, "alpha": args.alpha,
-        "k0": str(args.k0), "nodes": args.nodes,
-    }))
+        args.kernels = ",".join(names)
+    return _cmd_study_flags(args)
 
 
 def _cmd_advect(args) -> int:
-    if args.detail:
-        builder = catalog_lookup(args.kernel)
-        grid = spectral.PeriodicGrid1D(n=args.N)
-        run = spectral.AdvectionRun(grid=grid, kernel=builder(args.H),
-                                    t_final=parse_h_schedule(args.T)[0])
-        errs, result = spectral.pointwise_error_after_periods(run)
-        lines = ["x,E"]
-        for x, e in zip(grid.nodes, errs):
-            lines.append(f"{x:.12g},{e:.12g}")
-        _write_output(("\n".join(lines) + "\n").encode(), args.out)
-        meta = dict(result.metadata, n_steps=result.n_steps, dt=result.dt, N=args.N)
-        sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
-        return 0
-    return _run_and_emit("advect", _study_options(args, {
-        "kernels": args.kernel, "H": args.H, "N": str(args.N), "T": args.T,
-    }))
+    config = _flag_config(args)
+    if not args.detail:
+        return _emit_study(config)
+    opts = config.options
+    builder = catalog_lookup(opts["kernels"])
+    grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
+    run = spectral.AdvectionRun(grid=grid, kernel=builder(parse_h_schedule(opts["H"])[0]),
+                                t_final=parse_h_schedule(opts["T"])[0])
+    errs, result = spectral.pointwise_error_after_periods(run)
+    lines = ["x,E"]
+    for x, e in zip(grid.nodes, errs):
+        lines.append(f"{x:.12g},{e:.12g}")
+    _write_output(("\n".join(lines) + "\n").encode(), config.out)
+    meta = dict(result.metadata, n_steps=result.n_steps, dt=result.dt, N=grid.n)
+    sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
+    return 0
 
 
 def _cmd_kdv(args) -> int:
-    if args.detail:
-        grid = spectral.PeriodicGrid1D(n=args.N, length=16.0 * math.pi)
-        snapshots = tuple(float(t) for t in args.snapshots.split(",")) if args.snapshots else ()
-        if args.source.startswith("kernel:"):
-            builder = catalog_lookup(args.source.split(":", 1)[1])
-            run = spectral.KdVRun(grid=grid, kernel=builder(parse_h_schedule(args.H)[0]),
-                                  dt=args.dt, t_final=parse_h_schedule(args.T)[0],
-                                  snapshots=snapshots)
-        else:
-            sigma = parse_h_schedule(args.sigma)[0]
-            run = spectral.KdVRun(grid=grid, gaussian_sigma=sigma, dt=args.dt,
-                                  t_final=parse_h_schedule(args.T)[0],
-                                  snapshots=snapshots,
-                                  gaussian_normalized=args.normalized_gaussian)
-        result = spectral.kdv_solve(run)
-        lines = ["x," + ",".join(f"u(t={t:g})" for t in result.times)]
-        for i, x in enumerate(grid.nodes):
-            lines.append(f"{x:.12g}," + ",".join(f"{u[i]:.12g}" for u in result.snapshots))
-        _write_output(("\n".join(lines) + "\n").encode(), args.out)
-        spec_lines = ["k," + ",".join(f"|u_hat|(t={t:g})" for t in result.times)]
-        k = grid.full_wavenumbers
-        for i in range(grid.n):
-            spec_lines.append(f"{k[i]:.12g}," + ",".join(f"{s[i]:.12g}" for s in result.spectra))
-        if args.out:
-            with open(args.out + ".spectra.csv", "wb") as fh:
-                fh.write(("\n".join(spec_lines) + "\n").encode())
-        sys.stderr.write(json.dumps(result.metadata, sort_keys=True) + "\n")
-        return 0
-    return _run_and_emit("kdv", _study_options(args, {
-        "source": args.source, "H": args.H, "N": str(args.N), "T": args.T,
-        "dt": str(args.dt),
-    }))
+    config = _flag_config(args)
+    if not args.detail:
+        return _emit_study(config)
+    opts = config.options
+    grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
+    t_final = parse_h_schedule(opts["T"])[0]
+    snapshots = tuple(float(t) for t in args.snapshots.split(",")) if args.snapshots else ()
+    if opts["source"].startswith("kernel:"):
+        builder = catalog_lookup(opts["source"].split(":", 1)[1])
+        run = spectral.KdVRun(grid=grid, kernel=builder(parse_h_schedule(opts["H"])[0]),
+                              dt=float(opts["dt"]), t_final=t_final, snapshots=snapshots)
+    else:
+        run = spectral.KdVRun(grid=grid, gaussian_sigma=parse_h_schedule(args.sigma)[0],
+                              dt=float(opts["dt"]), t_final=t_final, snapshots=snapshots,
+                              gaussian_normalized=args.normalized_gaussian)
+    result = spectral.kdv_solve(run)
+    lines = ["x," + ",".join(f"u(t={t:g})" for t in result.times)]
+    for i, x in enumerate(grid.nodes):
+        lines.append(f"{x:.12g}," + ",".join(f"{u[i]:.12g}" for u in result.snapshots))
+    _write_output(("\n".join(lines) + "\n").encode(), config.out)
+    spec_lines = ["k," + ",".join(f"|u_hat|(t={t:g})" for t in result.times)]
+    k = grid.full_wavenumbers
+    for i in range(grid.n):
+        spec_lines.append(f"{k[i]:.12g}," + ",".join(f"{s[i]:.12g}" for s in result.spectra))
+    if config.out:
+        with open(config.out + ".spectra.csv", "wb") as fh:
+            fh.write(("\n".join(spec_lines) + "\n").encode())
+    sys.stderr.write(json.dumps(result.metadata, sort_keys=True) + "\n")
+    return 0
 
 
 def _cmd_reproduce(args) -> int:
@@ -204,25 +174,23 @@ def _cmd_reproduce(args) -> int:
     if table not in _TABLE_IDS:
         raise ConfigError(f"unknown table '{table}'; known: {', '.join(_TABLE_IDS)}")
     resource = importlib.resources.files("deltareg") / "configs" / f"{table}.cfg"
-    text = resource.read_text()
-    overrides = {}
-    if args.out:
-        overrides["out"] = args.out
-    if args.format:
-        overrides["format"] = args.format
-    config = parse_config_text(text, overrides)
-    report = run_study(config)
-    _write_output(emit(report, config.format), config.out)
-    return report.exit_code
+    return _emit_study(parse_config_text(resource.read_text(),
+                                         {"out": args.out, "format": args.format}))
 
 
 def _cmd_study(args) -> int:
     with open(args.config) as fh:
-        config = parse_config_text(fh.read(),
-                                   {"out": args.out, "format": args.format})
-    report = run_study(config)
-    _write_output(emit(report, config.format), config.out)
-    return report.exit_code
+        text = fh.read()
+    return _emit_study(parse_config_text(text, {"out": args.out, "format": args.format}))
+
+
+def _study_keys_help(study: str) -> str:
+    """The study's config keys and defaults, as `deltareg study` reads them."""
+    lines = [f"study = {study}  (also: out, format)"]
+    for key, default in STUDIES[study.replace("-", "_")].defaults.items():
+        shown = "(required)" if default is ... else "(unset)" if default is None else default
+        lines.append(f"  {key} = {shown}")
+    return "\n".join(lines)
 
 
 def _add_common(p) -> None:
@@ -254,59 +222,63 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pk)
     pk.set_defaults(fn=_cmd_kernel)
 
-    pw = sub.add_parser("weakstar", help="weak-star convergence rates")
+    # the per-study flags default to None, so the study's table supplies every default
+    def study_parser(name, help):
+        return sub.add_parser(name, help=help, epilog=_study_keys_help(name),
+                              formatter_class=argparse.RawDescriptionHelpFormatter)
+
+    pw = study_parser("weakstar", "weak-star convergence rates")
     pw.add_argument("--kernels", required=True)
-    pw.add_argument("--dims", default=None, help="filter kernels by dimension, e.g. 1,2")
-    pw.add_argument("--H", default="2^-2..2^-6")
+    pw.add_argument("--dims", help="filter kernels by dimension, e.g. 1,2")
+    pw.add_argument("--H")
     _add_common(pw)
     pw.set_defaults(fn=_cmd_weakstar)
 
-    p1 = sub.add_parser("helmholtz1d", help="1D pointwise deleted-neighborhood rates")
+    p1 = study_parser("helmholtz1d", "1D pointwise deleted-neighborhood rates")
     p1.add_argument("--kernels", required=True)
-    p1.add_argument("--H", default="2^-2..2^-5")
-    p1.add_argument("--k0", type=float, default=10.0)
-    p1.add_argument("--cutoff", default="0.25")
-    p1.add_argument("--grid-points", dest="grid_points", default="4001")
+    p1.add_argument("--H")
+    p1.add_argument("--k0", type=float)
+    p1.add_argument("--cutoff")
+    p1.add_argument("--grid-points", dest="grid_points")
     _add_common(p1)
-    p1.set_defaults(fn=_cmd_helmholtz1d)
+    p1.set_defaults(fn=_cmd_study_flags)
 
-    p2 = sub.add_parser("helmholtz2d", help="2D radial pointwise rates")
+    p2 = study_parser("helmholtz2d", "2D radial pointwise rates")
     p2.add_argument("--kernels", required=True)
-    p2.add_argument("--H", default="2^-2..2^-6")
-    p2.add_argument("--k0", type=float, default=10.0)
-    p2.add_argument("--cutoff", default="0.25")
-    p2.add_argument("--nodes", default="20480")
+    p2.add_argument("--H")
+    p2.add_argument("--k0", type=float)
+    p2.add_argument("--cutoff")
+    p2.add_argument("--nodes")
     _add_common(p2)
-    p2.set_defaults(fn=_cmd_helmholtz2d)
+    p2.set_defaults(fn=_cmd_study_flags)
 
-    ps = sub.add_parser("helmholtz2d-sobolev", help="2D weighted-Sobolev rates")
+    ps = study_parser("helmholtz2d-sobolev", "2D weighted-Sobolev rates")
     ps.add_argument("--kernels", required=True)
-    ps.add_argument("--H", default="2^-2..2^-8")
-    ps.add_argument("--alpha", default="0.25,0.5,0.9")
-    ps.add_argument("--k0", type=float, default=10.0)
-    ps.add_argument("--nodes", default="20480")
+    ps.add_argument("--H")
+    ps.add_argument("--alpha")
+    ps.add_argument("--k0", type=float)
+    ps.add_argument("--nodes")
     _add_common(ps)
-    ps.set_defaults(fn=_cmd_sobolev)
+    ps.set_defaults(fn=_cmd_study_flags)
 
-    pa = sub.add_parser("advect", help="leapfrog dispersion study")
-    pa.add_argument("--kernel", required=True)
-    pa.add_argument("--H", default="0.5")
-    pa.add_argument("--N", type=int, default=1024)
-    pa.add_argument("--T", default="36pi")
+    pa = study_parser("advect", "leapfrog dispersion study")
+    pa.add_argument("--kernel", dest="kernels", metavar="KERNEL", required=True)
+    pa.add_argument("--H")
+    pa.add_argument("--N", type=int)
+    pa.add_argument("--T")
     pa.add_argument("--detail", action="store_true", help="emit the E(x) profile CSV")
     _add_common(pa)
     pa.set_defaults(fn=_cmd_advect)
 
-    pkdv = sub.add_parser("kdv", help="KdV impulse evolution")
-    pkdv.add_argument("--source", default="kernel:eta_2_5_1d",
-                      help="kernel:<name> or 'gaussian'")
-    pkdv.add_argument("--H", default="pi,pi/2,pi/4")
-    pkdv.add_argument("--sigma", default="pi/64")
+    pkdv = study_parser("kdv", "KdV impulse evolution")
+    pkdv.add_argument("--source", help="kernel:<name> or 'gaussian'")
+    pkdv.add_argument("--H")
+    pkdv.add_argument("--sigma", default="pi/64", help="--detail gaussian width")
     pkdv.add_argument("--normalized-gaussian", action="store_true")
-    pkdv.add_argument("--N", type=int, default=512)
-    pkdv.add_argument("--T", default="0.05")
-    pkdv.add_argument("--dt", type=float, default=1e-4)
-    pkdv.add_argument("--snapshots", default=None)
+    pkdv.add_argument("--N", type=int)
+    pkdv.add_argument("--T")
+    pkdv.add_argument("--dt", type=float)
+    pkdv.add_argument("--snapshots")
     pkdv.add_argument("--detail", action="store_true",
                       help="emit snapshot and spectra CSVs for a single run")
     _add_common(pkdv)
@@ -317,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pr)
     pr.set_defaults(fn=_cmd_reproduce)
 
-    pst = sub.add_parser("study", help="run a study from a config file")
+    pst = sub.add_parser("study", help="run a study from a config file",
+                         epilog="\n".join(_study_keys_help(name) for name in STUDIES),
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
     pst.add_argument("config")
     _add_common(pst)
     pst.set_defaults(fn=_cmd_study)

@@ -1,4 +1,21 @@
-"""Experiment orchestration: validated configs, convergence tables, CSV/JSON emission."""
+"""Convergence studies as gated tables: configs, one study driver, CSV/JSON emission.
+
+A study is a generator over its units of work: one kernel (weakstar,
+helmholtz1d, helmholtz2d, helmholtz2d_sobolev), one (kernel, H) pair (advect)
+or one H (kdv), then the gate units that compare finished ones (the weak-star
+parity pairs, the advect ordering).  It yields each unit as its key columns
+and a function that computes the unit's rows.  `run_study` is the driver: it
+adds the rows each function returns, or, when the function raises, one error
+row that names the unit's key columns and the exception's type and text, so
+one failed kernel never hides the others and a gate whose input failed reports
+an error instead of vanishing.  A config fault (a gate naming a kernel that is
+not listed, a per-kernel list of the wrong length) raises ConfigError before
+any unit runs.
+
+`STUDIES` is the one table of every study's config keys and their defaults:
+`parse_config_text` rejects keys outside it and fills in the rest, and the
+CLI's per-study flags are overrides that go through it too.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +25,8 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +38,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ConvergenceReport",
+    "STUDIES",
     "run_study",
     "emit",
     "parse_h_schedule",
@@ -67,37 +87,29 @@ def parse_h_schedule(text: str) -> list[float]:
     return sorted(values, reverse=True)
 
 
-_COMMON_KEYS = {"study", "out", "format"}
-_STUDY_KEYS = {
-    "weakstar": {"kernels", "H", "slope_min", "slope_max", "parity_pairs",
-                 "parity_tolerance"},
-    "helmholtz1d": {"kernels", "H", "k0", "cutoff", "grid_points", "expected_R",
-                    "tolerance", "rate_min", "rate_max", "expected_rate"},
-    "helmholtz2d": {"kernels", "H", "k0", "cutoff", "nodes", "expected_R",
-                    "tolerance", "rate_min", "rate_max", "expected_rate"},
-    "helmholtz2d_sobolev": {"kernels", "H", "k0", "alpha", "nodes", "tolerance"},
-    "advect": {"kernels", "H", "N", "T", "amp_tolerance", "phase_tolerance",
-               "ordering"},
-    "kdv": {"source", "H", "N", "T", "dt", "mass_tolerance"},
-}
+_COMMON_KEYS = {"out": None, "format": "csv"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     study: str
-    options: dict
+    options: dict  # every key of the study's table, defaults filled in
 
     @property
     def out(self) -> str | None:
-        return self.options.get("out")
+        return self.options["out"]
 
     @property
     def format(self) -> str:
-        return self.options.get("format", "csv")
+        return self.options["format"]
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Flat key = value lines; '#' comments; unknown keys are rejected."""
+    """Flat key = value lines; '#' comments; overrides that are not None win.
+
+    Keys outside the study's table are rejected, a required key that is missing
+    is an error, and every other missing key takes its default from `STUDIES`.
+    """
     options: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -115,12 +127,16 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
     if study is None:
         raise ConfigError("config needs a 'study = <kind>' line")
     study = study.replace("-", "_")
-    if study not in _STUDY_KEYS:
-        raise ConfigError(f"unknown study '{study}'; known: {sorted(_STUDY_KEYS)}")
-    allowed = _STUDY_KEYS[study] | _COMMON_KEYS
-    unknown = set(options) - allowed
+    if study not in STUDIES:
+        raise ConfigError(f"unknown study '{study}'; known: {sorted(STUDIES)}")
+    defaults = {**STUDIES[study].defaults, **_COMMON_KEYS}
+    unknown = set(options) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys for {study}: {sorted(unknown)}")
+    options = {**defaults, **options}
+    missing = sorted(key for key, value in options.items() if value is ...)
+    if missing:
+        raise ConfigError(f"config for {study} needs {missing}")
     return ExperimentConfig(study=study, options=options)
 
 
@@ -133,7 +149,8 @@ class ConvergenceReport:
     had_error: bool = False
 
     def add(self, **row) -> None:
-        self.rows.append(row)
+        """Append a row; every column it does not name is None."""
+        self.rows.append({**dict.fromkeys(self.columns), **row})
         if row.get("status") == "fail":
             self.passed = False
         if row.get("status") == "error":
@@ -183,7 +200,7 @@ def emit(report: ConvergenceReport, fmt: str = "csv") -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# kernel resolution shared by the studies
+# helpers shared by the studies
 # ---------------------------------------------------------------------------
 
 def _resolve_kernel(spec_str: str):
@@ -210,6 +227,38 @@ def _float_list(text: str) -> list[float]:
     return [_parse_number(t) for t in text.split(",") if t.strip()]
 
 
+def _per_kernel(opts: dict, key: str, names: list[str]) -> list[float] | None:
+    """A per-kernel gate list, or None when the key is unset."""
+    if opts[key] is None:
+        return None
+    values = _float_list(opts[key])
+    if len(values) != len(names):
+        raise ConfigError(f"{key} must list one value per kernel")
+    return values
+
+
+def _require_listed(names: list[str], gate_names, key: str) -> None:
+    unlisted = [name for name in gate_names if name not in names]
+    if unlisted:
+        raise ConfigError(f"{key} names kernels that 'kernels' does not list: {unlisted}")
+
+
+def _finished(results: dict, name: str):
+    """A gate's input: the result of a kernel's unit, which must not have errored."""
+    if name not in results:
+        raise ValueError(f"{name} has no result to compare: its unit errored")
+    return results[name]
+
+
+def _ratios(fit) -> list:
+    # one per H: None for the first, and where an error sits below the quadrature floor
+    return [None] + [None if math.isnan(r) else float(r) for r in fit.ratios]
+
+
+def _status(ok: bool) -> str:
+    return "ok" if ok else "fail"
+
+
 def _map_rows(fn, items, workers: int = 4):
     """Evaluate fn over items concurrently; results return in input order."""
     if len(items) <= 1:
@@ -218,302 +267,248 @@ def _map_rows(fn, items, workers: int = 4):
         return list(pool.map(fn, items))
 
 
-def _ratio_chain(Hs, Es):
-    ratios = [None]
-    for i in range(1, len(Hs)):
-        if Es[i - 1] is not None and Es[i] is not None and Es[i - 1] > 0 and Es[i] > 0:
-            ratios.append(math.log(Es[i - 1] / Es[i]) / math.log(Hs[i - 1] / Hs[i]))
-        else:
-            ratios.append(None)
-    return ratios
+def _solve_2d(kernel, k0: float, n_cells: int) -> elliptic.SolutionProfile:
+    """Radial FD solve without the r = 0 node, where the exact solution is singular."""
+    problem = elliptic.RadialHelmholtz2D(kernel=kernel, k0=k0, n_cells=n_cells)
+    p = elliptic.solve_regularized_2d_radial(problem)
+    return elliptic.SolutionProfile(nodes=p.nodes[1:], values=p.values[1:],
+                                    derivs=p.derivs[1:], metadata=p.metadata)
 
 
 # ---------------------------------------------------------------------------
-# studies
+# studies: each yields (key columns, function returning the unit's rows)
 # ---------------------------------------------------------------------------
 
-def _study_weakstar(config: ExperimentConfig) -> ConvergenceReport:
-    opts = config.options
+def _weakstar(opts: dict):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts.get("H", "2^-2..2^-6"))
-    report = ConvergenceReport(
-        study="weakstar",
-        columns=("kernel", "dim", "H", "E_weak", "ratio", "slope", "slope_min",
-                 "slope_max", "status", "message"),
-    )
+    Hs = parse_h_schedule(opts["H"])
+    tol = float(opts["parity_tolerance"])
+    pairs = [pair.split(":", 1) for pair in _csv_list(opts["parity_pairs"] or "")]
+    _require_listed(names, [name for pair in pairs for name in pair], "parity_pairs")
     slopes: dict[str, float] = {}
+
+    def kernel_rows(name):
+        make, entry, dim = _resolve_kernel(name)
+        Es = _map_rows(lambda H: weak_star_error(make(H)), Hs)
+        fit = convergence_slope(Hs, Es)
+        slopes[name] = fit.slope
+        expected = entry.weak_order + 1
+        if entry.source == "cubic_literature":
+            lo, hi = 3.9, expected + 0.35
+        else:
+            lo, hi = expected - 0.1, expected + 0.1
+        lo = lo if opts["slope_min"] is None else float(opts["slope_min"])
+        hi = hi if opts["slope_max"] is None else float(opts["slope_max"])
+        status = _status(lo <= fit.slope <= hi)
+        return [dict(dim=dim, H=H, E_weak=E, ratio=R, slope=fit.slope, slope_min=lo,
+                     slope_max=hi, status=status)
+                for H, E, R in zip(Hs, Es, _ratios(fit))]
+
+    def parity_rows(a, b):
+        gap = abs(_finished(slopes, a) - _finished(slopes, b))
+        return [dict(dim=2, slope=gap, slope_min=0.0, slope_max=tol, status=_status(gap <= tol))]
+
     for name in names:
-        try:
-            make, entry, dim = _resolve_kernel(name)
-            Es = _map_rows(lambda H: weak_star_error(make(H)), Hs)
-            fit = convergence_slope(Hs, Es)
-            slopes[name] = fit.slope
-            expected = entry.weak_order + 1
-            if entry.source == "cubic_literature":
-                lo, hi = 3.9, expected + 0.35
-            else:
-                lo, hi = expected - 0.1, expected + 0.1
-            lo = float(opts.get("slope_min", lo))
-            hi = float(opts.get("slope_max", hi))
-            ok = lo <= fit.slope <= hi
-            ratios = _ratio_chain(Hs, Es)
-            for i, H in enumerate(Hs):
-                report.add(kernel=name, dim=dim, H=H, E_weak=Es[i], ratio=ratios[i],
-                           slope=fit.slope, slope_min=lo, slope_max=hi,
-                           status="ok" if ok else "fail", message="")
-        except Exception as exc:  # noqa: BLE001 - study rows must keep going
-            report.add(kernel=name, dim=None, H=None, E_weak=None, ratio=None,
-                       slope=None, slope_min=None, slope_max=None,
-                       status="error", message=str(exc))
-    for pair in _csv_list(opts.get("parity_pairs", "")):
-        a, b = pair.split(":", 1)
-        tol = float(opts.get("parity_tolerance", 0.15))
-        if a in slopes and b in slopes:
-            gap = abs(slopes[a] - slopes[b])
-            report.add(kernel=f"parity({a},{b})", dim=2, H=None, E_weak=None,
-                       ratio=None, slope=gap, slope_min=0.0, slope_max=tol,
-                       status="ok" if gap <= tol else "fail", message="")
-    return report
+        yield {"kernel": name}, partial(kernel_rows, name)
+    for a, b in pairs:
+        yield {"kernel": f"parity({a},{b})"}, partial(parity_rows, a, b)
 
 
-def _helmholtz_error_rows(config, solve_errors, report, names, Hs):
-    opts = config.options
-    expected_R = _float_list(opts["expected_R"]) if "expected_R" in opts else None
-    if expected_R is not None and len(expected_R) != len(names):
-        raise ConfigError("expected_R must list one value per kernel")
-    tol = float(opts.get("tolerance", 0.05))
-    rate_min = _float_list(opts["rate_min"]) if "rate_min" in opts else None
-    rate_max = _float_list(opts["rate_max"]) if "rate_max" in opts else None
-    expected_rate = _float_list(opts["expected_rate"]) if "expected_rate" in opts else None
+def _helmholtz(opts: dict, dim: int):
+    names = _csv_list(opts["kernels"])
+    Hs = parse_h_schedule(opts["H"])
+    k0 = float(opts["k0"])
+    cutoff = _parse_number(opts["cutoff"])
+    tol = float(opts["tolerance"])
+    expected_R, rate_min, rate_max, expected_rate = (
+        _per_kernel(opts, key, names)
+        for key in ("expected_R", "rate_min", "rate_max", "expected_rate"))
+
+    if dim == 1:
+        nodes = np.linspace(-1.0, 1.0, int(opts["grid_points"]))
+        u_exact = elliptic.exact_profile_1d(nodes, k0)
+
+        def errors(make):
+            def one(H):
+                problem = elliptic.Helmholtz1D(kernel=make(H), k0=k0)
+                u_reg = elliptic.solve_regularized_1d(problem, nodes)
+                return elliptic.pointwise_error(u_exact, u_reg, cutoff)
+
+            return _map_rows(one, Hs)
+    else:
+        n_cells = int(opts["nodes"])
+
+        def errors(make):
+            profiles = [_solve_2d(make(H), k0, n_cells) for H in Hs]
+            u_exact = elliptic.exact_profile_2d(profiles[0].nodes, k0)
+            return [elliptic.pointwise_error(u_exact, u_reg, cutoff) for u_reg in profiles]
+
+    def kernel_rows(idx, name):
+        make, entry, kernel_dim = _resolve_kernel(name)
+        if kernel_dim != dim:
+            raise ConfigError(f"{name} is not a {dim}D kernel")
+        Es = errors(make)
+        ratios = _ratios(convergence_slope(Hs, Es))
+        final = ratios[-1]
+        if expected_R is not None:
+            target = expected_R[idx]
+            ok = final is not None and abs(final - target) <= tol
+        elif rate_min is not None:
+            target = rate_min[idx]
+            hi = rate_max[idx] if rate_max is not None else math.inf
+            ok = final is not None and target <= final <= hi
+        else:
+            target = None
+            ok = final is not None
+        rate = expected_rate[idx] if expected_rate is not None else None
+        return [dict(H=H, E=E, R=R, expected_rate=rate, target_R=target, status=_status(ok))
+                for H, E, R in zip(Hs, Es, ratios)]
+
     for idx, name in enumerate(names):
-        try:
-            Es = solve_errors(name)
-            ratios = _ratio_chain(Hs, Es)
-            final = ratios[-1]
-            if expected_R is not None:
-                ok = final is not None and abs(final - expected_R[idx]) <= tol
-                target = expected_R[idx]
-            elif rate_min is not None:
-                hi = rate_max[idx] if rate_max is not None else math.inf
-                ok = final is not None and rate_min[idx] <= final <= hi
-                target = rate_min[idx]
-            else:
-                ok = final is not None
-                target = None
-            rate = expected_rate[idx] if expected_rate is not None else None
-            for i, H in enumerate(Hs):
-                report.add(kernel=name, H=H, E=Es[i], R=ratios[i],
-                           expected_rate=rate, target_R=target,
-                           status="ok" if ok else "fail", message="")
-        except Exception as exc:  # noqa: BLE001
-            report.add(kernel=name, H=None, E=None, R=None, expected_rate=None,
-                       target_R=None, status="error", message=str(exc))
-    return report
+        yield {"kernel": name}, partial(kernel_rows, idx, name)
 
 
-def _study_helmholtz1d(config: ExperimentConfig) -> ConvergenceReport:
-    opts = config.options
+def _sobolev(opts: dict):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts.get("H", "2^-2..2^-5"))
-    k0 = float(opts.get("k0", 10.0))
-    cutoff = _parse_number(opts.get("cutoff", "0.25"))
-    n_grid = int(opts.get("grid_points", 4001))
-    nodes = np.linspace(-1.0, 1.0, n_grid)
-    u_exact = elliptic.exact_profile_1d(nodes, k0)
+    Hs = parse_h_schedule(opts["H"])
+    alphas = _float_list(opts["alpha"])
+    k0 = float(opts["k0"])
+    n_cells = int(opts["nodes"])
+    tol = float(opts["tolerance"])
 
-    def solve_errors(name):
+    def kernel_rows(name):
         make, entry, dim = _resolve_kernel(name)
-        if dim != 1:
-            raise ConfigError(f"{name} is not a 1D kernel")
+        profiles = [_solve_2d(make(H), k0, n_cells) for H in Hs]
+        u_exact = elliptic.exact_profile_2d(profiles[0].nodes, k0)
+        rows = []
+        for alpha in alphas:
+            wspec = elliptic.WeightedNormSpec(alpha=alpha)
+            Es = [elliptic.weighted_sobolev_error(u_exact, u_reg, wspec) for u_reg in profiles]
+            ratios = _ratios(convergence_slope(Hs, Es))
+            status = _status(ratios[-1] is not None and abs(ratios[-1] - alpha) <= tol)
+            rows += [dict(alpha=alpha, H=H, E=E, R=R, target_R=alpha, status=status)
+                     for H, E, R in zip(Hs, Es, ratios)]
+        return rows
 
-        def one(H):
-            problem = elliptic.Helmholtz1D(kernel=make(H), k0=k0)
-            u_reg = elliptic.solve_regularized_1d(problem, nodes)
-            return elliptic.pointwise_error(u_exact, u_reg, cutoff)
-
-        return _map_rows(one, Hs)
-
-    report = ConvergenceReport(
-        study="helmholtz1d",
-        columns=("kernel", "H", "E", "R", "expected_rate", "target_R", "status",
-                 "message"),
-    )
-    return _helmholtz_error_rows(config, solve_errors, report, names, Hs)
-
-
-def _study_helmholtz2d(config: ExperimentConfig) -> ConvergenceReport:
-    opts = config.options
-    names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts.get("H", "2^-2..2^-6"))
-    k0 = float(opts.get("k0", 10.0))
-    cutoff = _parse_number(opts.get("cutoff", "0.25"))
-    n_cells = int(opts.get("nodes", 20480))
-    exact_cache: dict[int, elliptic.SolutionProfile] = {}
-
-    def solve_errors(name):
-        make, entry, dim = _resolve_kernel(name)
-        if dim != 2:
-            raise ConfigError(f"{name} is not a 2D kernel")
-
-        def one(H):
-            problem = elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0, n_cells=n_cells)
-            prof = elliptic.solve_regularized_2d_radial(problem)
-            if n_cells not in exact_cache:
-                exact_cache[n_cells] = elliptic.exact_profile_2d(prof.nodes[1:], k0)
-            u_reg = elliptic.SolutionProfile(nodes=prof.nodes[1:],
-                                             values=prof.values[1:],
-                                             derivs=prof.derivs[1:],
-                                             metadata=prof.metadata)
-            return elliptic.pointwise_error(exact_cache[n_cells], u_reg, cutoff)
-
-        return [one(H) for H in Hs]
-
-    report = ConvergenceReport(
-        study="helmholtz2d",
-        columns=("kernel", "H", "E", "R", "expected_rate", "target_R", "status",
-                 "message"),
-    )
-    return _helmholtz_error_rows(config, solve_errors, report, names, Hs)
-
-
-def _study_sobolev(config: ExperimentConfig) -> ConvergenceReport:
-    opts = config.options
-    names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts.get("H", "2^-2..2^-8"))
-    alphas = _float_list(opts.get("alpha", "0.25,0.5,0.9"))
-    k0 = float(opts.get("k0", 10.0))
-    n_cells = int(opts.get("nodes", 20480))
-    tol = float(opts.get("tolerance", 0.05))
-    report = ConvergenceReport(
-        study="helmholtz2d_sobolev",
-        columns=("alpha", "kernel", "H", "E", "R", "target_R", "status", "message"),
-    )
     for name in names:
-        try:
-            make, entry, dim = _resolve_kernel(name)
-            profiles = {}
-            for H in Hs:
-                problem = elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0,
-                                                     n_cells=n_cells)
-                p = elliptic.solve_regularized_2d_radial(problem)
-                profiles[H] = elliptic.SolutionProfile(
-                    nodes=p.nodes[1:], values=p.values[1:], derivs=p.derivs[1:],
-                    metadata=p.metadata)
-            u_exact = elliptic.exact_profile_2d(profiles[Hs[0]].nodes, k0)
-            for alpha in alphas:
-                wspec = elliptic.WeightedNormSpec(alpha=alpha)
-                Es = [elliptic.weighted_sobolev_error(u_exact, profiles[H], wspec)
-                      for H in Hs]
-                ratios = _ratio_chain(Hs, Es)
-                ok = ratios[-1] is not None and abs(ratios[-1] - alpha) <= tol
-                for i, H in enumerate(Hs):
-                    report.add(alpha=alpha, kernel=name, H=H, E=Es[i], R=ratios[i],
-                               target_R=alpha, status="ok" if ok else "fail",
-                               message="")
-        except Exception as exc:  # noqa: BLE001
-            report.add(alpha=None, kernel=name, H=None, E=None, R=None,
-                       target_R=None, status="error", message=str(exc))
-    return report
+        yield {"kernel": name}, partial(kernel_rows, name)
 
 
-def _study_advect(config: ExperimentConfig) -> ConvergenceReport:
-    opts = config.options
+def _advect(opts: dict):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts.get("H", "0.5"))
-    n = int(opts.get("N", 1024))
-    t_final = _parse_number(opts.get("T", "36pi"))
-    amp_tol = float(opts.get("amp_tolerance", 1e-9))
-    phase_tol = float(opts.get("phase_tolerance", 1e-8))
-    grid = spectral.PeriodicGrid1D(n=n)
-    report = ConvergenceReport(
-        study="advect",
-        columns=("kernel", "H", "max_error", "amp_drift", "phase_dev", "status",
-                 "message"),
-    )
+    Hs = parse_h_schedule(opts["H"])
+    t_final = _parse_number(opts["T"])
+    amp_tol = float(opts["amp_tolerance"])
+    phase_tol = float(opts["phase_tolerance"])
+    grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
+    if opts["ordering"]:
+        hi_name, lo_name = (t.strip() for t in opts["ordering"].split(">"))
+        _require_listed(names, (hi_name, lo_name), "ordering")
     maxima: dict[str, float] = {}
+
+    def run_rows(name, H):
+        make, entry, dim = _resolve_kernel(name)
+        run = spectral.AdvectionRun(grid=grid, kernel=make(H), t_final=t_final)
+        errs, result = spectral.pointwise_error_after_periods(run)
+        amp = float(np.max(np.abs(np.abs(result.spectrum_final)
+                                  - np.abs(result.spectrum_initial))))
+        rho = spectral.leapfrog_phase_factors(grid, result.dt)
+        dev = float(np.max(np.abs(result.spectrum_final
+                                  - result.spectrum_initial * rho**result.n_steps)))
+        maxima[name] = float(np.max(errs))
+        return [dict(max_error=maxima[name], amp_drift=amp, phase_dev=dev,
+                     status=_status(amp <= amp_tol and dev <= phase_tol))]
+
+    def ordering_rows(hi_name, lo_name):
+        hi, lo = _finished(maxima, hi_name), _finished(maxima, lo_name)
+        return [dict(max_error=hi - lo, status=_status(hi > lo))]
+
     for name in names:
         for H in Hs:
-            try:
-                make, entry, dim = _resolve_kernel(name)
-                run = spectral.AdvectionRun(grid=grid, kernel=make(H),
-                                            t_final=t_final)
-                errs, result = spectral.pointwise_error_after_periods(run)
-                amp = float(np.max(np.abs(np.abs(result.spectrum_final)
-                                          - np.abs(result.spectrum_initial))))
-                rho = spectral.leapfrog_phase_factors(grid, result.dt)
-                dev = float(np.max(np.abs(result.spectrum_final
-                                          - result.spectrum_initial
-                                          * rho**result.n_steps)))
-                ok = amp <= amp_tol and dev <= phase_tol
-                maxima[name] = float(np.max(errs))
-                report.add(kernel=name, H=H, max_error=float(np.max(errs)),
-                           amp_drift=amp, phase_dev=dev,
-                           status="ok" if ok else "fail", message="")
-            except Exception as exc:  # noqa: BLE001
-                report.add(kernel=name, H=H, max_error=None, amp_drift=None,
-                           phase_dev=None, status="error", message=str(exc))
-    ordering = opts.get("ordering")
-    if ordering:
-        hi_name, lo_name = (t.strip() for t in ordering.split(">"))
-        if hi_name in maxima and lo_name in maxima:
-            ok = maxima[hi_name] > maxima[lo_name]
-            report.add(kernel=f"ordering({hi_name}>{lo_name})", H=None,
-                       max_error=maxima[hi_name] - maxima[lo_name], amp_drift=None,
-                       phase_dev=None, status="ok" if ok else "fail", message="")
-    return report
+            yield {"kernel": name, "H": H}, partial(run_rows, name, H)
+    if opts["ordering"]:
+        yield ({"kernel": f"ordering({hi_name}>{lo_name})"},
+               partial(ordering_rows, hi_name, lo_name))
 
 
-def _study_kdv(config: ExperimentConfig) -> ConvergenceReport:
-    opts = config.options
-    source = opts.get("source", "kernel:eta_2_5_1d")
-    Hs = parse_h_schedule(opts.get("H", "pi,pi/2,pi/4"))
-    n = int(opts.get("N", 512))
-    t_final = _parse_number(opts.get("T", "0.05"))
-    dt = float(opts.get("dt", 1e-4))
-    mass_tol = float(opts.get("mass_tolerance", 1e-10))
-    grid = spectral.PeriodicGrid1D(n=n, length=16.0 * math.pi)
-    report = ConvergenceReport(
-        study="kdv",
-        columns=("source", "H", "max_u", "mass_drift", "com_displacement",
-                 "status", "message"),
-    )
+def _kdv(opts: dict):
+    source = opts["source"]
+    Hs = parse_h_schedule(opts["H"])
+    t_final = _parse_number(opts["T"])
+    dt = float(opts["dt"])
+    mass_tol = float(opts["mass_tolerance"])
+    grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
+
+    def run_rows(H):
+        if source.startswith("kernel:"):
+            make, entry, dim = _resolve_kernel(source.split(":", 1)[1])
+            run = spectral.KdVRun(grid=grid, kernel=make(H), dt=dt, t_final=t_final)
+        else:
+            run = spectral.KdVRun(grid=grid, gaussian_sigma=H, dt=dt, t_final=t_final)
+        result = spectral.kdv_solve(run)
+        diag = spectral.transport_diagnostics(result)
+        drift = abs(result.mass[-1] - result.mass[0])
+        return [dict(max_u=float(np.max(np.abs(result.snapshots[-1]))), mass_drift=drift,
+                     com_displacement=diag["com_displacement"],
+                     status=_status(drift <= mass_tol and diag["com_displacement"] > 0))]
+
     for H in Hs:
-        try:
-            if source.startswith("kernel:"):
-                make, entry, dim = _resolve_kernel(source.split(":", 1)[1])
-                run = spectral.KdVRun(grid=grid, kernel=make(H), dt=dt,
-                                      t_final=t_final)
-            else:
-                run = spectral.KdVRun(grid=grid, gaussian_sigma=H, dt=dt,
-                                      t_final=t_final)
-            result = spectral.kdv_solve(run)
-            diag = spectral.transport_diagnostics(result)
-            drift = abs(result.mass[-1] - result.mass[0])
-            ok = drift <= mass_tol and diag["com_displacement"] > 0
-            report.add(source=source, H=H,
-                       max_u=float(np.max(np.abs(result.snapshots[-1]))),
-                       mass_drift=drift,
-                       com_displacement=diag["com_displacement"],
-                       status="ok" if ok else "fail", message="")
-        except Exception as exc:  # noqa: BLE001
-            report.add(source=source, H=H, max_u=None, mass_drift=None,
-                       com_displacement=None, status="error", message=str(exc))
-    return report
+        yield {"source": source, "H": H}, partial(run_rows, H)
 
 
-_STUDIES = {
-    "weakstar": _study_weakstar,
-    "helmholtz1d": _study_helmholtz1d,
-    "helmholtz2d": _study_helmholtz2d,
-    "helmholtz2d_sobolev": _study_sobolev,
-    "advect": _study_advect,
-    "kdv": _study_kdv,
+class _Study(NamedTuple):
+    units: Callable  # options -> iterator of (key columns, function returning rows)
+    columns: tuple  # before the status and message columns every table ends with
+    defaults: dict  # config key -> default text; ... is required, None leaves a gate off
+
+
+_HELMHOLTZ_COLUMNS = ("kernel", "H", "E", "R", "expected_rate", "target_R")
+_HELMHOLTZ_GATES = {"expected_R": None, "tolerance": "0.05", "rate_min": None,
+                    "rate_max": None, "expected_rate": None}
+
+STUDIES = {
+    "weakstar": _Study(
+        _weakstar,
+        ("kernel", "dim", "H", "E_weak", "ratio", "slope", "slope_min", "slope_max"),
+        # an unset slope band is the kernel's own: weak order + 1 +- 0.1
+        {"kernels": ..., "H": "2^-2..2^-6", "slope_min": None, "slope_max": None,
+         "parity_pairs": None, "parity_tolerance": "0.15"}),
+    "helmholtz1d": _Study(
+        partial(_helmholtz, dim=1), _HELMHOLTZ_COLUMNS,
+        {"kernels": ..., "H": "2^-2..2^-5", "k0": "10", "cutoff": "0.25",
+         "grid_points": "4001", **_HELMHOLTZ_GATES}),
+    "helmholtz2d": _Study(
+        partial(_helmholtz, dim=2), _HELMHOLTZ_COLUMNS,
+        {"kernels": ..., "H": "2^-2..2^-6", "k0": "10", "cutoff": "0.25",
+         "nodes": "20480", **_HELMHOLTZ_GATES}),
+    "helmholtz2d_sobolev": _Study(
+        _sobolev, ("alpha", "kernel", "H", "E", "R", "target_R"),
+        {"kernels": ..., "H": "2^-2..2^-8", "k0": "10", "alpha": "0.25,0.5,0.9",
+         "nodes": "20480", "tolerance": "0.05"}),
+    "advect": _Study(
+        _advect, ("kernel", "H", "max_error", "amp_drift", "phase_dev"),
+        {"kernels": ..., "H": "0.5", "N": "1024", "T": "36pi", "amp_tolerance": "1e-9",
+         "phase_tolerance": "1e-8", "ordering": None}),
+    "kdv": _Study(
+        _kdv, ("source", "H", "max_u", "mass_drift", "com_displacement"),
+        {"source": "kernel:eta_2_5_1d", "H": "pi,pi/2,pi/4", "N": "512", "T": "0.05",
+         "dt": "1e-4", "mass_tolerance": "1e-10"}),
 }
 
 
 def run_study(config: ExperimentConfig) -> ConvergenceReport:
-    """Dispatch a validated config to its harness; rows stay sorted and deterministic."""
-    handler = _STUDIES.get(config.study)
-    if handler is None:
+    """Run a parsed config's units in order; a unit that raises becomes one error row."""
+    study = STUDIES.get(config.study)
+    if study is None:
         raise ConfigError(f"unknown study '{config.study}'")
-    return handler(config)
+    report = ConvergenceReport(study=config.study,
+                               columns=study.columns + ("status", "message"))
+    for key, unit_rows in study.units(config.options):
+        try:
+            rows = unit_rows()
+        except Exception as exc:  # noqa: BLE001 - one failed unit must not hide the others
+            report.add(**key, status="error", message=f"{type(exc).__name__}: {exc}")
+            continue
+        for row in rows:
+            report.add(**key, **row, message="")
+    return report

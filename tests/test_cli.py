@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from deltareg.cli import main
+from deltareg.cli import _COMMAND_FLAGS, build_parser, main
+from deltareg.reports import STUDIES
 
 # rows each table emits; weakstar-2d adds two parity rows, helm2d-sobolev one set per alpha
 GATED_TABLES = {"weakstar-1d": 50, "weakstar-2d": 22, "helm1d": 20, "helm2d": 15,
@@ -101,3 +102,96 @@ def test_study_rejects_removed_config_keys(tmp_path, capsys, line):
 def test_non_dyadic_range_schedule_is_an_error(capsys):
     assert main(["weakstar", "--kernels", "eta_1_1_1d", "--H", "2^-2..0.3"]) == 1
     assert "dyadic" in capsys.readouterr().err
+
+
+# a gate that names a kernel the study does not list is a config error, not a
+# silently missing row
+@pytest.mark.parametrize("lines", [
+    "study = weakstar\nkernels = eta_1_1_2d, tensor:eta_1_1_1d\n"
+    "parity_pairs = eta_1_1_2d:tensor:eta_1_1_1x",
+    "study = advect\nkernels = eta_1_1_1d\nordering = eta_2_3_1d > eta_1_1_1d",
+], ids=["parity", "ordering"])
+def test_gate_naming_an_unlisted_kernel_is_an_error(tmp_path, capsys, lines):
+    config = tmp_path / "study.cfg"
+    config.write_text(lines + "\n")
+    assert main(["study", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "does not list" in err
+
+
+# a listed kernel whose unit errored turns its gate into an error row
+@pytest.mark.parametrize("lines, gate", [
+    ("study = weakstar\nkernels = eta_1_1_1d, nosuch\nH = 2^-2..2^-3\n"
+     "parity_pairs = eta_1_1_1d:nosuch", "parity(eta_1_1_1d,nosuch)"),
+    ("study = advect\nkernels = eta_1_1_1d, nosuch\nN = 64\nT = 2pi\n"
+     "ordering = nosuch > eta_1_1_1d", "ordering(nosuch>eta_1_1_1d)"),
+], ids=["parity", "ordering"])
+def test_gate_on_an_errored_kernel_is_an_error_row(tmp_path, capsys, lines, gate):
+    config = tmp_path / "study.cfg"
+    config.write_text(lines + "\n")
+    assert main(["study", str(config)]) == 1
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["status"] for row in rows if row["kernel"] == "nosuch"] == ["error"]
+    assert rows[-1]["kernel"] == gate
+    assert rows[-1]["status"] == "error"
+    assert "nosuch" in rows[-1]["message"]
+
+
+@pytest.mark.parametrize("key", ["expected_R", "rate_min", "rate_max", "expected_rate"])
+def test_per_kernel_list_of_wrong_length_is_an_error(tmp_path, capsys, key):
+    config = tmp_path / "study.cfg"
+    config.write_text("study = helmholtz1d\nkernels = eta_1_2_1d, eta_2_3_1d\n"
+                      f"H = 2^-2..2^-3\n{key} = 1.0\n")
+    assert main(["study", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{key} must list one value per kernel" in err
+
+
+# each per-study subcommand with only its kernels and H flags, and the config that
+# says the same; both must take every other value from the study's one table
+STUDY_FLAGS = {
+    "weakstar": {"kernels": "eta_1_1_1d", "H": "2^-2..2^-3"},
+    "helmholtz1d": {"kernels": "eta_1_2_1d", "H": "2^-2..2^-3"},
+    "helmholtz2d": {"kernels": "eta_0_1_2d", "H": "2^-2..2^-3"},
+    "helmholtz2d-sobolev": {"kernels": "eta_0_1_2d", "H": "2^-2..2^-3"},
+    "advect": {"kernels": "eta_1_1_1d", "H": "0.5"},
+    "kdv": {"H": "pi"},
+}
+
+
+def _flags(command, keys):
+    kernels_flag = "--kernel" if command == "advect" else "--kernels"
+    return [arg for key, value in STUDY_FLAGS[command].items() if key in keys
+            for arg in (kernels_flag if key == "kernels" else f"--{key}", value)]
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
+def test_subcommand_matches_study_config(tmp_path, command):
+    config = tmp_path / "study.cfg"
+    config.write_text(f"study = {command}\n"
+                      + "".join(f"{k} = {v}\n" for k, v in STUDY_FLAGS[command].items()))
+    by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    code = main([command, *_flags(command, {"kernels", "H"}), "--out", str(by_flags)])
+    assert code == main(["study", str(config), "--out", str(by_config)])
+    assert by_flags.read_bytes() == by_config.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
+def test_every_subcommand_flag_is_a_key_of_its_study(command):
+    args = vars(build_parser().parse_args([command, *_flags(command, {"kernels"})]))
+    keys = set(STUDIES[command.replace("-", "_")].defaults) | {"out", "format"}
+    study_flags = set(args) - _COMMAND_FLAGS
+    assert study_flags <= keys
+    # no flag carries a default of its own
+    assert all(args[k] is None for k in study_flags - {"kernels"})
+
+
+def test_advect_detail_reads_its_config(tmp_path):
+    out = tmp_path / "detail.csv"
+    assert main(["advect", "--kernel", "eta_1_1_1d", "--detail", "--N", "64", "--T", "2pi",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,E"
+    assert len(lines) == 65

@@ -222,10 +222,9 @@ def test_fd_solve_reports_mesh_and_residual_diagnostics():
     assert meta["cells_per_radius"] == 2560
     r = np.linspace(0.0, 1.0, meta["n_cells"] + 1)
     b_inf = np.max(np.abs(delta.eval(np.stack([r, np.zeros_like(r)], axis=-1))))
-    # measured 1.4e-10 and 9.0e-11 of |b|, the rounding floor of entries ~ 1/h^2;
-    # the bound leaves a 7x margin for LAPACK builds that round differently
-    assert 0.0 < meta["residual_before"] <= 1e-9 * b_inf
-    assert 0.0 < meta["residual_after"] <= 1e-9 * b_inf
+    # measured 1.4e-10 of |b|, the rounding floor of entries ~ 1/h^2; the bound
+    # leaves a 7x margin for LAPACK builds that round differently
+    assert 0.0 < meta["residual"] <= 1e-9 * b_inf
 
 
 def test_fd_singular_factor_raises(monkeypatch, capsys):

@@ -323,6 +323,8 @@ def _helmholtz(opts: dict, dim: int):
     expected_R, rate_min, rate_max, expected_rate = (
         _per_kernel(opts, key, names)
         for key in ("expected_R", "rate_min", "rate_max", "expected_rate"))
+    if rate_max is not None and rate_min is None:
+        raise ConfigError("rate_max needs rate_min")
 
     if dim == 1:
         nodes = np.linspace(-1.0, 1.0, int(opts["grid_points"]))

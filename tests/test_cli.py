@@ -149,6 +149,14 @@ def test_per_kernel_list_of_wrong_length_is_an_error(tmp_path, capsys, key):
     assert f"{key} must list one value per kernel" in err
 
 
+def test_rate_max_without_rate_min_is_an_error(tmp_path, capsys):
+    config = tmp_path / "study.cfg"
+    config.write_text("study = helmholtz1d\nkernels = eta_1_2_1d\nH = 2^-2..2^-3\n"
+                      "rate_max = 0.1\n")
+    assert main(["study", str(config)]) == 1
+    assert "rate_max needs rate_min" in capsys.readouterr().err
+
+
 # each per-study subcommand with only its kernels and H flags, and the config that
 # says the same; both must take every other value from the study's one table
 STUDY_FLAGS = {

@@ -25,7 +25,6 @@ from .moments import (
     assemble_moment_system,
     moment_residuals,
     radial_moment_residuals,
-    shifted_legendre_eval,
     solve_moment_problem,
 )
 from .profiles import RadialProfile, cosine_profile, poly_profile

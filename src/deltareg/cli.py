@@ -20,7 +20,8 @@ from .moments import (
     solve_moment_problem,
 )
 from .quadrature import QuadratureError
-from .reports import STUDIES, ConfigError, emit, parse_config_text, parse_h_schedule, run_study
+from .reports import (STUDIES, ConfigError, emit, kdv_source_kernel, parse_config_text,
+                      parse_h_schedule, run_study)
 
 _TABLE_IDS = (
     "helm1d",
@@ -145,8 +146,8 @@ def _cmd_kdv(args) -> int:
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
     t_final = parse_h_schedule(opts["T"])[0]
     snapshots = tuple(float(t) for t in args.snapshots.split(",")) if args.snapshots else ()
-    if opts["source"].startswith("kernel:"):
-        builder = catalog_lookup(opts["source"].split(":", 1)[1])
+    builder = kdv_source_kernel(opts["source"])
+    if builder is not None:
         run = spectral.KdVRun(grid=grid, kernel=builder(parse_h_schedule(opts["H"])[0]),
                               dt=float(opts["dt"]), t_final=t_final, snapshots=snapshots)
     else:

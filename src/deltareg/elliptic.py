@@ -311,31 +311,12 @@ def _source_jumps(problem: RadialHelmholtz2D, s: float, k0: float) -> np.ndarray
     rho = s / H
     g = np.empty(4)
     for m in range(4):
-        right = _profile_deriv_onesided(prof, rho, m, side=+1)
-        left = _profile_deriv_onesided(prof, rho, m, side=-1)
-        g[m] = -(right - left) / H ** (2 + m)  # source is -delta_H
+        g[m] = -prof.jump(rho, m) / H ** (2 + m)  # source is -delta_H
     j2 = g[0]
     j3 = g[1] - j2 / s
     j4 = g[2] - j3 / s + 2 * j2 / s**2 - k0 * k0 * j2
     j5 = g[3] - j4 / s + 3 * j3 / s**2 - 6 * j2 / s**3 - k0 * k0 * j3
     return np.array([j2, j3, j4, j5])
-
-
-def _profile_deriv_onesided(prof, rho: float, order: int, side: int) -> float:
-    # one-sided profile derivative at a piece boundary; zero beyond the support
-    eps = 1e-12
-    if side > 0 and rho >= prof.support - eps:
-        return 0.0
-    if prof.is_polynomial:
-        for piece in prof.pieces:
-            owns = (abs(piece.lo - rho) < eps) if side > 0 else (abs(piece.hi - rho) < eps)
-            if owns:
-                c = np.asarray(piece.coeffs, dtype=float)
-                for _ in range(order):
-                    c = c[1:] * np.arange(1, c.size)
-                return float(np.polyval(c[::-1], rho)) if c.size else 0.0
-        return float(prof.deriv(rho, order))  # rho interior to a piece
-    return float(prof.deriv(min(rho, prof.support), order))
 
 
 def _singular_part(jumps: np.ndarray, s: float, k0: float):

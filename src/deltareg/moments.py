@@ -1,4 +1,12 @@
-"""Assembly and solution of the continuous finite moment problem on [0, 1]."""
+"""Assembly and solution of the continuous finite moment problem on [0, 1].
+
+The basis (orthonormal shifted Legendre from `numpy.polynomial.legendre`, or
+cos(k pi r)) is tabulated by one helper: at Gauss nodes its values give every
+moment row in one weighted matrix product, and its derivatives at r = 0 and
+r = 1 give the smoothness rows.  The square system is solved by LAPACK
+getrf/getrs; a Legendre solution also carries its monomial coefficients,
+through a Legendre-to-monomial matrix cached per degree.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .profiles import RadialProfile, cosine_profile, poly_profile
-from .quadrature import gauss_legendre, integrate_panels
+from .quadrature import gauss_legendre
 
 __all__ = [
     "BasisKind",
@@ -21,8 +32,6 @@ __all__ = [
     "EtaKernel",
     "MomentSystemError",
     "SingularSystemError",
-    "shifted_legendre_eval",
-    "shifted_legendre_monomial",
     "assemble_moment_system",
     "solve_dense",
     "solve_moment_problem",
@@ -129,66 +138,30 @@ class DenseLinearSystem:
     row_labels: tuple = field(default=())
 
 
-def shifted_legendre_eval(k: int, r):
-    """L2(0,1)-orthonormal shifted Legendre polynomial P_k at r, by recurrence."""
-    if k < 0:
-        raise MomentSystemError("index must be nonnegative")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0) or np.any(r_arr > 1.0):
-        raise MomentSystemError("argument outside [0, 1]")
-    t = 2.0 * r_arr - 1.0
-    p_prev = np.ones_like(t)
-    if k == 0:
-        out = math.sqrt(1.0) * p_prev
-    else:
-        p = t.copy()
-        for j in range(2, k + 1):
-            p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
-        out = math.sqrt(2 * k + 1) * p
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _basis_values(basis: BasisFamily, r, order: int = 0) -> np.ndarray:
+    """d^order psi_k/dr^order at the points r: one row per point, one column per k.
+
+    Legendre: psi_k(r) = sqrt(2k+1) P_k(2r - 1), orthonormal on (0, 1), from
+    `numpy.polynomial.legendre` (each r-derivative brings a factor 2).
+    Cosine: psi_k(r) = cos(k pi r).
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    k = np.arange(basis.size)
+    if basis.kind is BasisKind.COSINE:
+        w = k * np.pi
+        return w**order * np.cos(np.outer(r, w) + order * np.pi / 2)
+    values = legval(2.0 * r - 1.0, legder(np.eye(basis.size), order)).T
+    return np.sqrt(2.0 * k + 1.0) * 2.0**order * values
 
 
-def shifted_legendre_monomial(k: int) -> np.ndarray:
-    """Ascending monomial coefficients of the orthonormal shifted Legendre P_k."""
-    # closed-form alternating binomial sum; exact integers times sqrt(2k+1)
-    coeffs = np.zeros(k + 1)
-    for j in range(k + 1):
-        coeffs[j] = (-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
-    return math.sqrt(2 * k + 1) * coeffs
-
-
-def _legendre_endpoint_derivative(k: int, order: int, at_one: bool) -> float:
-    # d^j/dr^j of shifted P_k at r=1 (or 0): sqrt(2k+1) * (k+j)! / (j! (k-j)!),
-    # with sign (-1)^(k+j) at r=0; zero when j > k
-    if order > k:
-        return 0.0
-    val = math.sqrt(2 * k + 1) * math.factorial(k + order) / (
-        math.factorial(order) * math.factorial(k - order)
-    )
-    if not at_one:
-        val *= (-1) ** (k + order)
-    return val
-
-
-def _basis_endpoint_derivative(spec: MomentProblemSpec, j: int, order: int, at_one: bool) -> float:
-    if spec.basis.kind is BasisKind.SHIFTED_LEGENDRE:
-        return _legendre_endpoint_derivative(j, order, at_one)
-    w = j * math.pi
-    if order == 0:
-        return math.cos(w) if at_one else 1.0
-    # cos(j pi r): odd derivatives vanish at both endpoints
-    if order % 2 == 1:
-        return 0.0
-    sign = (-1) ** (order // 2)
-    return sign * w**order * (math.cos(w) if at_one else 1.0)
-
-
-def _basis_eval(spec: MomentProblemSpec, j: int, r: np.ndarray) -> np.ndarray:
-    if spec.basis.kind is BasisKind.SHIFTED_LEGENDRE:
-        return shifted_legendre_eval(j, r)
-    return np.cos(j * np.pi * r)
+@lru_cache(maxsize=None)
+def _legendre_to_monomial(degree: int) -> np.ndarray:
+    """Column k: ascending monomial coefficients in r of psi_k, its Taylor series at r = 0."""
+    basis = BasisFamily(BasisKind.SHIFTED_LEGENDRE, degree)
+    mat = np.array([_basis_values(basis, 0.0, j)[0] / math.factorial(j)
+                    for j in range(degree + 1)])
+    mat.setflags(write=False)
+    return mat
 
 
 def assemble_moment_system(spec: MomentProblemSpec) -> DenseLinearSystem:
@@ -199,68 +172,55 @@ def assemble_moment_system(spec: MomentProblemSpec) -> DenseLinearSystem:
             f"{spec.moments + 1} moment rows + {spec.constraint_rows} constraint rows "
             f"require degree {spec.moments + spec.constraint_rows}"
         )
-    n = spec.n_unknowns
-    # one quadrature path for both bases; order covers the polynomial case exactly
+    # one Gauss rule for both bases; its order covers the polynomial case exactly
     # and is far inside the superexponential regime for the trig case
     max_power = spec.moments + spec.dim - 1
-    order = max((max_power + spec.degree) // 2 + 2, 24)
-    rule = gauss_legendre(order)
-    mat = np.zeros((n, n))
-    rhs = np.zeros(n)
-    labels = []
-    for theta in range(spec.moments + 1):
-        power = theta + spec.dim - 1
-        for j in range(n):
-            mat[theta, j] = integrate_panels(
-                lambda r, j=j, power=power: r**power * _basis_eval(spec, j, r),
-                (0.0, 1.0),
-                rule,
-            )
-        rhs[theta] = 1.0 / spec.normalization.nu(spec.dim) if theta == 0 else 0.0
-        labels.append(f"moment theta={theta}")
-    row = spec.moments + 1
+    x, w = gauss_legendre(max((max_power + spec.degree) // 2 + 2, 24)).mapped(0.0, 1.0)
+    powers = np.arange(spec.moments + 1)[:, None] + spec.dim - 1
+    rows = [(w * x**powers) @ _basis_values(spec.basis, x)]
+    labels = [f"moment theta={theta}" for theta in range(spec.moments + 1)]
     for k in range(spec.boundary_smoothness):
-        for j in range(n):
-            mat[row, j] = _basis_endpoint_derivative(spec, j, k, at_one=True)
+        rows.append(_basis_values(spec.basis, 1.0, k))
         labels.append(f"d^{k} eta/dr^{k}(1) = 0")
-        row += 1
     for k in range(1, spec.origin_smoothness):
-        for j in range(n):
-            mat[row, j] = _basis_endpoint_derivative(spec, j, k, at_one=False)
+        rows.append(_basis_values(spec.basis, 0.0, k))
         labels.append(f"d^{k} eta/dr^{k}(0) = 0")
-        row += 1
-    cond = float(np.linalg.cond(mat, 1)) if n > 0 else 1.0
+    mat = np.vstack(rows)
+    rhs = np.zeros(spec.n_unknowns)
+    rhs[0] = 1.0 / spec.normalization.nu(spec.dim)
+    cond = float(np.linalg.cond(mat, 1))
     return DenseLinearSystem(matrix=mat, rhs=rhs, condition_estimate=cond, row_labels=tuple(labels))
 
 
 def solve_dense(system: DenseLinearSystem) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; fails loudly on pivot < 1e-13."""
-    a = np.array(system.matrix, dtype=float)
-    b = np.array(system.rhs, dtype=float)
+    """LAPACK getrf/getrs on the row-equilibrated matrix; fails loudly on pivot < 1e-13.
+
+    Dividing each row by its largest entry makes getrf's partial pivoting pick
+    the pivots of scaled partial pivoting on the original rows, and the pivot
+    threshold is relative to the pivot row's scale.  A failing pivot names the
+    constraint of the row that the LU permutation put there.
+    """
+    a = np.asarray(system.matrix, dtype=float)
+    b = np.asarray(system.rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise MomentSystemError("system must be square with matching rhs")
-    labels = list(system.row_labels) if system.row_labels else [f"row {i}" for i in range(n)]
+    labels = system.row_labels or tuple(f"row {i}" for i in range(n))
     scale = np.max(np.abs(a), axis=1)
     scale[scale == 0.0] = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col]) / scale[col:]))
-        if abs(a[piv, col]) < 1e-13 * scale[piv]:
-            raise SingularSystemError(
-                f"singular moment system: pivot {a[piv, col]:.3e} at column {col} "
-                f"(constraint '{labels[piv]}')"
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-            scale[[col, piv]] = scale[[piv, col]]
-            labels[col], labels[piv] = labels[piv], labels[col]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    lu, piv, _ = dgetrf(a / scale[:, None])
+    small = np.flatnonzero(np.abs(np.diag(lu)) < 1e-13)
+    if small.size:
+        col = int(small[0])
+        perm = np.arange(n)
+        for i, p in enumerate(piv[: col + 1]):  # getrf swaps row i with row p, in order
+            perm[[i, p]] = perm[[p, i]]
+        row = perm[col]
+        raise SingularSystemError(
+            f"singular moment system: pivot {lu[col, col] * scale[row]:.3e} at column {col} "
+            f"(constraint '{labels[row]}')"
+        )
+    x, _ = dgetrs(lu, piv, b / scale)
     return x
 
 
@@ -324,80 +284,43 @@ def solve_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
     beta = solve_dense(system)
     monomial = None
     if spec.basis.kind is BasisKind.SHIFTED_LEGENDRE:
-        monomial = np.zeros(spec.degree + 1)
-        for j, b in enumerate(beta):
-            monomial[: j + 1] += b * shifted_legendre_monomial(j)
+        monomial = _legendre_to_monomial(spec.degree) @ beta
     beta.setflags(write=False)
     if monomial is not None:
         monomial.setflags(write=False)
     return EtaKernel(spec=spec, coeffs=beta, monomial=monomial, name=name)
 
 
-def _profile_of(obj) -> RadialProfile:
-    if isinstance(obj, RadialProfile):
-        return obj
-    if isinstance(obj, EtaKernel):
-        return obj.profile()
-    if hasattr(obj, "radial_profile"):
-        return obj.radial_profile
-    raise TypeError(f"cannot extract a radial profile from {type(obj)!r}")
+def radial_moment_residuals(kernel, upto: int, dim: int | None = None,
+                            normalization: Normalization | None = None) -> np.ndarray:
+    """Radial-reduction residuals nu(n) * integral(eta r^(theta+n-1)) - [theta=0], theta = 0..upto.
 
-
-def _dim_of(obj, dim) -> int:
-    if dim is not None:
-        return dim
-    if isinstance(obj, EtaKernel):
-        return obj.spec.dim
-    if hasattr(obj, "dim"):
-        return obj.dim
-    raise TypeError("dimension required")
-
-
-def _norm_of(obj, normalization) -> Normalization:
-    if normalization is not None:
-        return normalization
-    if isinstance(obj, EtaKernel):
-        return obj.spec.normalization
-    return Normalization.SURFACE_MEASURE
+    `kernel` is an EtaKernel, whose spec supplies dim and normalization unless
+    they are given, or a RadialProfile, which needs `dim` (normalization
+    defaults to SurfaceMeasure).  These are the literal moment rows of the
+    assembled system; no symmetry credit is taken for odd orders.
+    """
+    if upto < 0:
+        raise ValueError("upto must be nonnegative")
+    prof = kernel
+    if isinstance(kernel, EtaKernel):
+        prof = kernel.profile()
+        dim = kernel.spec.dim if dim is None else dim
+        normalization = normalization or kernel.spec.normalization
+    if dim is None:
+        raise TypeError("dimension required")
+    nu = (normalization or Normalization.SURFACE_MEASURE).nu(dim)
+    theta = np.arange(upto + 1)
+    return np.array([nu * prof.moment(t + dim - 1) for t in theta]) - (theta == 0)
 
 
 def moment_residuals(kernel, upto: int, dim: int | None = None,
                      normalization: Normalization | None = None) -> np.ndarray:
     """Ball-moment residuals of the (symmetric) kernel for orders 0..upto.
 
-    Entry 0 is nu(n) * integral(eta r^(n-1)) - 1.  Odd orders vanish identically
-    for radially symmetric / even-extended kernels, so those entries are exact
-    zeros; even orders report nu(n) * integral(eta r^(theta+n-1)).
+    radial_moment_residuals with the odd entries set to exact zeros: odd ball
+    moments vanish identically for a radially symmetric (even-extended) kernel.
     """
-    if upto < 0:
-        raise ValueError("upto must be nonnegative")
-    prof = _profile_of(kernel)
-    n = _dim_of(kernel, dim)
-    nu = _norm_of(kernel, normalization).nu(n)
-    out = np.zeros(upto + 1)
-    for theta in range(upto + 1):
-        if theta == 0:
-            out[0] = nu * prof.moment(n - 1) - 1.0
-        elif theta % 2 == 1:
-            out[theta] = 0.0
-        else:
-            out[theta] = nu * prof.moment(theta + n - 1)
-    return out
-
-
-def radial_moment_residuals(kernel, upto: int, dim: int | None = None,
-                            normalization: Normalization | None = None) -> np.ndarray:
-    """Raw radial-reduction residuals nu(n) * integral(eta r^(theta+n-1)) - [theta=0].
-
-    These are the literal rows of the assembled system; unlike moment_residuals
-    no symmetry credit is taken for odd orders.
-    """
-    if upto < 0:
-        raise ValueError("upto must be nonnegative")
-    prof = _profile_of(kernel)
-    n = _dim_of(kernel, dim)
-    nu = _norm_of(kernel, normalization).nu(n)
-    out = np.zeros(upto + 1)
-    for theta in range(upto + 1):
-        out[theta] = nu * prof.moment(theta + n - 1) - (1.0 if theta == 0 else 0.0)
+    out = radial_moment_residuals(kernel, upto, dim, normalization)
+    out[1::2] = 0.0
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyint, polyval
 
 from .quadrature import gauss_legendre, integrate_panels
 
@@ -23,7 +24,9 @@ class RadialProfile:
     """Radial kernel profile eta(r) on [0, support], zero beyond.
 
     Either a list of monomial-polynomial pieces or a single cosine series
-    sum_k c_k cos(k pi r / support) over the whole support.
+    sum_k c_k cos(k pi r / support) over the whole support.  Polynomial pieces
+    are differentiated and integrated exactly by `numpy.polynomial.polynomial`
+    (`deriv`, `moment`); `jump` gives a derivative's jump across a breakpoint.
     """
 
     pieces: tuple = ()
@@ -78,11 +81,7 @@ class RadialProfile:
         out = np.zeros_like(r)
         if self.is_polynomial:
             for piece, mask in self._piece_masks(r):
-                c = np.asarray(piece.coeffs, dtype=float)
-                for _ in range(order):
-                    c = c[1:] * np.arange(1, c.size)
-                if c.size:
-                    out[mask] = np.polyval(c[::-1], r[mask])
+                out[mask] = polyval(r[mask], polyder(piece.coeffs, order))
         else:
             mask = r <= self.support
             rm = r[mask]
@@ -102,16 +101,38 @@ class RadialProfile:
             out[mask] = acc
         return float(out[0]) if scalar else out
 
-    def moment(self, power: int, order: int | None = None) -> float:
-        """integral over [0, support] of eta(r) * r^power dr by exact-degree Gauss panels."""
-        if order is None:
-            if self.is_polynomial:
-                deg = max(len(p.coeffs) - 1 for p in self.pieces) + power
-                order = deg // 2 + 2
-            else:
-                order = 32
-        rule = gauss_legendre(order)
-        return integrate_panels(lambda r: self.eval(r) * r**power, self.breakpoints, rule)
+    def jump(self, rho: float, order: int) -> float:
+        """Jump of d^order eta/dr^order at rho > 0: the limit from the right minus from the left.
+
+        Zero unless rho is a breakpoint (to 1e-12).  There the pieces on either
+        side give the one-sided limits; beyond the support the profile is zero,
+        so at the support edge the jump is minus the inner derivative.
+        """
+        if not rho > 0.0:
+            raise ValueError("jump needs rho > 0")
+        edges = self.breakpoints
+        i = int(np.argmin(np.abs(np.asarray(edges) - rho)))
+        if i == 0 or abs(edges[i] - rho) > 1e-12:
+            return 0.0
+        left = self.deriv(edges[i], order)  # boundary points belong to the inner piece
+        if i == len(edges) - 1:
+            return -left
+        return float(polyval(edges[i], polyder(self.pieces[i].coeffs, order))) - left
+
+    def moment(self, power: int) -> float:
+        """integral over [0, support] of eta(r) * r^power dr.
+
+        Exact for polynomial pieces (polyint); a cosine series takes a 32-point
+        Gauss rule.
+        """
+        if not self.is_polynomial:
+            rule = gauss_legendre(32)
+            return integrate_panels(lambda r: self.eval(r) * r**power, self.breakpoints, rule)
+        total = 0.0
+        for piece in self.pieces:
+            antideriv = polyint(np.concatenate([np.zeros(power), piece.coeffs]), lbnd=piece.lo)
+            total += float(polyval(piece.hi, antideriv))
+        return total
 
 
 def poly_profile(coeffs, support: float = 1.0) -> RadialProfile:

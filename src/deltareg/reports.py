@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import elliptic, spectral
-from .kernels import catalog_lookup, tensor_product
+from .kernels import catalog_lookup, catalog_names, tensor_product
 from .quadrature import convergence_slope, weak_star_error
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "emit",
     "parse_h_schedule",
     "parse_config_text",
+    "kdv_source_kernel",
 ]
 
 
@@ -217,6 +218,15 @@ def _resolve_kernel(spec_str: str):
         return make, entry, 2
     builder = catalog_lookup(spec_str)
     return (lambda H: builder(H)), builder.entry, builder.entry.dim
+
+
+def kdv_source_kernel(source: str):
+    """The catalog builder a KdV `source` names as 'kernel:<name>', or None for 'gaussian'."""
+    name = source.split(":", 1)[1] if source.startswith("kernel:") else None
+    if source != "gaussian" and name not in catalog_names():
+        raise ConfigError(f"kdv source must be 'gaussian' or 'kernel:<catalog name>', "
+                          f"not '{source}'")
+    return None if name is None else catalog_lookup(name)
 
 
 def _csv_list(text: str) -> list[str]:
@@ -440,11 +450,11 @@ def _kdv(opts: dict):
     dt = float(opts["dt"])
     mass_tol = float(opts["mass_tolerance"])
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
+    builder = kdv_source_kernel(source)
 
     def run_rows(H):
-        if source.startswith("kernel:"):
-            make, entry, dim = _resolve_kernel(source.split(":", 1)[1])
-            run = spectral.KdVRun(grid=grid, kernel=make(H), dt=dt, t_final=t_final)
+        if builder is not None:
+            run = spectral.KdVRun(grid=grid, kernel=builder(H), dt=dt, t_final=t_final)
         else:
             run = spectral.KdVRun(grid=grid, gaussian_sigma=H, dt=dt, t_final=t_final)
         result = spectral.kdv_solve(run)

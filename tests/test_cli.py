@@ -86,6 +86,19 @@ def test_blow_up_is_reported_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+# a KdV source is 'gaussian' or 'kernel:<catalog name>'; a typo must not run a Gaussian
+@pytest.mark.parametrize("source", ["kernal:eta_2_5_1d", "kernel:eta_2_5_1x", "gauss"])
+def test_kdv_source_typo_is_an_error(tmp_path, capsys, source):
+    config = tmp_path / "study.cfg"
+    config.write_text(f"study = kdv\nsource = {source}\nH = pi\nT = 0.001\n")
+    assert main(["study", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"not '{source}'" in err
+    assert main(["kdv", "--detail", "--source", source, "--T", "0.001"]) == 1
+    assert f"not '{source}'" in capsys.readouterr().err
+
+
 def test_unknown_table_is_an_error(capsys):
     assert main(["reproduce", "--table", "helm3d"]) == 1
     assert "unknown table" in capsys.readouterr().err

@@ -227,6 +227,17 @@ def test_fd_solve_reports_mesh_and_residual_diagnostics():
     assert 0.0 < meta["residual"] <= 1e-9 * b_inf
 
 
+# the residual sits at the rounding floor of a band whose entries are of order
+# n_cells^2, so it scales with n_cells^2 max|u|, not with |b| (measured worst
+# 4.9e-15 of n_cells^2 max|u| over these nine solves)
+@pytest.mark.parametrize("name", ["eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d"])
+@pytest.mark.parametrize("H", [0.25, 0.125, 0.0625])
+def test_fd_residual_is_at_the_band_rounding_floor(name, H):
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)))
+    n = profile.metadata["n_cells"]
+    assert profile.metadata["residual"] <= 1e-13 * n**2 * np.max(np.abs(profile.values))
+
+
 def test_fd_singular_factor_raises(monkeypatch, capsys):
     def singular(ab, kl, ku):
         return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7

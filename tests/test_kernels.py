@@ -92,6 +92,18 @@ def test_cubic_pieces_agree_at_join():
     assert np.polyval(right.coeffs[::-1], 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+# jumps of the printed eta_cubic pieces' derivatives (orders 0-3), worked by
+# hand: at z = 1 the outer piece minus the inner one, at z = 2 zero minus the
+# outer piece
+@pytest.mark.parametrize("z,expected", [(1.0, [0.0, 2 / 3, 0.0, -4.0]),
+                                        (2.0, [0.0, -1 / 6, 0.0, 1.0]),
+                                        (0.5, [0.0, 0.0, 0.0, 0.0])])
+def test_cubic_profile_jumps(z, expected):
+    prof = catalog_lookup("eta_cubic").profile()
+    jumps = [prof.jump(z, order) for order in range(4)]
+    assert jumps == pytest.approx(expected, abs=1e-14)
+
+
 def test_hat2_profile_value_at_origin():
     prof = catalog_lookup("eta_hat2").profile()
     assert prof.eval(0.0) == pytest.approx(0.5, abs=1e-15)

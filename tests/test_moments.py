@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltareg.kernels import catalog_entries, catalog_lookup
+from deltareg.kernels import RegularizedDelta, catalog_entries, catalog_lookup
 from deltareg.moments import (
     BasisFamily,
     BasisKind,
@@ -17,14 +17,14 @@ from deltareg.moments import (
     Normalization,
     SingularSystemError,
     assemble_moment_system,
+    _basis_values,
+    _legendre_to_monomial,
     moment_residuals,
     radial_moment_residuals,
-    shifted_legendre_eval,
-    shifted_legendre_monomial,
     solve_dense,
     solve_moment_problem,
 )
-from deltareg.quadrature import gauss_legendre
+from deltareg.quadrature import convergence_slope, gauss_legendre, weak_star_error
 
 PI = math.pi
 
@@ -56,28 +56,26 @@ def closed_form_legendre(k, r):
     return (-1) ** k * math.sqrt(2 * k + 1) * float(total)
 
 
+def legendre(k, r):
+    """Orthonormal shifted Legendre psi_k at r, from the moment layer's basis helper."""
+    return _basis_values(BasisFamily(BasisKind.SHIFTED_LEGENDRE, k), r)[:, k]
+
+
 # ---------------------------------------------------------------------------
 # shifted Legendre basis
 # ---------------------------------------------------------------------------
 
 def test_legendre_examples():
-    assert shifted_legendre_eval(0, 0.7) == pytest.approx(1.0, abs=1e-15)
-    assert shifted_legendre_eval(1, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert shifted_legendre_eval(1, 1.0) == pytest.approx(math.sqrt(3), abs=1e-14)
-
-
-def test_legendre_domain_error():
-    with pytest.raises(MomentSystemError):
-        shifted_legendre_eval(2, 1.2)
-    with pytest.raises(MomentSystemError):
-        shifted_legendre_eval(2, -0.1)
+    assert legendre(0, 0.7) == pytest.approx([1.0], abs=1e-15)
+    assert legendre(1, 0.5) == pytest.approx([0.0], abs=1e-15)
+    assert legendre(1, 1.0) == pytest.approx([math.sqrt(3)], abs=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=12),
        st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=120, deadline=None)
 def test_legendre_recurrence_matches_closed_form(k, r):
-    assert shifted_legendre_eval(k, r) == pytest.approx(
+    assert legendre(k, r)[0] == pytest.approx(
         closed_form_legendre(k, r), abs=1e-12, rel=1e-12)
 
 
@@ -85,22 +83,19 @@ def test_legendre_orthonormality():
     rule = gauss_legendre(14)
     nodes = 0.5 * (rule.nodes + 1.0)
     weights = 0.5 * rule.weights
-    for j in range(13):
-        pj = shifted_legendre_eval(j, nodes)
-        for k in range(j, 13):
-            pk = shifted_legendre_eval(k, nodes)
-            inner = float(np.dot(weights, pj * pk))
-            assert inner == pytest.approx(1.0 if j == k else 0.0, abs=1e-12)
+    psi = _basis_values(BasisFamily(BasisKind.SHIFTED_LEGENDRE, 12), nodes)
+    assert psi.T @ (weights[:, None] * psi) == pytest.approx(np.eye(13), abs=1e-12)
 
 
 def test_monomial_conversion_matches_eval():
-    # raw high-degree monomial sums cancel, so the tolerance is looser than the
-    # kernel-level round-trip bound tested below
+    # column k of the Legendre-to-monomial matrix against the closed form of
+    # psi_k; raw high-degree monomial sums cancel, so the tolerance is looser
+    # than the kernel-level round-trip bound tested below
+    to_monomial = _legendre_to_monomial(8)
     for k in range(9):
-        coeffs = shifted_legendre_monomial(k)
         for r in np.linspace(0, 1, 7):
-            assert np.polyval(coeffs[::-1], r) == pytest.approx(
-                shifted_legendre_eval(k, r), abs=1e-10)
+            assert np.polyval(to_monomial[::-1, k], r) == pytest.approx(
+                closed_form_legendre(k, r), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +146,15 @@ def test_singular_system_fails_loudly():
                                condition_estimate=np.inf,
                                row_labels=("mass", "dup"))
     with pytest.raises(SingularSystemError, match="pivot"):
+        solve_dense(system)
+
+
+def test_singular_pivot_names_its_row_through_the_permutation():
+    # the first pivot swaps 'c' to the top, so the zero pivot of column 2 is row 'a'
+    mat = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    system = DenseLinearSystem(matrix=mat, rhs=np.ones(3), condition_estimate=np.inf,
+                               row_labels=("a", "b", "c"))
+    with pytest.raises(SingularSystemError, match=r"column 2 \(constraint 'a'\)"):
         solve_dense(system)
 
 
@@ -305,8 +309,7 @@ def test_radial_residuals_expose_unmatched_third_order():
 def test_round_trip_basis_to_monomial():
     kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2))
     rs = np.linspace(0.0, 1.0, 100)
-    from_basis = sum(
-        b * shifted_legendre_eval(j, rs) for j, b in enumerate(kernel.coeffs))
+    from_basis = _basis_values(kernel.spec.basis, rs) @ kernel.coeffs
     from_monomial = np.polyval(kernel.monomial[::-1], rs)
     assert np.max(np.abs(from_basis - from_monomial)) <= 1e-11
 
@@ -347,3 +350,52 @@ def test_cosine_kernel_serializes_without_monomial():
     assert "monomial" not in payload
     back = EtaKernel.from_json(kernel.to_json())
     assert back.eval(0.3) == pytest.approx(kernel.eval(0.3), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# every admissible square problem: dim 1-2, m <= 4, boundary and origin
+# smoothness <= 2 (cosine: <= 1), both bases -- 130 specs
+# ---------------------------------------------------------------------------
+
+def _square_specs():
+    specs = []
+    for dim in (1, 2):
+        for m in range(5):
+            for s in range(3):
+                for origin in range(3):
+                    p = m + s + max(origin - 1, 0)
+                    specs.append(legendre_spec(dim, m, p, s=s, origin=origin))
+                    if s <= 1 and origin <= 1:
+                        specs.append(MomentProblemSpec(
+                            dim=dim, moments=m, degree=p, basis=BasisFamily(BasisKind.COSINE, p),
+                            boundary_smoothness=s, origin_smoothness=origin))
+    return specs
+
+
+SQUARE_SPECS = _square_specs()
+
+
+def _spec_id(spec):
+    return (f"{spec.basis.kind.value}-d{spec.dim}-m{spec.moments}"
+            f"-s{spec.boundary_smoothness}-o{spec.origin_smoothness}")
+
+
+def test_square_specs_are_the_admissible_space():
+    assert len(SQUARE_SPECS) == len({_spec_id(spec) for spec in SQUARE_SPECS}) == 130
+
+
+@pytest.mark.parametrize("spec", SQUARE_SPECS, ids=_spec_id)
+def test_every_square_problem_meets_its_rows_and_weak_order(spec):
+    system = assemble_moment_system(spec)
+    kernel = solve_moment_problem(spec)
+    bound = 1e-12 * system.condition_estimate
+    assert np.max(np.abs(system.matrix @ kernel.coeffs - system.rhs)) <= bound
+    assert np.max(np.abs(radial_moment_residuals(kernel, spec.moments))) <= bound
+    # weak-star rate H^(q+1), q the highest moment matched: odd ball moments
+    # vanish by symmetry, so an even m also matches m + 1
+    q = spec.moments + (spec.moments % 2 == 0)
+    Hs = [2.0**-k for k in range(1, 5)]
+    deltas = [RegularizedDelta(dim=spec.dim, name="eta", profiles=(kernel.profile(),),
+                               half_widths=(H,), is_radial=True) for H in Hs]
+    errors = [weak_star_error(delta) for delta in deltas]
+    assert convergence_slope(Hs, errors).slope == pytest.approx(q + 1, abs=0.25)

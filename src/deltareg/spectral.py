@@ -77,6 +77,13 @@ class PeriodicGrid1D:
         return np.fft.fftfreq(self.n, d=1.0 / self.n) * (2.0 * math.pi / self.length)
 
 
+def _check_times(dt, t_final):
+    if dt is not None and not dt > 0:
+        raise ValueError(f"time step dt = {dt} must be positive")
+    if not t_final > 0:
+        raise ValueError(f"final time t_final = {t_final} must be positive")
+
+
 @dataclass(frozen=True)
 class AdvectionRun:
     grid: PeriodicGrid1D
@@ -90,6 +97,7 @@ class AdvectionRun:
             raise ValueError("provide exactly one of kernel or initial data")
         if self.kernel is not None and self.kernel.dim != 1:
             raise ValueError("advection needs a 1D kernel")
+        _check_times(self.dt, self.t_final)
 
     @property
     def time_step(self) -> float:
@@ -129,23 +137,27 @@ def advect_leapfrog(run: AdvectionRun, exact_translation: bool = False) -> Advec
     """
     grid = run.grid
     dt = run.time_step
-    kmax = grid.wavenumbers[-1]
-    if kmax * dt > 1.0:
-        raise CFLError(f"k_max dt = {kmax * dt:.3f} > 1; leapfrog unstable")
     n_steps = int(round(run.t_final / dt))
     if n_steps < 1 or abs(n_steps * dt - run.t_final) > 1e-9 * max(run.t_final, 1.0):
-        dt = run.t_final / max(n_steps, 1)
-        n_steps = int(round(run.t_final / dt))
+        n_steps = max(n_steps, 1)
+        dt = run.t_final / n_steps
+    kmax_dt = grid.wavenumbers[-1] * dt
+    if kmax_dt > 1.0:
+        raise CFLError(f"k_max dt = {kmax_dt:.3f} > 1; leapfrog unstable")
     u0 = run.initial_values()
     c0 = np.fft.rfft(u0)
     if exact_translation:
         cT = c0 * np.exp(-1j * grid.deriv_wavenumbers * run.t_final)
     else:
-        ik = 1j * grid.deriv_wavenumbers
-        prev = c0
+        # ((2 dt) i k) c is the rounding order of prev - 2.0 * dt * ik * cur
+        coef = 2.0 * dt * (1j * grid.deriv_wavenumbers)
+        prev = c0.copy()
         cur = leapfrog_phase_factors(grid, dt) * c0
+        tmp = np.empty_like(cur)
         for _ in range(n_steps - 1):
-            prev, cur = cur, prev - 2.0 * dt * ik * cur
+            np.multiply(coef, cur, out=tmp)
+            np.subtract(prev, tmp, out=prev)
+            prev, cur = cur, prev
         cT = cur
     uT = np.fft.irfft(cT, n=grid.n)
     return AdvectionResult(
@@ -157,6 +169,8 @@ def advect_leapfrog(run: AdvectionRun, exact_translation: bool = False) -> Advec
             H=run.kernel.half_widths[0] if run.kernel is not None else None,
             t_final=run.t_final,
             exact_translation=exact_translation,
+            n_steps=n_steps,
+            kmax_dt=kmax_dt,
         ),
     )
 
@@ -220,6 +234,7 @@ class KdVRun:
             raise ValueError("provide exactly one of kernel, initial data, or gaussian_sigma")
         if self.kernel is not None and self.kernel.dim != 1:
             raise ValueError("KdV needs a 1D kernel")
+        _check_times(self.dt, self.t_final)
 
     def initial_values(self) -> np.ndarray:
         if self.initial is not None:
@@ -244,44 +259,44 @@ class KdVResult:
 def kdv_solve(run: KdVRun) -> KdVResult:
     """Integrate u_t + 6 u u_x + u_xxx = 0 by integrating-factor RK4.
 
-    The stiff dispersive term is removed exactly with the factor exp(-i k^3 t);
-    the quadratic term 3 (u^2)_x is evaluated pseudospectrally with 2/3-rule
-    dealiasing (on by default).  Aborts with a diagnostic when max|u| > 1e6.
+    The stiff dispersive term is removed exactly with the factor exp(i k^3 s),
+    s anchored at the start of each step, so exp(i k^3 dt/2) and exp(i k^3 dt)
+    are built once per run (Trefethen, Spectral Methods in MATLAB, program 27);
+    up to rounding this is RK4 with the factor exp(-i k^3 t) anchored at t = 0.
+    The quadratic term 3 (u^2)_x is evaluated pseudospectrally on real FFTs with
+    2/3-rule dealiasing (on by default).  Aborts with a diagnostic when max|u| > 1e6.
     """
     grid = run.grid
-    k = grid.full_wavenumbers
-    ik3 = 1j * k**3
-    g = -3.0 * 1j * k
-    mask = np.ones_like(k)
-    if run.dealias:
-        kmax = np.max(np.abs(k))
-        mask[np.abs(k) > (2.0 / 3.0) * kmax] = 0.0
-
     dt = run.dt
     n_steps = int(round(run.t_final / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_final = {run.t_final:g} is shorter than half a time step "
+                         f"(dt = {dt:g})")
     if abs(n_steps * dt - run.t_final) > 1e-12 * max(1.0, run.t_final):
         dt = run.t_final / n_steps
-    snap_times = sorted(set([0.0] + [float(t) for t in run.snapshots] + [run.t_final]))
-    snap_steps = [int(round(t / dt)) for t in snap_times]
+    snap_steps = {0, n_steps}
+    for t in run.snapshots:
+        if not 0.0 <= t <= run.t_final:
+            raise ValueError(f"snapshot time {t:g} is outside [0, {run.t_final:g}]")
+        snap_steps.add(int(round(t / dt)))
 
-    u0 = run.initial_values()
-    uhat = np.fft.fft(u0)
+    k = grid.wavenumbers
+    E = np.exp(0.5j * dt * k**3)
+    E2 = E * E
+    gm = -3j * k
+    if run.dealias:
+        gm[k > (2.0 / 3.0) * k[-1]] = 0.0
 
-    def rhs(vh, t):
-        # v = exp(-i k^3 t) u_hat; u_t + 6 u u_x = -3 (u^2)_x
-        uh = np.exp(ik3 * t) * vh
-        u = np.real(np.fft.ifft(uh))
-        nl = g * mask * np.fft.fft(u * u)
-        return np.exp(-ik3 * t) * nl
+    def nonlinear(w):
+        # spectrum of -3 (u^2)_x for the field with spectrum w
+        return gm * np.fft.rfft(np.fft.irfft(w, grid.n) ** 2)
 
-    v = uhat.copy()
-    t = 0.0
+    v = np.fft.rfft(run.initial_values())
     outputs, out_times = [], []
     mass, momentum = [], []
 
     def record(step):
-        uh = np.exp(ik3 * (step * dt)) * v
-        u = np.real(np.fft.ifft(uh))
+        u = np.fft.irfft(v, grid.n)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
             raise BlowUpError(f"solution blew up at t = {step * dt:.6g}")
         outputs.append(u)
@@ -290,19 +305,16 @@ def kdv_solve(run: KdVRun) -> KdVResult:
         mass.append(m)
         momentum.append(p)
 
-    snap_set = set(snap_steps)
-    if 0 in snap_set:
-        record(0)
+    record(0)
     # a blowing-up run overflows before the finiteness checks below catch it
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            t = (step - 1) * dt
-            k1 = rhs(v, t)
-            k2 = rhs(v + 0.5 * dt * k1, t + 0.5 * dt)
-            k3_ = rhs(v + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = rhs(v + dt * k3_, t + dt)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3_ + k4)
-            if step in snap_set:
+            a = nonlinear(v)
+            b = nonlinear(E * (v + 0.5 * dt * a))
+            c = nonlinear(E * v + 0.5 * dt * b)
+            d = nonlinear(E2 * v + dt * E * c)
+            v = E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+            if step in snap_steps:
                 record(step)
             elif step % 200 == 0:
                 if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e7:
@@ -316,8 +328,8 @@ def kdv_solve(run: KdVRun) -> KdVResult:
         metadata=dict(
             kernel=getattr(run.kernel, "name", None),
             H=run.kernel.half_widths[0] if run.kernel is not None else None,
-            dt=dt, t_final=run.t_final, dealias=run.dealias, n=grid.n,
-            length=grid.length,
+            dt=dt, n_steps=n_steps, t_final=run.t_final, dealias=run.dealias,
+            n=grid.n, length=grid.length,
         ),
     )
 

@@ -46,6 +46,47 @@ def test_cfl_violation_raises():
         advect_leapfrog(run)
 
 
+def test_cfl_checked_on_the_marched_time_step():
+    # dt passes the check, but T = 1.4 dt is marched in one step of 1.4 dt
+    grid = PeriodicGrid1D(n=64)
+    dt = 0.9 / grid.wavenumbers[-1]
+    run = AdvectionRun(grid=grid, initial=np.cos(grid.nodes), dt=dt, t_final=1.4 * dt)
+    with pytest.raises(CFLError, match="1.260"):
+        advect_leapfrog(run)
+
+
+def test_advection_metadata_records_marched_steps_and_cfl_number():
+    grid = PeriodicGrid1D(n=64)
+    result = advect_leapfrog(AdvectionRun(grid=grid, initial=np.cos(grid.nodes),
+                                          t_final=2 * math.pi))
+    assert result.metadata["n_steps"] == result.n_steps == 512
+    assert result.metadata["kmax_dt"] == grid.wavenumbers[-1] * result.dt
+
+
+@pytest.mark.parametrize("run_type", [AdvectionRun, KdVRun])
+@pytest.mark.parametrize("times", [dict(dt=-0.01), dict(dt=0.0), dict(t_final=0.0),
+                                   dict(t_final=-1.0), dict(t_final=float("nan"))])
+def test_runs_reject_non_positive_times(run_type, times):
+    grid = PeriodicGrid1D(n=64)
+    with pytest.raises(ValueError, match="must be positive"):
+        run_type(grid=grid, initial=np.cos(grid.nodes), **times)
+
+
+def test_leapfrog_matches_inline_recursion_exactly():
+    grid = PeriodicGrid1D(n=64)
+    run = AdvectionRun(grid=grid, kernel=catalog_lookup("eta_2_3_1d")(0.5),
+                       t_final=2 * math.pi)
+    result = advect_leapfrog(run)
+    dt = result.dt
+    ik = 1j * grid.deriv_wavenumbers
+    prev = np.fft.rfft(run.initial_values())
+    cur = leapfrog_phase_factors(grid, dt) * prev
+    for _ in range(result.n_steps - 1):
+        prev, cur = cur, prev - 2.0 * dt * ik * cur
+    assert np.max(np.abs(result.spectrum_final - cur)) == 0.0
+    assert np.max(np.abs(result.spectrum_initial - np.fft.rfft(run.initial_values()))) == 0.0
+
+
 def test_single_mode_phase_follows_dispersion_relation():
     grid = PeriodicGrid1D(n=64)
     run = AdvectionRun(grid=grid, initial=np.cos(3 * grid.nodes), t_final=2 * math.pi)
@@ -192,6 +233,69 @@ def test_transport_diagnostics_match_first_moment_law():
     diag = transport_diagnostics(kdv_solve(run))
     assert diag["com_displacement"] == pytest.approx(diag["com_predicted"], rel=1e-3)
     assert diag["peak_displacement"] > 0
+
+
+def _kdv_reference(u0, grid, dt, n_steps, snap_steps):
+    """IF-RK4 with the factor exp(-i k^3 t) anchored at t = 0, on full complex FFTs."""
+    k = grid.full_wavenumbers
+    ik3 = 1j * k**3
+    g = -3.0 * 1j * k * (np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k)))
+
+    def rhs(vh, t):
+        u = np.real(np.fft.ifft(np.exp(ik3 * t) * vh))
+        return np.exp(-ik3 * t) * g * np.fft.fft(u * u)
+
+    v = np.fft.fft(u0)
+    out = [u0]
+    for step in range(1, n_steps + 1):
+        t = (step - 1) * dt
+        k1 = rhs(v, t)
+        k2 = rhs(v + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(v + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(v + dt * k3, t + dt)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step in snap_steps:
+            out.append(np.real(np.fft.ifft(np.exp(ik3 * (step * dt)) * v)))
+    return np.asarray(out)
+
+
+def test_kdv_matches_time_anchored_integrating_factor_reference():
+    grid = _kdv_grid()
+    run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 2),
+                 dt=1e-4, t_final=5e-3, snapshots=(2e-3,))
+    result = kdv_solve(run)
+    assert result.metadata["n_steps"] == 50
+    np.testing.assert_allclose(result.times, [0.0, 2e-3, 5e-3], rtol=0, atol=1e-15)
+    expected = _kdv_reference(run.initial_values(), grid, 1e-4, 50, {20, 50})
+    assert np.max(np.abs(result.snapshots - expected)) <= 1e-12
+
+
+def test_kdv_rejects_run_shorter_than_half_a_step():
+    grid = _kdv_grid()
+    run = KdVRun(grid=grid, initial=np.zeros(grid.n), dt=1e-3, t_final=4e-4)
+    with pytest.raises(ValueError, match="t_final = 0.0004"):
+        kdv_solve(run)
+
+
+@pytest.mark.parametrize("t", [-1.0, 5e-3])
+def test_kdv_rejects_snapshot_outside_run(t):
+    grid = _kdv_grid()
+    run = KdVRun(grid=grid, initial=np.zeros(grid.n), t_final=1e-3, snapshots=(5e-4, t))
+    with pytest.raises(ValueError, match=f"snapshot time {t:g}"):
+        kdv_solve(run)
+
+
+def test_dealias_changes_rough_run_and_spectra_keep_full_fft_layout():
+    grid = _kdv_grid()
+    results = {}
+    for dealias in (True, False):
+        run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 4),
+                     dt=1e-4, t_final=0.02, dealias=dealias)
+        results[dealias] = result = kdv_solve(run)
+        assert result.spectra.shape == (2, grid.n)
+        assert np.array_equal(result.spectra, np.abs(np.fft.fft(result.snapshots, axis=1)))
+    gap = np.max(np.abs(results[True].snapshots[-1] - results[False].snapshots[-1]))
+    assert gap > 1e-3
 
 
 def test_dealias_flag_recorded():

@@ -154,6 +154,9 @@ def _cmd_kdv(args) -> int:
         run = spectral.KdVRun(grid=grid, gaussian_sigma=parse_h_schedule(args.sigma)[0],
                               dt=float(opts["dt"]), t_final=t_final, snapshots=snapshots,
                               gaussian_normalized=args.normalized_gaussian)
+    if not config.out:
+        raise ConfigError("kdv --detail writes a snapshot CSV and a .spectra.csv beside it; "
+                          "name the snapshot file with --out")
     result = spectral.kdv_solve(run)
     lines = ["x," + ",".join(f"u(t={t:g})" for t in result.times)]
     for i, x in enumerate(grid.nodes):
@@ -163,9 +166,8 @@ def _cmd_kdv(args) -> int:
     k = grid.full_wavenumbers
     for i in range(grid.n):
         spec_lines.append(f"{k[i]:.12g}," + ",".join(f"{s[i]:.12g}" for s in result.spectra))
-    if config.out:
-        with open(config.out + ".spectra.csv", "wb") as fh:
-            fh.write(("\n".join(spec_lines) + "\n").encode())
+    with open(config.out + ".spectra.csv", "wb") as fh:
+        fh.write(("\n".join(spec_lines) + "\n").encode())
     sys.stderr.write(json.dumps(result.metadata, sort_keys=True) + "\n")
     return 0
 
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     pkdv.add_argument("--dt", type=float)
     pkdv.add_argument("--snapshots")
     pkdv.add_argument("--detail", action="store_true",
-                      help="emit snapshot and spectra CSVs for a single run")
+                      help="emit snapshot and spectra CSVs for a single run (needs --out)")
     _add_common(pkdv)
     pkdv.set_defaults(fn=_cmd_kdv)
 

@@ -4,10 +4,11 @@ deleted-neighborhood sup error, and weighted-Sobolev error."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import bessel
@@ -30,6 +31,7 @@ __all__ = [
     "solve_regularized_2d_radial",
     "exact_profile_1d",
     "exact_profile_2d",
+    "radial_grid",
     "pointwise_error",
     "weighted_sobolev_error",
 ]
@@ -344,6 +346,62 @@ def _singular_part(jumps: np.ndarray, s: float, k0: float):
     return u_sing, u_sing_d1, L_u_sing
 
 
+def radial_grid(n_cells: int) -> np.ndarray:
+    """Nodes r_j = j h, h = 1 / n_cells, of the radial FD mesh on [0, 1]."""
+    return np.arange(n_cells + 1) * (1.0 / n_cells)
+
+
+_BW = 4  # lower and upper bandwidth of the radial FD operator
+_CENTERED = np.arange(-2, 3)
+
+
+def _centered_weights(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """4th-order centred second- and first-derivative weights on offsets -2..2."""
+    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    return c2, c1
+
+
+@lru_cache(maxsize=4)
+def _radial_fd_operator(n: int, k0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band, banded LU and pivots of the radial FD operator on n cells, shared read-only.
+
+    No row depends on the kernel, which enters the right-hand side only, so one
+    factor serves every solve on a mesh. A zero pivot raises SingularSystemError
+    here, so a failed factor is never cached.
+    """
+    h = 1.0 / n
+    r = radial_grid(n)
+    storage = np.zeros((3 * _BW + 1, n + 1))  # dgbtrf fills in the top _BW rows
+    band = storage[_BW:]
+
+    # r = 0: one-sided 4th-order first derivative = 0 (radial symmetry)
+    window = np.arange(5)
+    band[_BW - window, window] = _fd_weights(window, 1, h)
+
+    # r = 1: Dirichlet
+    band[_BW, n] = 1.0
+
+    # boundary-biased interior rows
+    for j, window in ((1, np.arange(0, 6)), (n - 1, np.arange(n - 5, n + 1))):
+        offs = window - j
+        band[_BW - offs, window] = _fd_weights(offs, 2, h) + _fd_weights(offs, 1, h) / r[j]
+        band[_BW, j] += k0 * k0
+
+    # centered rows everywhere else
+    j_mid = np.arange(2, n - 1)
+    for o, a2, a1 in zip(_CENTERED, *_centered_weights(h)):
+        band[_BW - o, j_mid + o] = a2 + a1 / r[j_mid]
+    band[_BW, j_mid] += k0 * k0
+
+    lu, piv, info = dgbtrf(storage, _BW, _BW)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in column {info - 1} of the radial FD band LU")
+    for a in (band, lu, piv):
+        a.setflags(write=False)
+    return band, lu, piv
+
+
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
     """4th-order finite-difference solve of the radial point-source benchmark.
 
@@ -354,50 +412,27 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
     accuracy through the source's derivative discontinuities.
 
     No stencil reaches past 4 nodes from its row, so rows go straight into LAPACK
-    band storage, A[i, j] at band[4 + i - j, j], factored once by banded LU (a zero
-    pivot raises SingularSystemError). Metadata records the max-norm residual
-    ||A u - b|| of the returned u, taken from the same band, and the mesh cells per
-    kernel half-width.
+    band storage, A[i, j] at band[4 + i - j, j], factored by banded LU (a zero
+    pivot raises SingularSystemError). The matrix depends on (n_cells, k0) only,
+    so the band and its factor are built once per mesh and shared by every solve
+    on it; the kernel enters the right-hand side alone. Metadata records the
+    max-norm residual ||A u - b|| of the returned u, taken from the same band,
+    and the mesh cells per kernel half-width.
     """
     n = problem.n_cells
     h = 1.0 / n
     k0 = problem.k0
-    r = np.arange(n + 1) * h
+    r = radial_grid(n)
     edges = _region_edges(problem)
     interior_bps = [b for b in edges if 0 < b < n]
     if any(b2 - b1 < 8 for b1, b2 in zip(edges[:-1], edges[1:])):
         raise ValueError("kernel breakpoints unresolvable: closer than 8 mesh cells")
-    source = -problem.kernel.eval(np.stack([r, np.zeros_like(r)], axis=-1))
+    band, lu, piv = _radial_fd_operator(n, k0)
+    c2, c1 = _centered_weights(h)
 
-    bw = 4  # lower and upper bandwidth
-    storage = np.zeros((3 * bw + 1, n + 1))  # dgbtrf fills in the top bw rows
-    band = storage[bw:]
-    rhs = np.zeros(n + 1)
-
-    # r = 0: one-sided 4th-order first derivative = 0 (radial symmetry)
-    window = np.arange(5)
-    band[bw - window, window] = _fd_weights(window, 1, h)
-
-    # r = 1: Dirichlet
-    band[bw, n] = 1.0
-
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    centered = np.arange(-2, 3)
-
-    # boundary-biased interior rows
-    for j, window in ((1, np.arange(0, 6)), (n - 1, np.arange(n - 5, n + 1))):
-        offs = window - j
-        band[bw - offs, window] = _fd_weights(offs, 2, h) + _fd_weights(offs, 1, h) / r[j]
-        band[bw, j] += k0 * k0
-        rhs[j] = source[j]
-
-    # centered rows everywhere else
-    j_mid = np.arange(2, n - 1)
-    for o, a2, a1 in zip(centered, c2, c1):
-        band[bw - o, j_mid + o] = a2 + a1 / r[j_mid]
-    band[bw, j_mid] += k0 * k0
-    rhs[j_mid] = source[j_mid]
+    # the source on every interior row; r = 0 (symmetry) and r = 1 (Dirichlet) are 0
+    rhs = -problem.kernel.eval_radial(r)
+    rhs[[0, n]] = 0.0
 
     # immersed-interface corrections at source breakpoints
     sing_parts = []
@@ -407,35 +442,32 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
         u_sing, u_sing_d1, L_u_sing = _singular_part(jumps, s, k0)
         sing_parts.append((b, u_sing, u_sing_d1))
         for j in range(b - 3, b + 4):
-            stencil_r = r[j + centered]
+            stencil_r = r[j + _CENTERED]
             lh = float((c2 + c1 / r[j]) @ u_sing(stencil_r)) + k0 * k0 * float(u_sing(r[j]))
             rhs[j] += lh - float(L_u_sing(r[j]))
 
-    lu, piv, info = dgbtrf(storage, bw, bw)
-    if info > 0:
-        raise SingularSystemError(f"zero pivot in column {info - 1} of the radial FD band LU")
-    u = dgbtrs(lu, bw, bw, rhs, piv)[0]
+    u = dgbtrs(lu, _BW, _BW, rhs, piv)[0]
     u[n] = 0.0  # Dirichlet value is exact
     au = np.zeros(n + 1)
-    for o in range(-bw, bw + 1):  # A[i, i + o] sits at band[bw - o, i + o]
+    for o in range(-_BW, _BW + 1):  # A[i, i + o] sits at band[_BW - o, i + o]
         rows = slice(max(0, -o), min(n + 1, n + 1 - o))
         cols = slice(rows.start + o, rows.stop + o)
-        au[rows] += band[bw - o, cols] * u[cols]
+        au[rows] += band[_BW - o, cols] * u[cols]
     residual = float(np.max(np.abs(rhs - au)))
 
     # derivative by 4th-order differentiation with matching corrections
     du = np.empty_like(u)
-    acc = np.zeros(j_mid.size)
-    for o, c in zip(centered, c1):
-        acc += c * u[j_mid + o]
-    du[j_mid] = acc
+    acc = np.zeros(n - 3)
+    for o, c in zip(_CENTERED, c1):
+        acc += c * u[2 + o:n - 1 + o]
+    du[2:n - 1] = acc
     du[0] = _fd_weights(np.arange(0, 5), 1, h) @ u[0:5]
     du[1] = _fd_weights(np.arange(-1, 5), 1, h) @ u[0:6]
     du[n - 1] = _fd_weights(np.arange(-5, 1), 1, h) @ u[n - 5:n + 1]
     du[n] = _fd_weights(np.arange(-4, 1), 1, h) @ u[n - 4:n + 1]
     for b, u_sing, u_sing_d1 in sing_parts:
         for j in range(max(b - 3, 2), min(b + 4, n - 1)):
-            dh = float(c1 @ u_sing(r[j + centered]))
+            dh = float(c1 @ u_sing(r[j + _CENTERED]))
             du[j] -= dh - float(u_sing_d1(r[j]))
 
     profile = SolutionProfile(
@@ -472,17 +504,15 @@ def pointwise_error(u_exact: SolutionProfile, u_reg: SolutionProfile, cutoff: fl
     return float(np.max(np.abs(u_exact.values[outside] - u_reg.values[outside])))
 
 
-def _sobolev_2d_radial(rs, diff, alpha, support_edge):
-    """2 pi * integral of diff(r)^2 r^(2 alpha + 1), with a singular model on (0, r1)."""
-    spline = CubicSpline(rs, diff)
+def _sobolev_2d_radial(rs, diff, spline, alphas, support_edge) -> list[float]:
+    """2 pi * integral of diff(r)^2 r^(2 alpha + 1) per alpha, with a singular model on (0, r1).
+
+    `spline` interpolates diff; it, the model and the panels serve every alpha.
+    """
     r1, r2 = rs[0], rs[1]
     # model diff(r) = a/r + c r on the unresolved sliver next to the origin
     c = (diff[1] * r2 - diff[0] * r1) / (r2 * r2 - r1 * r1)
     a = diff[0] * r1 - c * r1 * r1
-    ta = 2 * alpha
-    sliver = (a * a * r1**ta / ta
-              + 2 * a * c * r1**(ta + 2) / (ta + 2)
-              + c * c * r1**(ta + 4) / (ta + 4))
     # geometric panels from r1 up to the kernel edge, then uniform panels to 1
     edges = [r1]
     while edges[-1] < min(support_edge, 1.0) * 0.999:
@@ -490,30 +520,45 @@ def _sobolev_2d_radial(rs, diff, alpha, support_edge):
     tail_start = edges[-1]
     n_tail = 48
     edges.extend(np.linspace(tail_start, 1.0, n_tail + 1)[1:])
+    edges = np.asarray(edges)
     rule = gauss_legendre(12)
-    integral = integrate_panels(lambda r: spline(r) ** 2 * r**(ta + 1), np.asarray(edges), rule)
-    return 2.0 * np.pi * (sliver + integral)
+    out = []
+    for alpha in alphas:
+        ta = 2 * alpha
+        sliver = (a * a * r1**ta / ta
+                  + 2 * a * c * r1**(ta + 2) / (ta + 2)
+                  + c * c * r1**(ta + 4) / (ta + 4))
+        integral = integrate_panels(lambda r: spline(r) ** 2 * r**(ta + 1), edges, rule)
+        out.append(2.0 * np.pi * (sliver + integral))
+    return out
 
 
 def weighted_sobolev_error(u_exact: SolutionProfile, u_reg: SolutionProfile,
-                           wspec: WeightedNormSpec) -> float:
-    """Weighted H1-seminorm error (integral of |grad(u - u_H)|^2 |x|^(2 alpha))^(1/2).
+                           wspecs: Sequence[WeightedNormSpec]) -> list[float]:
+    """Weighted H1-seminorm errors (integral of |grad(u - u_H)|^2 |x|^(2 alpha))^(1/2),
+    one for each WeightedNormSpec in the sequence `wspecs`.
 
     The 2D radial form is 2 pi * integral (u' - u_H')^2 r^(2 alpha + 1) dr with the
     integrable derivative singularity at the origin handled by a fitted a/r + c r
-    model on the first mesh cell and graded panels beyond it.
+    model on the first mesh cell and graded panels beyond it. One spline of
+    u' - u_H' serves every weight.
     """
+    from scipy.interpolate import CubicSpline  # about 0.3 s to import; only this norm needs it
+
     _common_mask(u_exact, u_reg)
     if u_exact.derivs is None or u_reg.derivs is None:
         raise ValueError("derivative values required")
     diff = u_exact.derivs - u_reg.derivs
     rs = u_exact.nodes
-    if wspec.dim != u_exact.dim:
+    if any(wspec.dim != u_exact.dim for wspec in wspecs):
         raise ValueError("weight dimension does not match profiles")
-    if wspec.dim == 2:
+    if u_exact.dim == 2:
         support_edge = float(u_reg.metadata.get("H", 0.0)) or rs[-1]
-        return math.sqrt(_sobolev_2d_radial(rs, diff, wspec.alpha, support_edge))
-    spline = CubicSpline(rs, diff**2 * np.abs(rs) ** (2 * wspec.alpha))
+        alphas = [wspec.alpha for wspec in wspecs]
+        squares = _sobolev_2d_radial(rs, diff, CubicSpline(rs, diff), alphas, support_edge)
+        return [math.sqrt(v) for v in squares]
     rule = gauss_legendre(12)
     edges = np.linspace(rs[0], rs[-1], 256)
-    return math.sqrt(integrate_panels(spline, edges, rule))
+    return [math.sqrt(integrate_panels(
+                CubicSpline(rs, diff**2 * np.abs(rs) ** (2 * wspec.alpha)), edges, rule))
+            for wspec in wspecs]

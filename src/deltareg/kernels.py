@@ -96,9 +96,7 @@ class RegularizedDelta:
         if x.shape[-1] != self.dim:
             raise ValueError(f"point dimension {x.shape[-1]} != kernel dimension {self.dim}")
         if self.is_radial:
-            h = self.half_widths[0]
-            r = np.linalg.norm(x, axis=-1)
-            return self.profiles[0].eval(r / h) / h**self.dim
+            return self.eval_radial(np.linalg.norm(x, axis=-1))
         out = 1.0
         for i in range(self.dim):
             h = self.half_widths[i]
@@ -106,6 +104,11 @@ class RegularizedDelta:
         return out
 
     __call__ = eval
+
+    def eval_radial(self, r):
+        """A radial kernel's value at distance r >= 0 from the origin."""
+        h = self.half_widths[0]
+        return self.radial_profile.eval(np.asarray(r, dtype=float) / h) / h**self.dim
 
 
 def eval_delta(delta: RegularizedDelta, x) -> float:

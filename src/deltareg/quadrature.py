@@ -64,14 +64,19 @@ def integrate_1d(f, a: float, b: float, rule: GaussRule, panels: int = 1) -> flo
 
 
 def integrate_panels(f, edges, rule: GaussRule) -> float:
-    """Composite Gauss integration with explicit panel edges (ascending)."""
+    """Composite Gauss integration with explicit panel edges (ascending).
+
+    `f` is called once, on every panel's nodes; panels of zero width are skipped.
+    The panel sums are added in order, as a per-panel loop would add them.
+    """
     edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    keep = hi > lo
+    x, w = rule.mapped(lo[keep, None], hi[keep, None])
+    fx = np.reshape(f(x.ravel()), x.shape)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        x, w = rule.mapped(lo, hi)
-        total += float(np.dot(w, f(x)))
+    for wi, fi in zip(w, fx):
+        total += float(np.dot(wi, fi))
     return total
 
 

@@ -73,7 +73,10 @@ class PeriodicGrid1D:
 
     @property
     def full_wavenumbers(self) -> np.ndarray:
-        """fft-layout wavenumbers including negatives; Nyquist carried positive."""
+        """fft-layout wavenumbers 0..N/2-1, then -N/2..-1, times 2 pi / L.
+
+        For even N the Nyquist mode is carried negative, as `fftfreq` gives it.
+        """
         return np.fft.fftfreq(self.n, d=1.0 / self.n) * (2.0 * math.pi / self.length)
 
 

@@ -77,13 +77,33 @@ def test_failing_gate_exits_2(tmp_path, capsys, kernel):
     assert {float(row["slope_min"]) for row in rows} == {5.0}
 
 
-def test_blow_up_is_reported_without_traceback(capsys):
+def test_blow_up_is_reported_without_traceback(tmp_path, capsys):
     code = main(["kdv", "--detail", "--source", "kernel:eta_2_5_1d", "--H", "0.05",
-                 "--dt", "0.01", "--T", "1"])
+                 "--dt", "0.01", "--T", "1", "--out", str(tmp_path / "u.csv")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: solution blew up")
     assert "Traceback" not in err
+
+
+def test_kdv_detail_without_out_is_an_error(capsys):
+    # the spectra CSV is written beside --out; without it, it would be dropped silently
+    assert main(["kdv", "--detail", "--N", "64", "--T", "0.001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--out" in err
+
+
+def test_kdv_detail_writes_snapshots_and_spectra(tmp_path):
+    out = tmp_path / "u.csv"
+    assert main(["kdv", "--detail", "--N", "64", "--T", "0.001", "--out", str(out)]) == 0
+    snapshots = out.read_text().splitlines()
+    spectra = (tmp_path / "u.csv.spectra.csv").read_text().splitlines()
+    assert snapshots[0].startswith("x,u(t=0)")
+    assert spectra[0].startswith("k,|u_hat|(t=0)")
+    assert len(snapshots) == len(spectra) == 65
+    # fft layout: the Nyquist wavenumber N/2 * 2 pi / L is carried negative
+    assert [float(line.split(",")[0]) for line in spectra[33:35]] == [-4.0, -3.875]
 
 
 # a KdV source is 'gaussian' or 'kernel:<catalog name>'; a typo must not run a Gaussian

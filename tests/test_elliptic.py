@@ -242,6 +242,8 @@ def test_fd_singular_factor_raises(monkeypatch, capsys):
     def singular(ab, kl, ku):
         return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7
 
+    # a factor cached by an earlier solve would bypass the patched dgbtrf
+    elliptic._radial_fd_operator.cache_clear()
     monkeypatch.setattr(elliptic, "dgbtrf", singular)
     problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
     with pytest.raises(SingularSystemError, match="zero pivot in column 6"):
@@ -251,6 +253,34 @@ def test_fd_singular_factor_raises(monkeypatch, capsys):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [row["status"] for row in rows] == ["error"]
     assert "zero pivot" in rows[0]["message"]
+    # the failed factor was not cached: the real dgbtrf factors afresh and the solve succeeds
+    monkeypatch.undo()
+    assert elliptic._radial_fd_operator.cache_info().currsize == 0
+    assert solve_regularized_2d_radial(problem).metadata["residual"] > 0.0
+    elliptic._radial_fd_operator.cache_clear()
+
+
+def test_fd_operator_is_factored_once_per_mesh():
+    elliptic._radial_fd_operator.cache_clear()
+    for name in ("eta_1_2_2d", "eta_2_3_2d"):
+        for H in (0.25, 0.125):
+            solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)))
+    info = elliptic._radial_fd_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    for shared in elliptic._radial_fd_operator(20480, 10.0):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+
+
+def test_fd_solve_after_cache_clear_is_bit_identical():
+    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_cos_2d")(0.125))
+    cached = solve_regularized_2d_radial(problem)
+    elliptic._radial_fd_operator.cache_clear()
+    fresh = solve_regularized_2d_radial(problem)
+    assert np.array_equal(fresh.values, cached.values)
+    assert np.array_equal(fresh.derivs, cached.derivs)
+    assert fresh.metadata == cached.metadata
 
 
 def test_fd_mesh_halving_self_consistency():
@@ -339,8 +369,7 @@ def test_weighted_sobolev_error_identical_profiles():
     profile = solve_regularized_2d_radial(
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)))
     interior = _as_interior(profile)
-    val = weighted_sobolev_error(interior, interior, WeightedNormSpec(alpha=0.5))
-    assert val == 0.0
+    assert weighted_sobolev_error(interior, interior, [WeightedNormSpec(alpha=0.5)]) == [0.0]
 
 
 def test_weighted_sobolev_alpha_validation():
@@ -356,7 +385,7 @@ def test_weighted_sobolev_requires_derivatives():
     prof = SolutionProfile(nodes=nodes, values=np.zeros(50), derivs=None,
                            metadata=dict(dim=2))
     with pytest.raises(ValueError):
-        weighted_sobolev_error(prof, prof, WeightedNormSpec(alpha=0.5))
+        weighted_sobolev_error(prof, prof, [WeightedNormSpec(alpha=0.5)])
 
 
 def test_sobolev_ratio_tracks_alpha_for_one_kernel():
@@ -366,11 +395,33 @@ def test_sobolev_ratio_tracks_alpha_for_one_kernel():
         p = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=builder(H)))
         profiles[H] = _as_interior(p)
     u_exact = exact_profile_2d(profiles[1 / 64].nodes, K0)
-    for alpha in (0.25, 0.9):
-        es = [weighted_sobolev_error(u_exact, profiles[H], WeightedNormSpec(alpha=alpha))
-              for H in (1 / 64, 1 / 128, 1 / 256)]
+    alphas = (0.25, 0.9)
+    wspecs = [WeightedNormSpec(alpha=alpha) for alpha in alphas]
+    per_H = [weighted_sobolev_error(u_exact, profiles[H], wspecs)
+             for H in (1 / 64, 1 / 128, 1 / 256)]
+    for alpha, es in zip(alphas, zip(*per_H)):
         final_ratio = math.log2(es[-2] / es[-1])
         assert final_ratio == pytest.approx(alpha, abs=0.05)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sobolev_errors_for_several_alphas_match_one_at_a_time(dim):
+    if dim == 2:
+        u_exact = _as_interior(solve_regularized_2d_radial(
+            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.25))))
+        u_reg = _as_interior(solve_regularized_2d_radial(
+            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.125))))
+        alphas = (0.25, 0.5, 0.9)
+    else:
+        nodes = np.linspace(-1.0, 1.0, 401)
+        u_exact = exact_profile_1d(nodes, K0)
+        u_reg = solve_regularized_1d(
+            Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0), nodes)
+        alphas = (0.0, 0.25, 0.45)
+    wspecs = [WeightedNormSpec(alpha=alpha, dim=dim) for alpha in alphas]
+    together = weighted_sobolev_error(u_exact, u_reg, wspecs)
+    assert together == [weighted_sobolev_error(u_exact, u_reg, [w])[0] for w in wspecs]
+    assert all(e > 0.0 for e in together)
 
 
 def test_profile_nodes_must_increase():

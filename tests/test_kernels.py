@@ -78,6 +78,21 @@ def test_tensor_single_axis_equals_radial():
     assert np.allclose(radial.eval(xs), tens.eval(xs), atol=1e-15)
 
 
+@pytest.mark.parametrize("name", ["eta_2_3_2d", "eta_2_cos_2d"])
+def test_eval_radial_matches_eval_on_the_axis(name):
+    delta = catalog_lookup(name)(0.125)
+    r = np.arange(20481) * (1.0 / 20480)
+    on_axis = delta.eval(np.stack([r, np.zeros_like(r)], axis=-1))
+    assert np.array_equal(delta.eval_radial(r), on_axis)
+    assert on_axis[0] > 0.0 and on_axis[-1] == 0.0
+
+
+def test_eval_radial_rejects_tensor_kernels():
+    tens = tensor_product([("eta_1_1_1d", 0.5), ("eta_1_1_1d", 0.5)], fit_in_ball=True)
+    with pytest.raises(ValueError, match="not a radial kernel"):
+        tens.eval_radial(np.array([0.1]))
+
+
 def test_tensor_rejects_2d_axis():
     with pytest.raises(ValueError):
         tensor_product([("eta_1_1_2d", 0.5), ("eta_1_1_1d", 0.5)], fit_in_ball=True)

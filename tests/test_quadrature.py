@@ -77,6 +77,37 @@ def test_integrate_abs_kink_on_panel_boundary():
     assert val == pytest.approx(1.0, abs=1e-15)
 
 
+def _integrate_panel_by_panel(f, edges, rule):
+    """Reference: one call of f and one dot per panel, skipping zero-width panels."""
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi <= lo:
+            continue
+        x, w = rule.mapped(lo, hi)
+        total += float(np.dot(w, f(x)))
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 5, 12, 24, 96])
+@pytest.mark.parametrize("edges", [
+    [0.0, 1.0],
+    [-1.0, -0.25, 0.0, 0.0, 0.5, 1.0],  # a zero-width panel inside
+    [0.0, 0.0, 0.125, 0.25, 0.25, 0.25, 1.0],  # zero-width panels at the start and repeated
+    list(np.sort(np.random.default_rng(7).uniform(-2.0, 3.0, 40))),
+])
+def test_integrate_panels_matches_panel_by_panel_sum(order, edges):
+    rule = gauss_legendre(order)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(np.sin(3.0 * x)) * (1.0 + x * x)
+
+    got = integrate_panels(f, edges, rule)
+    assert got == _integrate_panel_by_panel(f, np.asarray(edges), rule)
+    assert calls[0] == (order * int(np.count_nonzero(np.diff(edges) > 0)),)
+
+
 def test_integrate_rejects_bad_interval():
     with pytest.raises(ValueError):
         integrate_1d(np.abs, 1.0, -1.0, gauss_legendre(4))

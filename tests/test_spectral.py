@@ -34,6 +34,12 @@ def test_grid_layout():
     assert grid.deriv_wavenumbers[-1] == 0.0
 
 
+def test_full_wavenumbers_carry_nyquist_negative():
+    # fftfreq layout; the CSVs of `kdv --detail` print these values
+    k = PeriodicGrid1D(n=8).full_wavenumbers
+    assert np.array_equal(k, [0.0, 1.0, 2.0, 3.0, -4.0, -3.0, -2.0, -1.0])
+
+
 def test_grid_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         PeriodicGrid1D(n=1000)

@@ -126,10 +126,7 @@ def exact_point_solution_1d(x, k0: float = 10.0):
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("x outside [-1, 1]")
-    half = 0.5 * k0
-    lo = np.minimum(x, 0.0)
-    hi = np.maximum(x, 0.0)
-    return -np.sin(half * (1.0 + lo)) * np.sin(half * (1.0 - hi)) / (k0 * math.sin(k0))
+    return greens_function_1d(x, 0.0, k0)
 
 
 def exact_point_solution_1d_deriv(x, k0: float = 10.0):
@@ -137,88 +134,82 @@ def exact_point_solution_1d_deriv(x, k0: float = 10.0):
     x = np.asarray(x, dtype=float)
     half = 0.5 * k0
     denom = k0 * math.sin(k0)
-    pos = half * np.sin(half) * np.cos(half * (1.0 - x)) / denom
-    neg = -half * np.cos(half * (1.0 + x)) * np.sin(half) / denom
-    return np.where(x > 0, pos, np.where(x < 0, neg, 0.0))
+    # the solution is even in x, so its derivative is odd
+    return np.sign(x) * half * np.sin(half) * np.cos(half * (1.0 - np.abs(x))) / denom
 
 
 def greens_function_1d(x, y, k0: float = 10.0):
     """Translated two-point kernel consistent with exact_point_solution_1d at y=0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     half = 0.5 * k0
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
     return -np.sin(half * (1.0 + lo)) * np.sin(half * (1.0 - hi)) / (k0 * math.sin(k0))
 
 
-def _greens_dx_1d(x, y, k0: float):
-    half = 0.5 * k0
-    denom = k0 * math.sin(k0)
-    dpos = half * np.sin(half * (1.0 + y)) * np.cos(half * (1.0 - x)) / denom  # x > y
-    dneg = -half * np.cos(half * (1.0 + x)) * np.sin(half * (1.0 - y)) / denom  # x < y
-    return np.where(x > y, dpos, dneg)
-
-
 def _kernel_panel_edges_1d(delta: RegularizedDelta) -> np.ndarray:
-    h = delta.half_widths[0]
-    pos = [h * b for b in delta.profiles[0].breakpoints if b > 0]
-    edges = sorted(set([-e for e in pos] + [0.0] + pos))
-    return np.asarray(edges)
+    pos = delta.half_widths[0] * np.asarray(delta.profiles[0].breakpoints)  # holds 0
+    return np.unique(np.concatenate([-pos, pos]))
 
 
-def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float, order: int,
-                     deriv: bool) -> np.ndarray:
-    """Green's function (or its x-derivative) convolved with delta at every node of xs.
+def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float,
+                     order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Green's function and its x-derivative convolved with delta at every node of xs.
 
-    Loops over the kernel's breakpoint panels, never over nodes. Nodes strictly inside
-    a panel [lo, hi] see the kink y = x, so they take the rule on [lo, x] and [x, hi] as
-    one (n_split, 2*order) batch; all other nodes take the whole-panel rule as one
-    Green's matrix product.
+    G(x, y) = -a(min(x, y)) b(max(x, y)) / D, a(t) = sin(k0 (1 + t) / 2),
+    b(t) = sin(k0 (1 - t) / 2), D = k0 sin k0, so u = -(b il + a ir) / D and
+    u' = -(b' il + a' ir) / D, where il(x) integrates a delta over y < x and ir(x)
+    b delta over y > x. Loops over the kernel's breakpoint panels, never over nodes:
+    a node at or right of a panel takes the panel's Gauss moment of a delta into il,
+    one at or left of it that of b delta into ir; nodes strictly inside [lo, hi]
+    take the rule on [lo, x] and [x, hi] as one (n_split, 2, order) batch.
     """
-    kernel_fn = _greens_dx_1d if deriv else greens_function_1d
-    edges = _kernel_panel_edges_1d(delta)
+    half = 0.5 * k0
     rule = gauss_legendre(order)
-    out = np.zeros_like(xs)
+    il, ir = np.zeros_like(xs), np.zeros_like(xs)
+    edges = _kernel_panel_edges_1d(delta)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        split = (xs > lo) & (xs < hi)
         n, w = rule.mapped(lo, hi)
-        out[~split] += kernel_fn(xs[~split, None], n, k0) @ (delta.eval(n) * w)
+        wd = delta.eval(n) * w
+        il[xs >= hi] += np.dot(wd, np.sin(half * (1.0 + n)))
+        ir[xs <= lo] += np.dot(wd, np.sin(half * (1.0 - n)))
+        split = (xs > lo) & (xs < hi)
         x = xs[split, None]
-        ends = np.hstack([np.full_like(x, lo), x, np.full_like(x, hi)])[..., None]
-        mid, half = 0.5 * (ends[:, :-1] + ends[:, 1:]), 0.5 * (ends[:, 1:] - ends[:, :-1])
-        ys = (mid + half * rule.nodes).reshape(len(x), 2 * order)
-        ws = (half * rule.weights).reshape(len(x), 2 * order)
-        out[split] += np.sum(ws * kernel_fn(x, ys, k0) * delta.eval(ys), axis=1)
-    return out
+        ys, ws = rule.mapped(np.hstack([np.full_like(x, lo), x])[..., None],
+                             np.hstack([x, np.full_like(x, hi)])[..., None])
+        wds = ws * delta.eval(ys)  # [:, 0] on [lo, x], [:, 1] on [x, hi]
+        il[split] += np.sum(wds[:, 0] * np.sin(half * (1.0 + ys[:, 0])), axis=1)
+        ir[split] += np.sum(wds[:, 1] * np.sin(half * (1.0 - ys[:, 1])), axis=1)
+    denom = k0 * math.sin(k0)
+    a, b = np.sin(half * (1.0 + xs)), np.sin(half * (1.0 - xs))
+    da, db = half * np.cos(half * (1.0 + xs)), -half * np.cos(half * (1.0 - xs))
+    return -(b * il + a * ir) / denom, -(db * il + da * ir) / denom
 
 
 def solve_regularized_1d(problem: Helmholtz1D, nodes: np.ndarray | None = None,
                          order: int = 16) -> SolutionProfile:
     """Regularized point-source solve by Green's-function convolution.
 
-    `_convolve_greens` batches the quadrature panel by panel, splitting at the kink
-    y = x for the nodes inside a panel. The values are accepted once doubling the
-    Gauss order moves them by <= 1e-10 relative; metadata `order` and `doubling_delta`
-    record the accepted order and that last change.
+    Each `_convolve_greens` pass gives values and derivatives. Passes run at
+    `order`, `2 order` and, if needed, `4 order`; a pass is accepted once doubling
+    the Gauss order moves the values by <= 1e-10 of the `2 order` maximum, and
+    the profile takes values and derivatives from it. Metadata `order` and
+    `doubling_delta` record the accepted order and that last change.
     """
     if nodes is None:
         nodes = np.linspace(-1.0, 1.0, 4001)
     xs = np.asarray(nodes, dtype=float)
     k0 = problem.k0
-    vals = _convolve_greens(xs, problem.kernel, k0, order, deriv=False)
-    vals2 = _convolve_greens(xs, problem.kernel, k0, 2 * order, deriv=False)
-    scale = np.max(np.abs(vals2))
-    accepted, diff = 2 * order, float(np.max(np.abs(vals2 - vals)))
-    if diff > 1e-10 * max(scale, 1e-300):
-        vals = _convolve_greens(xs, problem.kernel, k0, 4 * order, deriv=False)
-        accepted, diff = 4 * order, float(np.max(np.abs(vals - vals2)))
-        if diff > 1e-10 * max(scale, 1e-300):
+    coarse, _ = _convolve_greens(xs, problem.kernel, k0, order)
+    vals, derivs = _convolve_greens(xs, problem.kernel, k0, 2 * order)
+    tol = 1e-10 * max(float(np.max(np.abs(vals))), 1e-300)
+    accepted, diff = 2 * order, float(np.max(np.abs(vals - coarse)))
+    if diff > tol:
+        coarse = vals
+        vals, derivs = _convolve_greens(xs, problem.kernel, k0, 4 * order)
+        accepted, diff = 4 * order, float(np.max(np.abs(vals - coarse)))
+        if diff > tol:
             raise QuadratureError("1D convolution quadrature failed the order-doubling check")
-        vals2 = vals
-    derivs = _convolve_greens(xs, problem.kernel, k0, 2 * order, deriv=True)
     profile = SolutionProfile(
-        nodes=xs, values=vals2, derivs=derivs,
+        nodes=xs, values=vals, derivs=derivs,
         metadata=dict(dim=1, k0=k0, H=problem.kernel.half_widths[0],
                       kernel=problem.kernel.name, order=accepted, doubling_delta=diff),
     )
@@ -533,6 +524,25 @@ def _sobolev_2d_radial(rs, diff, spline, alphas, support_edge) -> list[float]:
     return out
 
 
+def _sobolev_1d(xs, spline, alphas) -> list[float]:
+    """Integral of diff(x)^2 |x|^(2 alpha) over [xs[0], xs[-1]] per alpha; `spline` is diff.
+
+    Each side of x = 0 takes 128 uniform panels, the innermost cut by 40 halvings
+    toward the weight's singularity at 0; the sliver left around 0 takes diff(0).
+    """
+    if not xs[0] < 0.0 < xs[-1]:
+        raise ValueError("1D weighted norm needs nodes on both sides of x = 0")
+    unit = np.concatenate([2.0 ** np.arange(-40, 0), np.arange(1, 129)]) / 128
+    rule = gauss_legendre(12)
+    out = []
+    for p in 2 * np.asarray(alphas):
+        sliver = ((-xs[0] * unit[0]) ** (p + 1) + (xs[-1] * unit[0]) ** (p + 1)) / (p + 1)
+        panels = sum(integrate_panels(lambda x: spline(x) ** 2 * np.abs(x) ** p, edges, rule)
+                     for edges in (xs[0] * unit[::-1], xs[-1] * unit))
+        out.append(float(spline(0.0)) ** 2 * sliver + panels)
+    return out
+
+
 def weighted_sobolev_error(u_exact: SolutionProfile, u_reg: SolutionProfile,
                            wspecs: Sequence[WeightedNormSpec]) -> list[float]:
     """Weighted H1-seminorm errors (integral of |grad(u - u_H)|^2 |x|^(2 alpha))^(1/2),
@@ -540,8 +550,8 @@ def weighted_sobolev_error(u_exact: SolutionProfile, u_reg: SolutionProfile,
 
     The 2D radial form is 2 pi * integral (u' - u_H')^2 r^(2 alpha + 1) dr with the
     integrable derivative singularity at the origin handled by a fitted a/r + c r
-    model on the first mesh cell and graded panels beyond it. One spline of
-    u' - u_H' serves every weight.
+    model on the first mesh cell and graded panels beyond it; 1D applies |x|^(2 alpha)
+    inside the integrand, graded toward 0. One spline of u' - u_H' serves every weight.
     """
     from scipy.interpolate import CubicSpline  # about 0.3 s to import; only this norm needs it
 
@@ -552,13 +562,10 @@ def weighted_sobolev_error(u_exact: SolutionProfile, u_reg: SolutionProfile,
     rs = u_exact.nodes
     if any(wspec.dim != u_exact.dim for wspec in wspecs):
         raise ValueError("weight dimension does not match profiles")
+    alphas = [wspec.alpha for wspec in wspecs]
     if u_exact.dim == 2:
         support_edge = float(u_reg.metadata.get("H", 0.0)) or rs[-1]
-        alphas = [wspec.alpha for wspec in wspecs]
         squares = _sobolev_2d_radial(rs, diff, CubicSpline(rs, diff), alphas, support_edge)
-        return [math.sqrt(v) for v in squares]
-    rule = gauss_legendre(12)
-    edges = np.linspace(rs[0], rs[-1], 256)
-    return [math.sqrt(integrate_panels(
-                CubicSpline(rs, diff**2 * np.abs(rs) ** (2 * wspec.alpha)), edges, rule))
-            for wspec in wspecs]
+    else:
+        squares = _sobolev_1d(rs, CubicSpline(rs, diff), alphas)
+    return [math.sqrt(v) for v in squares]

@@ -88,16 +88,7 @@ class RadialProfile:
             acc = np.zeros_like(rm)
             for k, c in enumerate(self.cos_coeffs):
                 w = k * np.pi / self.support
-                phase = order % 4
-                if phase == 0:
-                    term = np.cos(w * rm)
-                elif phase == 1:
-                    term = -np.sin(w * rm)
-                elif phase == 2:
-                    term = -np.cos(w * rm)
-                else:
-                    term = np.sin(w * rm)
-                acc += c * w**order * term
+                acc += c * w**order * np.cos(w * rm + order * np.pi / 2)
             out[mask] = acc
         return float(out[0]) if scalar else out
 

@@ -94,21 +94,36 @@ def test_kernel_support_must_fit_in_domain():
         Helmholtz1D(kernel=catalog_lookup("eta_cubic")(0.6), k0=K0)  # support 1.2
 
 
-def _convolve_one_node(x, delta, order, deriv):
-    """Reference: split the panels at the kink y = x for this one node, rule per sub-panel."""
-    kernel_fn = elliptic._greens_dx_1d if deriv else greens_function_1d
+def _convolve_one_node(x, delta, order):
+    """Reference: split the panels at the kink y = x for this one node, rule per sub-panel.
+
+    Returns the convolution of G(x, .) and of dG/dx(x, .) with delta; dG/dx takes its
+    x < y branch at y = x.
+    """
+    half, denom = 0.5 * K0, K0 * math.sin(K0)
     rule = gauss_legendre(order)
     split = np.unique(np.concatenate([elliptic._kernel_panel_edges_1d(delta), [x]]))
-    total = 0.0
+    value = deriv = 0.0
     for lo, hi in zip(split[:-1], split[1:]):
         n, w = rule.mapped(lo, hi)
-        total += float(np.dot(w, kernel_fn(x, n, K0) * delta.eval(n)))
-    return total
+        wd = w * delta.eval(n)
+        dx = np.where(x > n, half * np.sin(half * (1.0 + n)) * np.cos(half * (1.0 - x)),
+                      -half * np.cos(half * (1.0 + x)) * np.sin(half * (1.0 - n))) / denom
+        value += float(np.dot(wd, greens_function_1d(x, n, K0)))
+        deriv += float(np.dot(wd, dx))
+    return value, deriv
 
 
-@pytest.mark.parametrize("deriv", [False, True])
+def _check_against_oracle(xs, delta):
+    values, derivs = elliptic._convolve_greens(xs, delta, K0, 16)
+    ref = np.array([_convolve_one_node(x, delta, 16) for x in xs])
+    assert np.max(np.abs(values - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref[:, 0]))
+    assert np.max(np.abs(derivs - ref[:, 1])) <= 1e-14 * np.max(np.abs(ref[:, 1]))
+    return values
+
+
 @pytest.mark.parametrize("name", ["eta_1_2_1d", "eta_cos", "eta_cubic"])
-def test_batched_convolution_matches_per_node_oracle(name, deriv):
+def test_batched_convolution_matches_per_node_oracle(name):
     delta = catalog_lookup(name)(0.3)
     edges = elliptic._kernel_panel_edges_1d(delta)
     w = edges[-1]
@@ -117,9 +132,16 @@ def test_batched_convolution_matches_per_node_oracle(name, deriv):
         [-1.0, 0.0, 1.0], edges, mids, edges[:-1] + 1e-3, edges[1:] - 1e-3,
         [-w - 1e-9, -w + 1e-9, w - 1e-9, w + 1e-9], np.linspace(-0.95, 0.95, 7),
     ]))
-    got = elliptic._convolve_greens(xs, delta, K0, 16, deriv)
-    ref = np.array([_convolve_one_node(x, delta, 16, deriv) for x in xs])
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    _check_against_oracle(xs, delta)
+
+
+@pytest.mark.parametrize("name", ["eta_1_2_1d", "eta_cos", "eta_cubic"])
+def test_convolution_on_panel_edges_and_domain_ends(name):
+    # no node lies strictly inside a panel, so every panel enters through its two moments
+    delta = catalog_lookup(name)(0.3)
+    xs = np.concatenate([[-1.0], elliptic._kernel_panel_edges_1d(delta), [1.0]])
+    values = _check_against_oracle(xs, delta)
+    assert values[0] == 0.0 and values[-1] == 0.0
 
 
 def test_1d_solve_reports_accepted_order_and_doubling_delta():
@@ -130,8 +152,10 @@ def test_1d_solve_reports_accepted_order_and_doubling_delta():
 
 
 def _fake_convolution(factor):
-    """A convolution whose values are (1 - x^2) * factor(order)."""
-    return lambda xs, delta, k0, order, deriv: (1.0 - xs**2) * factor(order)
+    """A convolution whose values are (1 - x^2) * factor(order) and whose derivatives
+    are the order itself, so a profile shows which pass its derivatives came from."""
+    return lambda xs, delta, k0, order: ((1.0 - xs**2) * factor(order),
+                                         np.full_like(xs, float(order)))
 
 
 def test_1d_solve_accepts_the_third_order(monkeypatch):
@@ -141,6 +165,7 @@ def test_1d_solve_accepts_the_third_order(monkeypatch):
     profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 41))
     assert profile.metadata["order"] == 64
     assert profile.metadata["doubling_delta"] == 0.0
+    assert np.all(profile.derivs == 64.0)
 
 
 def test_1d_solve_raises_when_order_doubling_fails(monkeypatch):
@@ -422,6 +447,23 @@ def test_sobolev_errors_for_several_alphas_match_one_at_a_time(dim):
     together = weighted_sobolev_error(u_exact, u_reg, wspecs)
     assert together == [weighted_sobolev_error(u_exact, u_reg, [w])[0] for w in wspecs]
     assert all(e > 0.0 for e in together)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 0.25, 0.45])
+def test_1d_weighted_sobolev_of_a_constant_matches_closed_form(alpha):
+    # integral over [-1, 1] of |x|^(2 alpha) is 2 / (2 alpha + 1); the grid holds x = 0
+    nodes = np.linspace(-1.0, 1.0, 401)
+    one = SolutionProfile(nodes=nodes, values=np.zeros(401), derivs=np.ones(401))
+    zero = SolutionProfile(nodes=nodes, values=np.zeros(401), derivs=np.zeros(401))
+    [err] = weighted_sobolev_error(one, zero, [WeightedNormSpec(alpha=alpha, dim=1)])
+    assert err == pytest.approx(math.sqrt(2.0 / (2.0 * alpha + 1.0)), rel=1e-10)
+
+
+def test_1d_weighted_sobolev_needs_nodes_on_both_sides_of_zero():
+    nodes = np.linspace(0.0, 1.0, 101)
+    prof = SolutionProfile(nodes=nodes, values=np.zeros(101), derivs=np.ones(101))
+    with pytest.raises(ValueError, match="both sides"):
+        weighted_sobolev_error(prof, prof, [WeightedNormSpec(alpha=0.25, dim=1)])
 
 
 def test_profile_nodes_must_increase():

@@ -24,6 +24,7 @@ from deltareg.moments import (
     solve_dense,
     solve_moment_problem,
 )
+from deltareg.profiles import cosine_profile
 from deltareg.quadrature import convergence_slope, gauss_legendre, weak_star_error
 
 PI = math.pi
@@ -260,6 +261,18 @@ def test_cosine_two_moment_2d_closed_form():
     spec, expected = TABLE_COS["eta_2_cos_2d"]
     kernel = solve_moment_problem(spec)
     assert kernel.coeffs == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_cosine_profile_deriv_matches_phase_table(order):
+    # d^n/dr^n cos(w r) cycles through cos, -sin, -cos, sin
+    coeffs, support = (0.5, -0.3, 0.2, 0.1), 0.8
+    r = np.linspace(0.0, support, 17)
+    sign, trig = [(1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos), (1.0, np.sin)][order % 4]
+    ws = np.arange(len(coeffs)) * PI / support
+    expected = sum(c * w**order * sign * trig(w * r) for c, w in zip(coeffs, ws))
+    got = cosine_profile(coeffs, support).deriv(r, order)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.sum(np.abs(coeffs) * ws**order)
 
 
 def test_cosine_rejects_redundant_origin_constraints():

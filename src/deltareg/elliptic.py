@@ -9,11 +9,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import bessel
 from .kernels import RegularizedDelta
-from .moments import SingularSystemError
 from .quadrature import QuadratureError, gauss_legendre, integrate_panels
 
 __all__ = [
@@ -88,7 +86,7 @@ class Helmholtz1D:
 class RadialHelmholtz2D:
     kernel: RegularizedDelta
     k0: float = 10.0
-    n_cells: int = 20480  # radial mesh cells; nodes = n_cells + 1
+    n_cells: int = 20480  # radial mesh cells; the solve returns r = h .. 1, h = 1 / n_cells
 
     def __post_init__(self):
         if abs(bessel.j0(self.k0)) < 1e-8:
@@ -97,6 +95,9 @@ class RadialHelmholtz2D:
             raise ValueError("RadialHelmholtz2D needs a radial 2D kernel")
         if self.kernel.support_radius >= 1.0:
             raise ValueError("kernel support must lie inside the unit disk")
+        # the solve is exact to quadrature on any mesh, but the mesh is also the grid
+        # of the pointwise error and of the Sobolev norm's spline and its a/r + c r
+        # model on (0, h), which need this resolution
         if self.n_cells < 2 * 10**4:
             raise ValueError("radial mesh needs at least 2e4 cells")
 
@@ -184,34 +185,45 @@ def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float,
     return -(b * il + a * ir) / denom, -(db * il + da * ir) / denom
 
 
+def _accept_by_doubling(convolve, order: int, dim: int):
+    """Values and derivatives from `convolve(order)`, accepted by Gauss-order doubling.
+
+    Passes run at `order`, `2 order` and, if needed, `4 order`; a pass is accepted
+    once doubling the Gauss order moves the values by <= 1e-10 of the `2 order`
+    maximum, and values and derivatives come from it. Returns them with the
+    metadata `order` and `doubling_delta`: the accepted order and that last change.
+    """
+    coarse, _ = convolve(order)
+    vals, derivs = convolve(2 * order)
+    tol = 1e-10 * max(float(np.max(np.abs(vals))), 1e-300)
+    accepted, diff = 2 * order, float(np.max(np.abs(vals - coarse)))
+    if diff > tol:
+        coarse = vals
+        vals, derivs = convolve(4 * order)
+        accepted, diff = 4 * order, float(np.max(np.abs(vals - coarse)))
+        if diff > tol:
+            raise QuadratureError(
+                f"{dim}D convolution quadrature failed the order-doubling check")
+    return vals, derivs, dict(order=accepted, doubling_delta=diff)
+
+
 def solve_regularized_1d(problem: Helmholtz1D, nodes: np.ndarray | None = None,
                          order: int = 16) -> SolutionProfile:
     """Regularized point-source solve by Green's-function convolution.
 
-    Each `_convolve_greens` pass gives values and derivatives. Passes run at
-    `order`, `2 order` and, if needed, `4 order`; a pass is accepted once doubling
-    the Gauss order moves the values by <= 1e-10 of the `2 order` maximum, and
-    the profile takes values and derivatives from it. Metadata `order` and
-    `doubling_delta` record the accepted order and that last change.
+    Each `_convolve_greens` pass gives values and derivatives; `_accept_by_doubling`
+    runs the passes from `order` up and records `order` and `doubling_delta`.
     """
     if nodes is None:
         nodes = np.linspace(-1.0, 1.0, 4001)
     xs = np.asarray(nodes, dtype=float)
     k0 = problem.k0
-    coarse, _ = _convolve_greens(xs, problem.kernel, k0, order)
-    vals, derivs = _convolve_greens(xs, problem.kernel, k0, 2 * order)
-    tol = 1e-10 * max(float(np.max(np.abs(vals))), 1e-300)
-    accepted, diff = 2 * order, float(np.max(np.abs(vals - coarse)))
-    if diff > tol:
-        coarse = vals
-        vals, derivs = _convolve_greens(xs, problem.kernel, k0, 4 * order)
-        accepted, diff = 4 * order, float(np.max(np.abs(vals - coarse)))
-        if diff > tol:
-            raise QuadratureError("1D convolution quadrature failed the order-doubling check")
+    vals, derivs, check = _accept_by_doubling(
+        lambda o: _convolve_greens(xs, problem.kernel, k0, o), order, dim=1)
     profile = SolutionProfile(
         nodes=xs, values=vals, derivs=derivs,
         metadata=dict(dim=1, k0=k0, H=problem.kernel.half_widths[0],
-                      kernel=problem.kernel.name, order=accepted, doubling_delta=diff),
+                      kernel=problem.kernel.name, **check),
     )
     profile.check_boundary()
     return profile
@@ -228,11 +240,11 @@ def exact_profile_1d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
 
 
 # ---------------------------------------------------------------------------
-# 2D radial: Bessel closed form and 4th-order finite differences
+# 2D radial: Bessel closed form and separable ring-kernel convolution
 # ---------------------------------------------------------------------------
 
-def exact_point_solution_2d_radial(r, k0: float = 10.0):
-    """Radial point-source solution on the unit disk; r = 0 is a log singularity."""
+def _radial_point_args(r, k0: float):
+    """r as an array and Y0(k0) / (4 J0(k0)), once k0 > 0, J0(k0) != 0 and r > 0 hold."""
     if k0 <= 0.0:
         raise ValueError("k0 must be positive")
     j0k = bessel.j0(k0)
@@ -241,21 +253,18 @@ def exact_point_solution_2d_radial(r, k0: float = 10.0):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("r must be positive (log singularity at 0)")
-    c = bessel.y0(k0) / (4.0 * j0k)
+    return r, bessel.y0(k0) / (4.0 * j0k)
+
+
+def exact_point_solution_2d_radial(r, k0: float = 10.0):
+    """Radial point-source solution on the unit disk; r = 0 is a log singularity."""
+    r, c = _radial_point_args(r, k0)
     return -bessel.y0(k0 * r) / 4.0 + c * bessel.j0(k0 * r)
 
 
 def exact_point_solution_2d_radial_deriv(r, k0: float = 10.0):
     """d/dr of the radial point-source solution; behaves like -1/(2 pi r) near 0."""
-    if k0 <= 0.0:
-        raise ValueError("k0 must be positive")
-    j0k = bessel.j0(k0)
-    if abs(j0k) < 1e-8:
-        raise ResonanceError("J0(k0) vanishes")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("r must be positive")
-    c = bessel.y0(k0) / (4.0 * j0k)
+    r, c = _radial_point_args(r, k0)
     return k0 * bessel.y1(k0 * r) / 4.0 - c * k0 * bessel.j1(k0 * r)
 
 
@@ -269,204 +278,94 @@ def exact_profile_2d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
     )
 
 
-def _fd_weights(offsets: np.ndarray, deriv: int, h: float) -> np.ndarray:
-    n = len(offsets)
-    v = np.vander(np.asarray(offsets, dtype=float), increasing=True).T
-    b = np.zeros(n)
-    b[deriv] = math.factorial(deriv)
-    return np.linalg.solve(v, b) / h**deriv
-
-
-def _region_edges(problem: RadialHelmholtz2D) -> list[int]:
-    """Kernel breakpoints as mesh indices; they must land on mesh nodes."""
-    n = problem.n_cells
-    h = 1.0 / n
-    idx = {0, n}
-    for b in problem.kernel.breakpoints_physical():
-        if 0.0 < b < 1.0:
-            j = b / h
-            if abs(j - round(j)) > 1e-9:
-                raise ValueError(
-                    f"kernel breakpoint r={b:g} is not resolvable on a mesh of {n} cells"
-                )
-            idx.add(int(round(j)))
-    return sorted(idx)
-
-
-def _source_jumps(problem: RadialHelmholtz2D, s: float, k0: float) -> np.ndarray:
-    """Jumps [u''], [u'''], [u''''], [u''''']  at a source breakpoint radius s.
-
-    Derived by repeatedly differentiating u'' = g - u'/r - k^2 u, where g is the
-    (signed) source; u and u' are continuous across the breakpoint.
-    """
-    H = problem.kernel.half_widths[0]
-    prof = problem.kernel.profiles[0]
-    rho = s / H
-    g = np.empty(4)
-    for m in range(4):
-        g[m] = -prof.jump(rho, m) / H ** (2 + m)  # source is -delta_H
-    j2 = g[0]
-    j3 = g[1] - j2 / s
-    j4 = g[2] - j3 / s + 2 * j2 / s**2 - k0 * k0 * j2
-    j5 = g[3] - j4 / s + 3 * j3 / s**2 - 6 * j2 / s**3 - k0 * k0 * j3
-    return np.array([j2, j3, j4, j5])
-
-
-def _singular_part(jumps: np.ndarray, s: float, k0: float):
-    """One-sided expansion sum_m J_m (r-s)^m_+/m! and its image under the operator."""
-
-    def u_sing(r):
-        d = np.maximum(np.asarray(r, dtype=float) - s, 0.0)
-        return (jumps[0] * d**2 / 2 + jumps[1] * d**3 / 6
-                + jumps[2] * d**4 / 24 + jumps[3] * d**5 / 120)
-
-    def u_sing_d1(r):
-        d = np.maximum(np.asarray(r, dtype=float) - s, 0.0)
-        return (jumps[0] * d + jumps[1] * d**2 / 2
-                + jumps[2] * d**3 / 6 + jumps[3] * d**4 / 24)
-
-    def u_sing_d2(r):
-        d = np.maximum(np.asarray(r, dtype=float) - s, 0.0)
-        return (jumps[0] + jumps[1] * d + jumps[2] * d**2 / 2 + jumps[3] * d**3 / 6)
-
-    def L_u_sing(r):
-        r = np.asarray(r, dtype=float)
-        out = u_sing_d2(r) + u_sing_d1(r) / r + k0 * k0 * u_sing(r)
-        return np.where(r > s, out, 0.0)
-
-    return u_sing, u_sing_d1, L_u_sing
-
-
 def radial_grid(n_cells: int) -> np.ndarray:
-    """Nodes r_j = j h, h = 1 / n_cells, of the radial FD mesh on [0, 1]."""
+    """Nodes r_j = j h, h = 1 / n_cells, of the radial mesh on [0, 1]; the 2D solve
+    returns its profile on r_1 .. r_n."""
     return np.arange(n_cells + 1) * (1.0 / n_cells)
 
 
-_BW = 4  # lower and upper bandwidth of the radial FD operator
-_CENTERED = np.arange(-2, 3)
+def _ring_factors(r, k0: float):
+    """a = J0(k0 r) and b = Y0(k0 r) - (Y0(k0) / J0(k0)) J0(k0 r), so that b(1) = 0."""
+    a = bessel.j0(k0 * r)
+    return a, bessel.y0(k0 * r) - (bessel.y0(k0) / bessel.j0(k0)) * a
 
 
-def _centered_weights(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """4th-order centred second- and first-derivative weights on offsets -2..2."""
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    return c2, c1
+def _ring_weights(s, w, k0: float) -> np.ndarray:
+    """a and b times the Gauss weight w and 2 pi s at the points s, as (2, *s.shape)."""
+    return 2.0 * np.pi * s * w * np.stack(_ring_factors(s, k0))
 
 
 @lru_cache(maxsize=4)
-def _radial_fd_operator(n: int, k0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band, banded LU and pivots of the radial FD operator on n cells, shared read-only.
-
-    No row depends on the kernel, which enters the right-hand side only, so one
-    factor serves every solve on a mesh. A zero pivot raises SingularSystemError
-    here, so a failed factor is never cached.
+def _ring_tables(n: int, k0: float) -> tuple[tuple, dict]:
+    """a, b, a' and b' at r = h .. 1 on the n-cell mesh, read-only and shared by every
+    solve on it, with b(1) = 0 set exactly, and a dict of read-only `_ring_weights`
+    per Gauss order on the first cells, (2, cells, order), which `_convolve_ring`
+    grows to the largest support seen.
     """
-    h = 1.0 / n
-    r = radial_grid(n)
-    storage = np.zeros((3 * _BW + 1, n + 1))  # dgbtrf fills in the top _BW rows
-    band = storage[_BW:]
+    r = radial_grid(n)[1:]
+    a, b = _ring_factors(r, k0)
+    b[-1] = 0.0
+    j1 = bessel.j1(k0 * r)
+    nodes = (a, b, -k0 * j1, k0 * (bessel.y0(k0) / bessel.j0(k0) * j1 - bessel.y1(k0 * r)))
+    for x in nodes:
+        x.setflags(write=False)
+    return nodes, {}
 
-    # r = 0: one-sided 4th-order first derivative = 0 (radial symmetry)
-    window = np.arange(5)
-    band[_BW - window, window] = _fd_weights(window, 1, h)
 
-    # r = 1: Dirichlet
-    band[_BW, n] = 1.0
+def _convolve_ring(n: int, delta: RegularizedDelta, k0: float,
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and r-derivatives of the convolution at r = h .. 1 on the n-cell mesh.
 
-    # boundary-biased interior rows
-    for j, window in ((1, np.arange(0, 6)), (n - 1, np.arange(n - 5, n + 1))):
-        offs = window - j
-        band[_BW - offs, window] = _fd_weights(offs, 2, h) + _fd_weights(offs, 1, h) / r[j]
-        band[_BW, j] += k0 * k0
-
-    # centered rows everywhere else
-    j_mid = np.arange(2, n - 1)
-    for o, a2, a1 in zip(_CENTERED, *_centered_weights(h)):
-        band[_BW - o, j_mid + o] = a2 + a1 / r[j_mid]
-    band[_BW, j_mid] += k0 * k0
-
-    lu, piv, info = dgbtrf(storage, _BW, _BW)
-    if info > 0:
-        raise SingularSystemError(f"zero pivot in column {info - 1} of the radial FD band LU")
-    for a in (band, lu, piv):
-        a.setflags(write=False)
-    return band, lu, piv
+    u = -(b IL + a IR) / 4 and u' = -(b' IL + a' IR) / 4, where IL(r) integrates
+    a delta 2 pi s ds over s < r and IR(r) b delta 2 pi s ds over s > r. Each cell
+    inside the support is a panel, cut where a kernel breakpoint falls inside it,
+    so IL and IR at the nodes are cumulative sums of the cells' Gauss moments.
+    """
+    h, rule = 1.0 / n, gauss_legendre(order)
+    (a, b, da, db), tables = _ring_tables(n, k0)
+    m = min(n, math.ceil(delta.support_radius / h - 1e-9))  # cells meeting the support
+    x, w = rule.mapped(0.0, h)  # the rule on the first cell; cell c holds c h + x
+    s = np.arange(m)[:, None] * h + x
+    weights = tables.get(order)
+    if weights is None or weights.shape[1] < m:
+        # threads that grow it at once each keep their own; the last stored may be
+        # the smaller one, which costs a later call a rebuild and nothing else
+        weights = _ring_weights(s, w, k0)
+        weights.setflags(write=False)
+        tables[order] = weights
+    am, bm = np.einsum("kij,ij->ki", weights[:, :m], delta.eval_radial(s))
+    cuts = [bp for bp in delta.breakpoints_physical()
+            if 0.0 < bp < 1.0 and abs(bp / h - round(bp / h)) > 1e-9]
+    for c in {int(bp / h) for bp in cuts}:
+        panels = np.unique(np.clip([c * h, *cuts, (c + 1) * h], c * h, (c + 1) * h))[:, None]
+        s, w = rule.mapped(panels[:-1], panels[1:])
+        am[c], bm[c] = np.einsum("kij,ij->k", _ring_weights(s, w, k0), delta.eval_radial(s))
+    il = np.full(n, np.sum(am))
+    il[:m] = np.cumsum(am)  # node r_j takes cells 0 .. j - 1
+    ir = np.zeros(n)
+    ir[:m - 1] = np.cumsum(bm[::-1])[::-1][1:]  # and cells j .. m - 1
+    return -(b * il + a * ir) / 4.0, -(db * il + da * ir) / 4.0
 
 
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
-    """4th-order finite-difference solve of the radial point-source benchmark.
+    """Regularized radial point-source solve by separable ring-kernel convolution.
 
-    The source sign is chosen so the small-support limit is
-    exact_point_solution_2d_radial.  Kernel breakpoints sit on mesh nodes, and
-    the rows whose stencils cross a breakpoint get immersed-interface defect
-    corrections built from the known source jumps, which preserves the 4th-order
-    accuracy through the source's derivative discontinuities.
-
-    No stencil reaches past 4 nodes from its row, so rows go straight into LAPACK
-    band storage, A[i, j] at band[4 + i - j, j], factored by banded LU (a zero
-    pivot raises SingularSystemError). The matrix depends on (n_cells, k0) only,
-    so the band and its factor are built once per mesh and shared by every solve
-    on it; the kernel enters the right-hand side alone. Metadata records the
-    max-norm residual ||A u - b|| of the returned u, taken from the same band,
-    and the mesh cells per kernel half-width.
+    The angular mean of the unit disk's Dirichlet Green's function is
+    G(r, s) = -a(min(r, s)) b(max(r, s)) / 4, a = J0(k0 .) and
+    b = Y0(k0 .) - (Y0(k0) / J0(k0)) J0(k0 .) (Graf's addition theorem, DLMF 10.23.8;
+    Watson, Treatise on Bessel Functions, 11.3), so `_convolve_ring` gives u_H and
+    u_H' as 1D integrals; the source sign makes exact_point_solution_2d_radial the
+    small-support limit. The profile is on the mesh nodes r = h .. 1 and leaves out
+    r = 0, where b and the point solution that u_H is compared against are singular.
+    `_accept_by_doubling` runs the passes from 8 Gauss points per cell up.
     """
-    n = problem.n_cells
-    h = 1.0 / n
-    k0 = problem.k0
-    r = radial_grid(n)
-    edges = _region_edges(problem)
-    interior_bps = [b for b in edges if 0 < b < n]
-    if any(b2 - b1 < 8 for b1, b2 in zip(edges[:-1], edges[1:])):
-        raise ValueError("kernel breakpoints unresolvable: closer than 8 mesh cells")
-    band, lu, piv = _radial_fd_operator(n, k0)
-    c2, c1 = _centered_weights(h)
-
-    # the source on every interior row; r = 0 (symmetry) and r = 1 (Dirichlet) are 0
-    rhs = -problem.kernel.eval_radial(r)
-    rhs[[0, n]] = 0.0
-
-    # immersed-interface corrections at source breakpoints
-    sing_parts = []
-    for b in interior_bps:
-        s = r[b]
-        jumps = _source_jumps(problem, s, k0)
-        u_sing, u_sing_d1, L_u_sing = _singular_part(jumps, s, k0)
-        sing_parts.append((b, u_sing, u_sing_d1))
-        for j in range(b - 3, b + 4):
-            stencil_r = r[j + _CENTERED]
-            lh = float((c2 + c1 / r[j]) @ u_sing(stencil_r)) + k0 * k0 * float(u_sing(r[j]))
-            rhs[j] += lh - float(L_u_sing(r[j]))
-
-    u = dgbtrs(lu, _BW, _BW, rhs, piv)[0]
-    u[n] = 0.0  # Dirichlet value is exact
-    au = np.zeros(n + 1)
-    for o in range(-_BW, _BW + 1):  # A[i, i + o] sits at band[_BW - o, i + o]
-        rows = slice(max(0, -o), min(n + 1, n + 1 - o))
-        cols = slice(rows.start + o, rows.stop + o)
-        au[rows] += band[_BW - o, cols] * u[cols]
-    residual = float(np.max(np.abs(rhs - au)))
-
-    # derivative by 4th-order differentiation with matching corrections
-    du = np.empty_like(u)
-    acc = np.zeros(n - 3)
-    for o, c in zip(_CENTERED, c1):
-        acc += c * u[2 + o:n - 1 + o]
-    du[2:n - 1] = acc
-    du[0] = _fd_weights(np.arange(0, 5), 1, h) @ u[0:5]
-    du[1] = _fd_weights(np.arange(-1, 5), 1, h) @ u[0:6]
-    du[n - 1] = _fd_weights(np.arange(-5, 1), 1, h) @ u[n - 5:n + 1]
-    du[n] = _fd_weights(np.arange(-4, 1), 1, h) @ u[n - 4:n + 1]
-    for b, u_sing, u_sing_d1 in sing_parts:
-        for j in range(max(b - 3, 2), min(b + 4, n - 1)):
-            dh = float(c1 @ u_sing(r[j + _CENTERED]))
-            du[j] -= dh - float(u_sing_d1(r[j]))
-
+    n, k0 = problem.n_cells, problem.k0
+    vals, derivs, check = _accept_by_doubling(
+        lambda o: _convolve_ring(n, problem.kernel, k0, o), 8, dim=2)
     profile = SolutionProfile(
-        nodes=r, values=u, derivs=du,
+        nodes=radial_grid(n)[1:], values=vals, derivs=derivs,
         metadata=dict(dim=2, k0=k0, H=problem.kernel.half_widths[0],
-                      kernel=problem.kernel.name, n_cells=n,
-                      cells_per_radius=problem.kernel.half_widths[0] * n,
-                      residual=residual),
+                      kernel=problem.kernel.name, n_cells=n, **check),
     )
     profile.check_boundary()
     return profile

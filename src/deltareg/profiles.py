@@ -26,7 +26,7 @@ class RadialProfile:
     Either a list of monomial-polynomial pieces or a single cosine series
     sum_k c_k cos(k pi r / support) over the whole support.  Polynomial pieces
     are differentiated and integrated exactly by `numpy.polynomial.polynomial`
-    (`deriv`, `moment`); `jump` gives a derivative's jump across a breakpoint.
+    (`deriv`, `moment`).
     """
 
     pieces: tuple = ()
@@ -91,24 +91,6 @@ class RadialProfile:
                 acc += c * w**order * np.cos(w * rm + order * np.pi / 2)
             out[mask] = acc
         return float(out[0]) if scalar else out
-
-    def jump(self, rho: float, order: int) -> float:
-        """Jump of d^order eta/dr^order at rho > 0: the limit from the right minus from the left.
-
-        Zero unless rho is a breakpoint (to 1e-12).  There the pieces on either
-        side give the one-sided limits; beyond the support the profile is zero,
-        so at the support edge the jump is minus the inner derivative.
-        """
-        if not rho > 0.0:
-            raise ValueError("jump needs rho > 0")
-        edges = self.breakpoints
-        i = int(np.argmin(np.abs(np.asarray(edges) - rho)))
-        if i == 0 or abs(edges[i] - rho) > 1e-12:
-            return 0.0
-        left = self.deriv(edges[i], order)  # boundary points belong to the inner piece
-        if i == len(edges) - 1:
-            return -left
-        return float(polyval(edges[i], polyder(self.pieces[i].coeffs, order))) - left
 
     def moment(self, power: int) -> float:
         """integral over [0, support] of eta(r) * r^power dr.

@@ -277,16 +277,8 @@ def _map_rows(fn, items, workers: int = 4):
         return list(pool.map(fn, items))
 
 
-def _solve_2d(kernel, k0: float, n_cells: int) -> elliptic.SolutionProfile:
-    """Radial FD solve without the r = 0 node, where the exact solution is singular."""
-    problem = elliptic.RadialHelmholtz2D(kernel=kernel, k0=k0, n_cells=n_cells)
-    p = elliptic.solve_regularized_2d_radial(problem)
-    return elliptic.SolutionProfile(nodes=p.nodes[1:], values=p.values[1:],
-                                    derivs=p.derivs[1:], metadata=p.metadata)
-
-
 def _exact_2d(k0: float, n_cells: int):
-    """The exact profile on `_solve_2d`'s grid, built on the first call and then shared.
+    """The exact profile on the 2D solve's grid r = h .. 1, built on the first call and shared.
 
     The units call it after their solves, so an invalid mesh fails in the solve first;
     a call that raises caches nothing and the next unit raises again.
@@ -361,7 +353,8 @@ def _helmholtz(opts: dict, dim: int):
         exact = _exact_2d(k0, n_cells)
 
         def errors(make):
-            profiles = [_solve_2d(make(H), k0, n_cells) for H in Hs]
+            profiles = [elliptic.solve_regularized_2d_radial(
+                elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0, n_cells=n_cells)) for H in Hs]
             return [elliptic.pointwise_error(exact(), u_reg, cutoff) for u_reg in profiles]
 
     def kernel_rows(idx, name):
@@ -400,7 +393,8 @@ def _sobolev(opts: dict):
 
     def kernel_rows(name):
         make, entry, dim = _resolve_kernel(name)
-        profiles = [_solve_2d(make(H), k0, n_cells) for H in Hs]
+        profiles = [elliptic.solve_regularized_2d_radial(
+            elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0, n_cells=n_cells)) for H in Hs]
         wspecs = [elliptic.WeightedNormSpec(alpha=alpha) for alpha in alphas]
         per_H = [elliptic.weighted_sobolev_error(exact(), u_reg, wspecs) for u_reg in profiles]
         rows = []

@@ -1,5 +1,7 @@
 import csv
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from deltareg.elliptic import (
     WeightedNormSpec,
     exact_point_solution_1d,
     exact_point_solution_2d_radial,
+    exact_point_solution_2d_radial_deriv,
     exact_profile_1d,
     exact_profile_2d,
     greens_function_1d,
@@ -23,7 +26,6 @@ from deltareg.elliptic import (
     weighted_sobolev_error,
 )
 from deltareg.kernels import catalog_lookup
-from deltareg.moments import SingularSystemError
 from deltareg.quadrature import QuadratureError, gauss_legendre, integrate_panels
 
 from test_bessel import j0_series, y0_series
@@ -206,7 +208,7 @@ def test_exact_2d_value_from_series_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 2D finite-difference solve
+# 2D ring-kernel convolution solve
 # ---------------------------------------------------------------------------
 
 def _ring_kernel_oracle(delta, rr, k0=K0):
@@ -229,106 +231,153 @@ def _ring_kernel_oracle(delta, rr, k0=K0):
     return integrate_panels(integrand, edges, rule)
 
 
-@pytest.mark.parametrize("H", [0.25, 0.125])
-@pytest.mark.parametrize("name", ["eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d"])
-def test_fd_solver_matches_ring_kernel_oracle(name, H):
+def _check_ring_oracle(delta, radii):
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
+    assert profile.nodes[0] == 1.0 / profile.metadata["n_cells"]  # r = 0 is not returned
+    for rr in radii:
+        i = int(np.argmin(np.abs(profile.nodes - rr)))
+        assert profile.values[i] == pytest.approx(
+            _ring_kernel_oracle(delta, profile.nodes[i]), abs=1e-12)
+
+
+@pytest.mark.parametrize("name, H", [(name, H)
+                                     for name in ("eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d")
+                                     for H in (0.25, 0.125)]
+                         + [("eta_2_3_2d", 2.0**-8), ("eta_2_cos_2d", 0.125)])
+def test_2d_solver_matches_ring_kernel_oracle(name, H):
+    _check_ring_oracle(catalog_lookup(name)(H), (H / 3, H / 2, 0.05, 0.3, 0.55, 0.9))
+
+
+def test_2d_breakpoint_between_mesh_nodes_is_solved():
+    # the support edge r = 1/3 falls inside a cell of the 20480-cell mesh
+    assert (20480 / 3) % 1 > 0.1
+    _check_ring_oracle(catalog_lookup("eta_2_3_2d")(1 / 3),
+                       (0.1, 1 / 3 - 1e-4, 1 / 3 + 1e-4, 0.5, 0.9))
+
+
+def _source_moment(delta, k0=K0):
+    """m_H = integral of J0(k0 s) delta_H(s) 2 pi s ds, from the series-oracle J0."""
+    edges = delta.half_widths[0] * np.asarray(delta.profiles[0].breakpoints)
+    return integrate_panels(lambda s: j0_series(k0 * s) * delta.eval_radial(s) * 2 * np.pi * s,
+                            edges, gauss_legendre(40))
+
+
+@pytest.mark.parametrize("name, H", [("eta_0_1_2d", 0.25), ("eta_2_3_2d", 0.125),
+                                     ("eta_2_3_2d", 1 / 3), ("eta_1_2_2d", 2.0**-8)])
+def test_2d_derivative_outside_the_support_is_the_scaled_point_derivative(name, H):
+    # for r > H, u_H = m_H u and so u_H' = m_H u'
     delta = catalog_lookup(name)(H)
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
-    n = len(profile.nodes) - 1
-    for rr in (0.05, 0.3, 0.55, 0.9):
-        j = int(round(rr * n))
-        assert profile.values[j] == pytest.approx(
-            _ring_kernel_oracle(delta, rr), abs=5e-8)
+    outside = profile.nodes > H
+    expected = _source_moment(delta) * exact_point_solution_2d_radial_deriv(
+        profile.nodes[outside], K0)
+    assert np.max(np.abs(profile.derivs[outside] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_fd_solve_reports_mesh_and_residual_diagnostics():
-    delta = catalog_lookup("eta_2_3_2d")(0.125)
-    meta = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta)).metadata
-    assert meta["cells_per_radius"] == 2560
-    r = np.linspace(0.0, 1.0, meta["n_cells"] + 1)
-    b_inf = np.max(np.abs(delta.eval(np.stack([r, np.zeros_like(r)], axis=-1))))
-    # measured 1.4e-10 of |b|, the rounding floor of entries ~ 1/h^2; the bound
-    # leaves a 7x margin for LAPACK builds that round differently
-    assert 0.0 < meta["residual"] <= 1e-9 * b_inf
-
-
-# the residual sits at the rounding floor of a band whose entries are of order
-# n_cells^2, so it scales with n_cells^2 max|u|, not with |b| (measured worst
-# 4.9e-15 of n_cells^2 max|u| over these nine solves)
 @pytest.mark.parametrize("name", ["eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d"])
-@pytest.mark.parametrize("H", [0.25, 0.125, 0.0625])
-def test_fd_residual_is_at_the_band_rounding_floor(name, H):
+def test_2d_derivative_inside_the_support_matches_centred_differences(name):
+    # the centred difference of step h is off from u' by (h^2 / 6) u''' + O(h^4) and
+    # that of step 2h by four times as much, so a correct u' sees the ratio 4 and
+    # agrees with their extrapolation to h^4 (~1e-17 u^(5)) and rounding (~eps u / h)
+    H = 0.125
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)))
-    n = profile.metadata["n_cells"]
-    assert profile.metadata["residual"] <= 1e-13 * n**2 * np.max(np.abs(profile.values))
+    h, u, du = 1.0 / profile.metadata["n_cells"], profile.values, profile.derivs
+    j = np.arange(2, int(0.9 * H / h))
+    e1 = (u[j + 1] - u[j - 1]) / (2 * h) - du[j]
+    e2 = (u[j + 2] - u[j - 2]) / (4 * h) - du[j]
+    big = np.abs(e1) > 0.1 * np.max(np.abs(e1))
+    assert np.all(np.abs(e2[big] / e1[big] - 4.0) <= 1e-4)
+    assert np.max(np.abs(e1 - (e2 - e1) / 3)) <= 1e-11
 
 
-def test_fd_singular_factor_raises(monkeypatch, capsys):
-    def singular(ab, kl, ku):
-        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 7
+def test_2d_solve_reports_mesh_order_and_doubling_delta():
+    delta = catalog_lookup("eta_2_3_2d")(0.125)
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
+    meta = profile.metadata
+    assert meta["n_cells"] == 20480 and meta["H"] == 0.125
+    assert meta["order"] in (16, 32)
+    assert meta["doubling_delta"] <= 1e-10 * np.max(np.abs(profile.values))
 
-    # a factor cached by an earlier solve would bypass the patched dgbtrf
-    elliptic._radial_fd_operator.cache_clear()
-    monkeypatch.setattr(elliptic, "dgbtrf", singular)
+
+# the cosine profile needs 32 points on the one panel [0, H] of the first cell
+@pytest.mark.parametrize("name, order", [("eta_0_1_2d", 16), ("eta_2_3_2d", 16),
+                                         ("eta_2_cos_2d", 32)])
+def test_2d_support_inside_the_first_cell(name, order):
+    # H < h: every returned node lies outside the support, so u_H = m_H u there
+    delta = catalog_lookup(name)(1e-5)
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
+    expected = _source_moment(delta) * exact_point_solution_2d_radial(profile.nodes, K0)
+    assert np.max(np.abs(profile.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert profile.metadata["order"] == order
+
+
+def _fake_ring_convolution(factor):
+    fake = _fake_convolution(factor)
+    return lambda n, delta, k0, order: fake(elliptic.radial_grid(n)[1:], delta, k0, order)
+
+
+def test_2d_solve_accepts_the_third_order(monkeypatch):
+    monkeypatch.setattr(elliptic, "_convolve_ring",
+                        _fake_ring_convolution(lambda order: 2.0 if order == 8 else 1.0))
+    profile = solve_regularized_2d_radial(
+        RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)))
+    assert profile.metadata["order"] == 32
+    assert profile.metadata["doubling_delta"] == 0.0
+    assert np.all(profile.derivs == 32.0)
+
+
+def test_2d_solve_raises_when_order_doubling_fails(monkeypatch, capsys):
+    monkeypatch.setattr(elliptic, "_convolve_ring", _fake_ring_convolution(float))
     problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
-    with pytest.raises(SingularSystemError, match="zero pivot in column 6"):
+    with pytest.raises(QuadratureError, match="order-doubling"):
         solve_regularized_2d_radial(problem)
     # a study turns the solver error into an error row and exits 1
     assert main(["helmholtz2d", "--kernels", "eta_2_3_2d", "--H", "2^-2..2^-3"]) == 1
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [row["status"] for row in rows] == ["error"]
-    assert "zero pivot" in rows[0]["message"]
-    # the failed factor was not cached: the real dgbtrf factors afresh and the solve succeeds
-    monkeypatch.undo()
-    assert elliptic._radial_fd_operator.cache_info().currsize == 0
-    assert solve_regularized_2d_radial(problem).metadata["residual"] > 0.0
-    elliptic._radial_fd_operator.cache_clear()
+    assert "order-doubling" in rows[0]["message"]
 
 
-def test_fd_operator_is_factored_once_per_mesh():
-    elliptic._radial_fd_operator.cache_clear()
-    for name in ("eta_1_2_2d", "eta_2_3_2d"):
-        for H in (0.25, 0.125):
-            solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)))
-    info = elliptic._radial_fd_operator.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    for shared in elliptic._radial_fd_operator(20480, 10.0):
-        assert not shared.flags.writeable
+def test_2d_ring_tables_grow_without_changing_a_solve():
+    # tables built for H = 1/8, then grown for H = 1/4, give the H = 1/8 solve its bits
+    small = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_cos_2d")(0.125))
+    elliptic._ring_tables.cache_clear()
+    fresh = solve_regularized_2d_radial(small)
+    solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup("eta_2_cos_2d")(0.25)))
+    nodes, cells = elliptic._ring_tables(20480, K0)
+    assert cells[8].shape == (2, 5120, 8) and cells[16].shape == (2, 5120, 16)
+    for shared in (*nodes, cells[8], cells[16]):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0
+    grown = solve_regularized_2d_radial(small)
+    assert np.array_equal(fresh.values, grown.values)
+    assert np.array_equal(fresh.derivs, grown.derivs)
 
 
-def test_fd_solve_after_cache_clear_is_bit_identical():
-    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_cos_2d")(0.125))
-    cached = solve_regularized_2d_radial(problem)
-    elliptic._radial_fd_operator.cache_clear()
-    fresh = solve_regularized_2d_radial(problem)
-    assert np.array_equal(fresh.values, cached.values)
-    assert np.array_equal(fresh.derivs, cached.derivs)
-    assert fresh.metadata == cached.metadata
+def test_2d_solves_in_threads_that_grow_the_tables_match_serial_solves():
+    problems = [RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(2.0**-k))
+                for k in (5, 4, 3, 2)]
+    elliptic._ring_tables.cache_clear()
+    serial = [solve_regularized_2d_radial(p).values for p in problems]
+    elliptic._ring_tables.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(solve_regularized_2d_radial, p) for p in problems * 2]
+            threaded = [f.result(timeout=60).values for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(t, v) for t, v in zip(threaded, serial * 2))
 
 
-def test_fd_mesh_halving_self_consistency():
-    delta = catalog_lookup("eta_2_3_2d")(0.125)
-    coarse = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta, n_cells=20480))
-    fine = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta, n_cells=40960))
-    rel = np.max(np.abs(coarse.values - fine.values[::2])) / np.max(np.abs(fine.values))
-    assert rel <= 1e-8
-
-
-def test_fd_boundary_value_is_zero():
+def test_2d_boundary_value_is_zero():
     profile = solve_regularized_2d_radial(
         RadialHelmholtz2D(kernel=catalog_lookup("eta_0_1_2d")(0.25)))
     assert profile.values[-1] == 0.0
 
 
-def test_fd_rejects_unresolvable_breakpoints():
-    with pytest.raises(ValueError, match="resolvable"):
-        solve_regularized_2d_radial(
-            RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(1 / 3)))
-
-
-def test_fd_requires_enough_cells():
+def test_2d_requires_enough_cells():
     with pytest.raises(ValueError):
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125), n_cells=1024)
 
@@ -342,11 +391,6 @@ def test_2d_resonance_guard():
 # ---------------------------------------------------------------------------
 # error measures
 # ---------------------------------------------------------------------------
-
-def _as_interior(profile):
-    return SolutionProfile(nodes=profile.nodes[1:], values=profile.values[1:],
-                           derivs=profile.derivs[1:], metadata=profile.metadata)
-
 
 def test_pointwise_error_identical_profiles():
     nodes = np.linspace(-1, 1, 4001)
@@ -393,8 +437,7 @@ def test_1d_one_moment_ratio_saturates_near_two():
 def test_weighted_sobolev_error_identical_profiles():
     profile = solve_regularized_2d_radial(
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)))
-    interior = _as_interior(profile)
-    assert weighted_sobolev_error(interior, interior, [WeightedNormSpec(alpha=0.5)]) == [0.0]
+    assert weighted_sobolev_error(profile, profile, [WeightedNormSpec(alpha=0.5)]) == [0.0]
 
 
 def test_weighted_sobolev_alpha_validation():
@@ -417,8 +460,7 @@ def test_sobolev_ratio_tracks_alpha_for_one_kernel():
     builder = catalog_lookup("eta_1_2_2d")
     profiles = {}
     for H in (1 / 64, 1 / 128, 1 / 256):
-        p = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=builder(H)))
-        profiles[H] = _as_interior(p)
+        profiles[H] = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=builder(H)))
     u_exact = exact_profile_2d(profiles[1 / 64].nodes, K0)
     alphas = (0.25, 0.9)
     wspecs = [WeightedNormSpec(alpha=alpha) for alpha in alphas]
@@ -432,10 +474,10 @@ def test_sobolev_ratio_tracks_alpha_for_one_kernel():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sobolev_errors_for_several_alphas_match_one_at_a_time(dim):
     if dim == 2:
-        u_exact = _as_interior(solve_regularized_2d_radial(
-            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.25))))
-        u_reg = _as_interior(solve_regularized_2d_radial(
-            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.125))))
+        u_exact = solve_regularized_2d_radial(
+            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.25)))
+        u_reg = solve_regularized_2d_radial(
+            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.125)))
         alphas = (0.25, 0.5, 0.9)
     else:
         nodes = np.linspace(-1.0, 1.0, 401)

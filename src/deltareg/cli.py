@@ -124,9 +124,13 @@ def _cmd_advect(args) -> int:
     if not args.detail:
         return _emit_study(config)
     opts = config.options
+    Hs = parse_h_schedule(opts["H"])
+    if len(Hs) > 1:
+        raise ConfigError(f"advect --detail emits the E(x) profile of one run; "
+                          f"give one H, not {len(Hs)}")
     builder = catalog_lookup(opts["kernels"])
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
-    run = spectral.AdvectionRun(grid=grid, kernel=builder(parse_h_schedule(opts["H"])[0]),
+    run = spectral.AdvectionRun(grid=grid, kernel=builder(Hs[0]),
                                 t_final=parse_h_schedule(opts["T"])[0])
     errs, result = spectral.pointwise_error_after_periods(run)
     lines = ["x,E"]
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--H")
     pa.add_argument("--N", type=int)
     pa.add_argument("--T")
-    pa.add_argument("--detail", action="store_true", help="emit the E(x) profile CSV")
+    pa.add_argument("--detail", action="store_true",
+                    help="emit the E(x) profile CSV of a single run (one H)")
     _add_common(pa)
     pa.set_defaults(fn=_cmd_advect)
 

@@ -253,11 +253,13 @@ def _require_listed(names: list[str], gate_names, key: str) -> None:
         raise ConfigError(f"{key} names kernels that 'kernels' does not list: {unlisted}")
 
 
-def _finished(results: dict, name: str):
-    """A gate's input: the result of a kernel's unit, which must not have errored."""
-    if name not in results:
-        raise ValueError(f"{name} has no result to compare: its unit errored")
-    return results[name]
+def _finished(results: dict, name: str, H: float | None = None):
+    """A gate's input: the result of a kernel's unit (at H), which must not have errored."""
+    key = name if H is None else (name, H)
+    if key not in results:
+        where = "" if H is None else f" at H = {H:g}"
+        raise ValueError(f"{name}{where} has no result to compare: its unit errored")
+    return results[key]
 
 
 def _ratios(fit) -> list:
@@ -419,7 +421,7 @@ def _advect(opts: dict):
     if opts["ordering"]:
         hi_name, lo_name = (t.strip() for t in opts["ordering"].split(">"))
         _require_listed(names, (hi_name, lo_name), "ordering")
-    maxima: dict[str, float] = {}
+    maxima: dict[tuple, float] = {}  # (kernel, H) -> max |u(x, 0) - u(x, T)|
 
     def run_rows(name, H):
         make, entry, dim = _resolve_kernel(name)
@@ -430,13 +432,14 @@ def _advect(opts: dict):
         rho = spectral.leapfrog_phase_factors(grid, result.dt)
         dev = float(np.max(np.abs(result.spectrum_final
                                   - result.spectrum_initial * rho**result.n_steps)))
-        maxima[name] = float(np.max(errs))
-        return [dict(max_error=maxima[name], amp_drift=amp, phase_dev=dev,
+        maxima[name, H] = float(np.max(errs))
+        return [dict(max_error=maxima[name, H], amp_drift=amp, phase_dev=dev,
                      status=_status(amp <= amp_tol and dev <= phase_tol))]
 
     def ordering_rows(hi_name, lo_name):
-        hi, lo = _finished(maxima, hi_name), _finished(maxima, lo_name)
-        return [dict(max_error=hi - lo, status=_status(hi > lo))]
+        # the order must hold at every H; the row reports the smallest gap
+        gap = min(_finished(maxima, hi_name, H) - _finished(maxima, lo_name, H) for H in Hs)
+        return [dict(max_error=gap, status=_status(gap > 0))]
 
     for name in names:
         for H in Hs:

@@ -236,3 +236,23 @@ def test_advect_detail_reads_its_config(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,E"
     assert len(lines) == 65
+
+
+def test_advect_detail_with_several_H_is_an_error(tmp_path, capsys):
+    # one profile is emitted; the other H values would be dropped silently
+    out = tmp_path / "detail.csv"
+    assert main(["advect", "--kernel", "eta_1_1_1d", "--detail", "--H", "0.5,0.25",
+                 "--N", "64", "--T", "2pi", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and "one H" in err
+    assert not out.exists()
+
+
+def test_advect_dispersion_table_cells(tables):
+    _, rows = tables["advect-dispersion"]
+    assert [row["max_error"] for row in rows] == ["0.0651291422461", "2.3755569413",
+                                                  "2.31042779905"]
+    for row in rows[:2]:
+        assert float(row["amp_drift"]) <= 1e-11
+        assert float(row["phase_dev"]) <= 5e-9

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from deltareg import elliptic, reports, spectral
@@ -62,3 +63,24 @@ def test_parsed_config_carries_every_key_with_its_default():
 def test_missing_required_key_is_a_config_error():
     with pytest.raises(reports.ConfigError, match=r"needs \['kernels'\]"):
         parse_config_text("study = weakstar")
+
+
+def test_advect_ordering_must_hold_at_every_H(monkeypatch):
+    # the richer kernel ends with the larger error at the last H only
+    maxima = {("eta_2_3_1d", 0.5): 1.0, ("eta_1_1_1d", 0.5): 2.0,
+              ("eta_2_3_1d", 0.25): 2.0, ("eta_1_1_1d", 0.25): 1.0}
+    real = spectral.pointwise_error_after_periods
+
+    def staged(run):
+        _, result = real(run)
+        return np.array([maxima[run.kernel.name, run.kernel.half_widths[0]]]), result
+
+    monkeypatch.setattr(spectral, "pointwise_error_after_periods", staged)
+    report = run_study(parse_config_text(
+        "study = advect\nkernels = eta_1_1_1d, eta_2_3_1d\nH = 0.5, 0.25\nN = 64\n"
+        "T = 2pi\nordering = eta_2_3_1d > eta_1_1_1d"))
+    *runs, ordering = report.rows
+    assert [row["status"] for row in runs] == ["ok"] * 4
+    assert ordering["status"] == "fail"
+    assert ordering["max_error"] == -1.0
+    assert report.exit_code == 2

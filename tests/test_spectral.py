@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deltareg import spectral
 from deltareg.kernels import catalog_lookup
 from deltareg.spectral import (
     AdvectionRun,
@@ -14,6 +15,7 @@ from deltareg.spectral import (
     conserved_quantities,
     gaussian_source,
     kdv_solve,
+    leapfrog_multiplier,
     leapfrog_phase_factors,
     peak_location,
     pointwise_error_after_periods,
@@ -78,19 +80,61 @@ def test_runs_reject_non_positive_times(run_type, times):
         run_type(grid=grid, initial=np.cos(grid.nodes), **times)
 
 
+def _inline_leapfrog(grid, dt, n_steps, c0):
+    prev = c0
+    cur = leapfrog_phase_factors(grid, dt) * prev
+    for _ in range(n_steps - 1):
+        prev, cur = cur, prev - 2.0 * dt * (1j * grid.deriv_wavenumbers) * cur
+    return cur
+
+
+def _eta_2_3_run(grid):
+    return AdvectionRun(grid=grid, kernel=catalog_lookup("eta_2_3_1d")(0.5),
+                        t_final=2 * math.pi)
+
+
+# the march of unit data is the multiplier; a run is c0 times it
 def test_leapfrog_matches_inline_recursion_exactly():
     grid = PeriodicGrid1D(n=64)
-    run = AdvectionRun(grid=grid, kernel=catalog_lookup("eta_2_3_1d")(0.5),
-                       t_final=2 * math.pi)
+    run = _eta_2_3_run(grid)
     result = advect_leapfrog(run)
-    dt = result.dt
-    ik = 1j * grid.deriv_wavenumbers
-    prev = np.fft.rfft(run.initial_values())
-    cur = leapfrog_phase_factors(grid, dt) * prev
-    for _ in range(result.n_steps - 1):
-        prev, cur = cur, prev - 2.0 * dt * ik * cur
-    assert np.max(np.abs(result.spectrum_final - cur)) == 0.0
-    assert np.max(np.abs(result.spectrum_initial - np.fft.rfft(run.initial_values()))) == 0.0
+    c0 = np.fft.rfft(run.initial_values())
+    unit = _inline_leapfrog(grid, result.dt, result.n_steps, np.ones(c0.shape, dtype=complex))
+    assert np.max(np.abs(result.spectrum_final - c0 * unit)) == 0.0
+    assert np.max(np.abs(result.spectrum_initial - c0)) == 0.0
+
+
+def test_leapfrog_multiplier_is_the_per_data_recursion_to_rounding():
+    grid = PeriodicGrid1D(n=64)
+    run = _eta_2_3_run(grid)
+    result = advect_leapfrog(run)
+    c0 = np.fft.rfft(run.initial_values())
+    per_data = _inline_leapfrog(grid, result.dt, result.n_steps, c0)
+    assert np.max(np.abs(result.spectrum_final - per_data)) <= 1e-13 * np.max(np.abs(c0))
+
+
+def test_leapfrog_marches_once_per_grid(monkeypatch):
+    marches = []
+
+    def counted(grid, dt):
+        marches.append(grid)
+        return leapfrog_phase_factors(grid, dt)
+
+    monkeypatch.setattr(spectral, "leapfrog_phase_factors", counted)
+    grid = PeriodicGrid1D(n=64)
+    first = advect_leapfrog(_eta_2_3_run(grid))
+    advect_leapfrog(AdvectionRun(grid=grid, kernel=catalog_lookup("eta_1_1_1d")(0.5),
+                                 t_final=2 * math.pi))
+    assert len(marches) == 1
+    # an equal grid is a new study: it marches again, to the same multiplier
+    twin = PeriodicGrid1D(n=64)
+    assert twin == grid
+    again = advect_leapfrog(_eta_2_3_run(twin))
+    assert len(marches) == 2
+    assert np.array_equal(again.spectrum_final, first.spectrum_final)
+    factor = leapfrog_multiplier(grid, first.dt, first.n_steps)
+    assert not factor.flags.writeable
+    assert factor is not leapfrog_multiplier(twin, first.dt, first.n_steps)
 
 
 def test_single_mode_phase_follows_dispersion_relation():

@@ -20,8 +20,8 @@ from .moments import (
     solve_moment_problem,
 )
 from .quadrature import QuadratureError
-from .reports import (STUDIES, ConfigError, emit, kdv_source_kernel, parse_config_text,
-                      parse_h_schedule, run_study)
+from .reports import (STUDIES, ConfigError, _parse_number, emit, kdv_source_kernel,
+                      parse_config_text, parse_h_schedule, run_study)
 
 _TABLE_IDS = (
     "helm1d",
@@ -119,19 +119,25 @@ def _cmd_weakstar(args) -> int:
     return _cmd_study_flags(args)
 
 
+def _detail_width(command: str, what: str, text: str) -> float:
+    """The one width a --detail run takes from a schedule; a longer list is an error."""
+    widths = parse_h_schedule(text)
+    if len(widths) > 1:
+        raise ConfigError(f"{command} --detail emits the profile of one run; "
+                          f"give one {what}, not {len(widths)}")
+    return widths[0]
+
+
 def _cmd_advect(args) -> int:
     config = _flag_config(args)
     if not args.detail:
         return _emit_study(config)
     opts = config.options
-    Hs = parse_h_schedule(opts["H"])
-    if len(Hs) > 1:
-        raise ConfigError(f"advect --detail emits the E(x) profile of one run; "
-                          f"give one H, not {len(Hs)}")
+    H = _detail_width("advect", "H", opts["H"])
     builder = catalog_lookup(opts["kernels"])
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
-    run = spectral.AdvectionRun(grid=grid, kernel=builder(Hs[0]),
-                                t_final=parse_h_schedule(opts["T"])[0])
+    run = spectral.AdvectionRun(grid=grid, kernel=builder(H),
+                                t_final=_parse_number(opts["T"]))
     errs, result = spectral.pointwise_error_after_periods(run)
     lines = ["x,E"]
     for x, e in zip(grid.nodes, errs):
@@ -148,16 +154,16 @@ def _cmd_kdv(args) -> int:
         return _emit_study(config)
     opts = config.options
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
-    t_final = parse_h_schedule(opts["T"])[0]
     snapshots = tuple(float(t) for t in args.snapshots.split(",")) if args.snapshots else ()
     builder = kdv_source_kernel(opts["source"])
     if builder is not None:
-        run = spectral.KdVRun(grid=grid, kernel=builder(parse_h_schedule(opts["H"])[0]),
-                              dt=float(opts["dt"]), t_final=t_final, snapshots=snapshots)
+        H = _detail_width("kdv", "H", args.H) if args.H else parse_h_schedule(opts["H"])[0]
+        source = dict(kernel=builder(H))
     else:
-        run = spectral.KdVRun(grid=grid, gaussian_sigma=parse_h_schedule(args.sigma)[0],
-                              dt=float(opts["dt"]), t_final=t_final, snapshots=snapshots,
-                              gaussian_normalized=args.normalized_gaussian)
+        source = dict(gaussian_sigma=_detail_width("kdv", "sigma", args.sigma),
+                      gaussian_normalized=args.normalized_gaussian)
+    run = spectral.KdVRun(grid=grid, dt=float(opts["dt"]), t_final=_parse_number(opts["T"]),
+                          snapshots=snapshots, **source)
     if not config.out:
         raise ConfigError("kdv --detail writes a snapshot CSV and a .spectra.csv beside it; "
                           "name the snapshot file with --out")
@@ -288,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     pkdv.add_argument("--dt", type=float)
     pkdv.add_argument("--snapshots")
     pkdv.add_argument("--detail", action="store_true",
-                      help="emit snapshot and spectra CSVs for a single run (needs --out)")
+                      help="emit snapshot and spectra CSVs for a single run at one H "
+                           "(default: the largest of the study's) and T (needs --out)")
     _add_common(pkdv)
     pkdv.set_defaults(fn=_cmd_kdv)
 

@@ -58,14 +58,10 @@ class SolutionProfile:
 
     def check_boundary(self, tol: float = 1e-10) -> None:
         """Domain-edge values must vanish: x = +-1 in 1D, r = 1 in 2D."""
-        if self.dim == 1:
-            for edge in (-1.0, 1.0):
-                i = int(np.argmin(np.abs(self.nodes - edge)))
-                if abs(self.nodes[i] - edge) < 1e-12 and abs(self.values[i]) > tol:
-                    raise ValueError(f"boundary value {self.values[i]:.2e} at x={edge}")
-        else:
-            if abs(self.nodes[-1] - 1.0) < 1e-12 and abs(self.values[-1]) > tol:
-                raise ValueError(f"boundary value {self.values[-1]:.2e} at r=1")
+        for edge in (-1.0, 1.0) if self.dim == 1 else (1.0,):
+            i = int(np.argmin(np.abs(self.nodes - edge)))
+            if abs(self.nodes[i] - edge) < 1e-12 and abs(self.values[i]) > tol:
+                raise ValueError(f"boundary value {self.values[i]:.2e} at {edge:g}")
 
 
 @dataclass(frozen=True)
@@ -120,19 +116,24 @@ class WeightedNormSpec:
 # 1D: closed-form point solution and Green's-function convolution solve
 # ---------------------------------------------------------------------------
 
-def exact_point_solution_1d(x, k0: float = 10.0):
-    """Point-source solution on [-1, 1] with zero boundary values."""
+def _point_args_1d(x, k0: float) -> np.ndarray:
+    """x as an array, once sin(k0) != 0 and every x lies in [-1, 1]."""
     if abs(math.sin(k0)) < 1e-8:
         raise ResonanceError("sin(k0) vanishes")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("x outside [-1, 1]")
-    return greens_function_1d(x, 0.0, k0)
+    return x
+
+
+def exact_point_solution_1d(x, k0: float = 10.0):
+    """Point-source solution on [-1, 1] with zero boundary values."""
+    return greens_function_1d(_point_args_1d(x, k0), 0.0, k0)
 
 
 def exact_point_solution_1d_deriv(x, k0: float = 10.0):
     """One-sided derivative of the 1D point solution (0 assigned at the kink x=0)."""
-    x = np.asarray(x, dtype=float)
+    x = _point_args_1d(x, k0)
     half = 0.5 * k0
     denom = k0 * math.sin(k0)
     # the solution is even in x, so its derivative is odd
@@ -146,9 +147,19 @@ def greens_function_1d(x, y, k0: float = 10.0):
     return -np.sin(half * (1.0 + lo)) * np.sin(half * (1.0 - hi)) / (k0 * math.sin(k0))
 
 
-def _kernel_panel_edges_1d(delta: RegularizedDelta) -> np.ndarray:
-    pos = delta.half_widths[0] * np.asarray(delta.profiles[0].breakpoints)  # holds 0
-    return np.unique(np.concatenate([-pos, pos]))
+def _separable_convolution(k, am, bm, factors, scale: float):
+    """Values and derivatives of the convolution of G(x, y) = -scale a(min) b(max).
+
+    `am` and `bm` are the panels' moments of a delta and b delta, in panel order, and
+    node j has the first k[j] panels on its left, so il, the moments of a delta left of
+    it, and ir, those of b delta right of it, are cumulative sums. `factors` holds a, b,
+    a' and b' at the nodes; returns u = -scale (b il + a ir) and
+    u' = -scale (b' il + a' ir).
+    """
+    a, b, da, db = factors
+    il = np.concatenate([[0.0], np.cumsum(am)])[k]
+    ir = np.concatenate([np.cumsum(bm[::-1])[::-1], [0.0]])[k]
+    return -scale * (b * il + a * ir), -scale * (db * il + da * ir)
 
 
 def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float,
@@ -156,70 +167,54 @@ def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float,
     """Green's function and its x-derivative convolved with delta at every node of xs.
 
     G(x, y) = -a(min(x, y)) b(max(x, y)) / D, a(t) = sin(k0 (1 + t) / 2),
-    b(t) = sin(k0 (1 - t) / 2), D = k0 sin k0, so u = -(b il + a ir) / D and
-    u' = -(b' il + a' ir) / D, where il(x) integrates a delta over y < x and ir(x)
-    b delta over y > x. Loops over the kernel's breakpoint panels, never over nodes:
-    a node at or right of a panel takes the panel's Gauss moment of a delta into il,
-    one at or left of it that of b delta into ir; nodes strictly inside [lo, hi]
-    take the rule on [lo, x] and [x, hi] as one (n_split, 2, order) batch.
+    b(t) = sin(k0 (1 - t) / 2), D = k0 sin k0. The panels are the kernel's breakpoint
+    intervals cut at every node strictly inside the support, so no panel holds a node
+    in its interior, where G has its kink; one Gauss rule over all of them gives the
+    moments that `_separable_convolution` sums.
     """
     half = 0.5 * k0
-    rule = gauss_legendre(order)
-    il, ir = np.zeros_like(xs), np.zeros_like(xs)
-    edges = _kernel_panel_edges_1d(delta)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n, w = rule.mapped(lo, hi)
-        wd = delta.eval(n) * w
-        il[xs >= hi] += np.dot(wd, np.sin(half * (1.0 + n)))
-        ir[xs <= lo] += np.dot(wd, np.sin(half * (1.0 - n)))
-        split = (xs > lo) & (xs < hi)
-        x = xs[split, None]
-        ys, ws = rule.mapped(np.hstack([np.full_like(x, lo), x])[..., None],
-                             np.hstack([x, np.full_like(x, hi)])[..., None])
-        wds = ws * delta.eval(ys)  # [:, 0] on [lo, x], [:, 1] on [x, hi]
-        il[split] += np.sum(wds[:, 0] * np.sin(half * (1.0 + ys[:, 0])), axis=1)
-        ir[split] += np.sum(wds[:, 1] * np.sin(half * (1.0 - ys[:, 1])), axis=1)
-    denom = k0 * math.sin(k0)
-    a, b = np.sin(half * (1.0 + xs)), np.sin(half * (1.0 - xs))
-    da, db = half * np.cos(half * (1.0 + xs)), -half * np.cos(half * (1.0 - xs))
-    return -(b * il + a * ir) / denom, -(db * il + da * ir) / denom
+    pos = np.asarray(delta.breakpoints_physical())  # holds 0
+    edges = np.unique(np.concatenate([-pos, pos, xs[np.abs(xs) < delta.support_radius]]))
+    k = np.maximum(np.searchsorted(edges, xs, "right") - 1, 0)
+    y, w = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
+    am, bm = np.sum(w * delta.eval(y) * np.sin([half * (1.0 + y), half * (1.0 - y)]), axis=2)
+    factors = (np.sin(half * (1.0 + xs)), np.sin(half * (1.0 - xs)),
+               half * np.cos(half * (1.0 + xs)), -half * np.cos(half * (1.0 - xs)))
+    return _separable_convolution(k, am, bm, factors, 1.0 / (k0 * math.sin(k0)))
 
 
-def _accept_by_doubling(convolve, order: int, dim: int):
+def _accept_by_doubling(convolve, dim: int):
     """Values and derivatives from `convolve(order)`, accepted by Gauss-order doubling.
 
-    Passes run at `order`, `2 order` and, if needed, `4 order`; a pass is accepted
-    once doubling the Gauss order moves the values by <= 1e-10 of the `2 order`
-    maximum, and values and derivatives come from it. Returns them with the
-    metadata `order` and `doubling_delta`: the accepted order and that last change.
+    Passes run at 8, 16 and, if needed, 32 Gauss points per panel; the 16 or 32 pass
+    is accepted once it differs from the pass before by <= 1e-10 of its own maximum,
+    and values and derivatives come from it. Returns them with the metadata `order`
+    and `doubling_delta`: the accepted order and that last change.
     """
-    coarse, _ = convolve(order)
-    vals, derivs = convolve(2 * order)
-    tol = 1e-10 * max(float(np.max(np.abs(vals))), 1e-300)
-    accepted, diff = 2 * order, float(np.max(np.abs(vals - coarse)))
-    if diff > tol:
+    coarse, _ = convolve(8)
+    for order in (16, 32):
+        vals, derivs = convolve(order)
+        diff = float(np.max(np.abs(vals - coarse)))
+        if diff <= 1e-10 * max(float(np.max(np.abs(vals))), 1e-300):
+            return vals, derivs, dict(order=order, doubling_delta=diff)
         coarse = vals
-        vals, derivs = convolve(4 * order)
-        accepted, diff = 4 * order, float(np.max(np.abs(vals - coarse)))
-        if diff > tol:
-            raise QuadratureError(
-                f"{dim}D convolution quadrature failed the order-doubling check")
-    return vals, derivs, dict(order=accepted, doubling_delta=diff)
+    raise QuadratureError(f"{dim}D convolution quadrature failed the order-doubling check")
 
 
-def solve_regularized_1d(problem: Helmholtz1D, nodes: np.ndarray | None = None,
-                         order: int = 16) -> SolutionProfile:
-    """Regularized point-source solve by Green's-function convolution.
+def solve_regularized_1d(problem: Helmholtz1D,
+                         nodes: np.ndarray | None = None) -> SolutionProfile:
+    """Regularized point-source solve by Green's-function convolution on nodes in [-1, 1].
 
     Each `_convolve_greens` pass gives values and derivatives; `_accept_by_doubling`
-    runs the passes from `order` up and records `order` and `doubling_delta`.
+    runs the passes from 8 Gauss points per panel up and records `order` and
+    `doubling_delta`.
     """
     if nodes is None:
         nodes = np.linspace(-1.0, 1.0, 4001)
-    xs = np.asarray(nodes, dtype=float)
     k0 = problem.k0
+    xs = _point_args_1d(nodes, k0)
     vals, derivs, check = _accept_by_doubling(
-        lambda o: _convolve_greens(xs, problem.kernel, k0, o), order, dim=1)
+        lambda o: _convolve_greens(xs, problem.kernel, k0, o), dim=1)
     profile = SolutionProfile(
         nodes=xs, values=vals, derivs=derivs,
         metadata=dict(dim=1, k0=k0, H=problem.kernel.half_widths[0],
@@ -244,7 +239,7 @@ def exact_profile_1d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
 # ---------------------------------------------------------------------------
 
 def _radial_point_args(r, k0: float):
-    """r as an array and Y0(k0) / (4 J0(k0)), once k0 > 0, J0(k0) != 0 and r > 0 hold."""
+    """r as an array and Y0(k0) / (4 J0(k0)), once k0 > 0, J0(k0) != 0 and 0 < r <= 1."""
     if k0 <= 0.0:
         raise ValueError("k0 must be positive")
     j0k = bessel.j0(k0)
@@ -253,6 +248,8 @@ def _radial_point_args(r, k0: float):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("r must be positive (log singularity at 0)")
+    if np.any(r > 1.0 + 1e-14):
+        raise ValueError("r outside the unit disk")
     return r, bessel.y0(k0) / (4.0 * j0k)
 
 
@@ -316,10 +313,9 @@ def _convolve_ring(n: int, delta: RegularizedDelta, k0: float,
                    order: int) -> tuple[np.ndarray, np.ndarray]:
     """Values and r-derivatives of the convolution at r = h .. 1 on the n-cell mesh.
 
-    u = -(b IL + a IR) / 4 and u' = -(b' IL + a' IR) / 4, where IL(r) integrates
-    a delta 2 pi s ds over s < r and IR(r) b delta 2 pi s ds over s > r. Each cell
+    G(r, s) = -a(min(r, s)) b(max(r, s)) / 4 with the measure 2 pi s ds. Each cell
     inside the support is a panel, cut where a kernel breakpoint falls inside it,
-    so IL and IR at the nodes are cumulative sums of the cells' Gauss moments.
+    and `_separable_convolution` sums the cells' Gauss moments.
     """
     h, rule = 1.0 / n, gauss_legendre(order)
     (a, b, da, db), tables = _ring_tables(n, k0)
@@ -340,11 +336,9 @@ def _convolve_ring(n: int, delta: RegularizedDelta, k0: float,
         panels = np.unique(np.clip([c * h, *cuts, (c + 1) * h], c * h, (c + 1) * h))[:, None]
         s, w = rule.mapped(panels[:-1], panels[1:])
         am[c], bm[c] = np.einsum("kij,ij->k", _ring_weights(s, w, k0), delta.eval_radial(s))
-    il = np.full(n, np.sum(am))
-    il[:m] = np.cumsum(am)  # node r_j takes cells 0 .. j - 1
-    ir = np.zeros(n)
-    ir[:m - 1] = np.cumsum(bm[::-1])[::-1][1:]  # and cells j .. m - 1
-    return -(b * il + a * ir) / 4.0, -(db * il + da * ir) / 4.0
+    # node r_j has cells 0 .. j - 1 on its left
+    return _separable_convolution(np.minimum(np.arange(1, n + 1), m), am, bm,
+                                  (a, b, da, db), 0.25)
 
 
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
@@ -357,11 +351,11 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
     u_H' as 1D integrals; the source sign makes exact_point_solution_2d_radial the
     small-support limit. The profile is on the mesh nodes r = h .. 1 and leaves out
     r = 0, where b and the point solution that u_H is compared against are singular.
-    `_accept_by_doubling` runs the passes from 8 Gauss points per cell up.
+    `_accept_by_doubling` runs the passes from 8 Gauss points per panel up.
     """
     n, k0 = problem.n_cells, problem.k0
     vals, derivs, check = _accept_by_doubling(
-        lambda o: _convolve_ring(n, problem.kernel, k0, o), 8, dim=2)
+        lambda o: _convolve_ring(n, problem.kernel, k0, o), dim=2)
     profile = SolutionProfile(
         nodes=radial_grid(n)[1:], values=vals, derivs=derivs,
         metadata=dict(dim=2, k0=k0, H=problem.kernel.half_widths[0],

@@ -249,6 +249,22 @@ def test_advect_detail_with_several_H_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# a --detail run emits one profile; a list of T, H or sigma values would run one of them
+@pytest.mark.parametrize("argv", [
+    ["advect", "--kernel", "eta_1_1_1d", "--N", "64", "--T", "2pi,4pi"],
+    ["kdv", "--source", "kernel:eta_2_5_1d", "--H", "pi,pi/2", "--N", "64", "--T", "0.001"],
+    ["kdv", "--N", "64", "--T", "0.001,0.002"],
+    ["kdv", "--source", "gaussian", "--sigma", "pi/64,pi/32", "--N", "64", "--T", "0.001"],
+], ids=["advect-T", "kdv-H", "kdv-T", "kdv-sigma"])
+def test_detail_with_a_list_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "detail.csv"
+    assert main(argv + ["--detail", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_advect_dispersion_table_cells(tables):
     _, rows = tables["advect-dispersion"]
     assert [row["max_error"] for row in rows] == ["0.0651291422461", "2.3755569413",
@@ -256,3 +272,19 @@ def test_advect_dispersion_table_cells(tables):
     for row in rows[:2]:
         assert float(row["amp_drift"]) <= 1e-11
         assert float(row["phase_dev"]) <= 5e-9
+
+
+def test_helm1d_table_cells(tables):
+    _, rows = tables["helm1d"]
+    assert [row["E"] for row in rows] == [
+        "0.0217886963802", "0.00566363148237", "0.00142979464136", "0.000358322276463",
+        "0.0122883574944", "0.00334750125549", "0.000854683548372", "0.000214793382132",
+        "0.000725076918042", "4.73381026532e-05", "2.99095089065e-06", "1.87442373012e-07",
+        "0.061209492534", "0.0172767354211", "0.00445349296945", "0.00112194805945",
+        "0.0056283281709", "0.000395240582937", "2.54335007821e-05", "1.60122746445e-06"]
+    assert [row["R"] for row in rows] == [
+        "", "1.94378058125", "1.98591944571", "1.99647830833",
+        "", "1.87613559109", "1.96962233901", "1.9924408085",
+        "", "3.93706026004", "3.98432575522", "3.9960851936",
+        "", "1.82492477297", "1.95582141272", "1.98893142855",
+        "", "3.83190345601", "3.95792912924", "3.98947988332"]

@@ -15,6 +15,7 @@ from deltareg.elliptic import (
     SolutionProfile,
     WeightedNormSpec,
     exact_point_solution_1d,
+    exact_point_solution_1d_deriv,
     exact_point_solution_2d_radial,
     exact_point_solution_2d_radial_deriv,
     exact_profile_1d,
@@ -91,9 +92,23 @@ def test_solution_boundary_and_edge_continuity():
     assert np.max(window) - np.min(window) <= 1e-6  # C1 through the support edge
 
 
+def test_1d_functions_reject_points_outside_the_domain():
+    problem = Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0)
+    with pytest.raises(ValueError, match="outside"):
+        solve_regularized_1d(problem, np.array([-1.5, 0.0, 1.5]))
+    with pytest.raises(ValueError, match="outside"):
+        exact_point_solution_1d_deriv(1.5, K0)
+
+
 def test_kernel_support_must_fit_in_domain():
     with pytest.raises(ValueError):
         Helmholtz1D(kernel=catalog_lookup("eta_cubic")(0.6), k0=K0)  # support 1.2
+
+
+def _breakpoint_edges(delta):
+    """The kernel's breakpoints and their mirror images, ascending."""
+    pos = delta.half_widths[0] * np.asarray(delta.profiles[0].breakpoints)
+    return np.unique(np.concatenate([-pos, pos]))
 
 
 def _convolve_one_node(x, delta, order):
@@ -104,7 +119,7 @@ def _convolve_one_node(x, delta, order):
     """
     half, denom = 0.5 * K0, K0 * math.sin(K0)
     rule = gauss_legendre(order)
-    split = np.unique(np.concatenate([elliptic._kernel_panel_edges_1d(delta), [x]]))
+    split = np.unique(np.concatenate([_breakpoint_edges(delta), [x]]))
     value = deriv = 0.0
     for lo, hi in zip(split[:-1], split[1:]):
         n, w = rule.mapped(lo, hi)
@@ -127,7 +142,7 @@ def _check_against_oracle(xs, delta):
 @pytest.mark.parametrize("name", ["eta_1_2_1d", "eta_cos", "eta_cubic"])
 def test_batched_convolution_matches_per_node_oracle(name):
     delta = catalog_lookup(name)(0.3)
-    edges = elliptic._kernel_panel_edges_1d(delta)
+    edges = _breakpoint_edges(delta)
     w = edges[-1]
     mids = 0.5 * (edges[:-1] + edges[1:])
     xs = np.unique(np.concatenate([
@@ -141,7 +156,19 @@ def test_batched_convolution_matches_per_node_oracle(name):
 def test_convolution_on_panel_edges_and_domain_ends(name):
     # no node lies strictly inside a panel, so every panel enters through its two moments
     delta = catalog_lookup(name)(0.3)
-    xs = np.concatenate([[-1.0], elliptic._kernel_panel_edges_1d(delta), [1.0]])
+    xs = np.concatenate([[-1.0], _breakpoint_edges(delta), [1.0]])
+    values = _check_against_oracle(xs, delta)
+    assert values[0] == 0.0 and values[-1] == 0.0
+
+
+@pytest.mark.parametrize("name", ["eta_1_2_1d", "eta_cos", "eta_cubic"])
+@pytest.mark.parametrize("inner", [[], [0.1], [0.3 - 1e-15], [-0.3 + 1e-15, 1e-15]],
+                         ids=["none", "one", "near-breakpoint", "near-edge-and-centre"])
+def test_convolution_with_few_nodes_inside_the_support(name, inner):
+    # panels are cut only at nodes strictly inside the support: none, one, or one a
+    # rounding step from a breakpoint, which leaves a panel 1e-15 wide
+    delta = catalog_lookup(name)(0.3)
+    xs = np.concatenate([[-1.0, -0.7], inner, [0.75, 1.0]])
     values = _check_against_oracle(xs, delta)
     assert values[0] == 0.0 and values[-1] == 0.0
 
@@ -149,7 +176,7 @@ def test_convolution_on_panel_edges_and_domain_ends(name):
 def test_1d_solve_reports_accepted_order_and_doubling_delta():
     problem = Helmholtz1D(kernel=catalog_lookup("eta_2_3_1d")(1 / 32), k0=K0)
     profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 4001))
-    assert profile.metadata["order"] in (32, 64)
+    assert profile.metadata["order"] in (16, 32)
     assert profile.metadata["doubling_delta"] <= 1e-10 * np.max(np.abs(profile.values))
 
 
@@ -162,12 +189,12 @@ def _fake_convolution(factor):
 
 def test_1d_solve_accepts_the_third_order(monkeypatch):
     monkeypatch.setattr(elliptic, "_convolve_greens",
-                        _fake_convolution(lambda order: 2.0 if order == 16 else 1.0))
+                        _fake_convolution(lambda order: 2.0 if order == 8 else 1.0))
     problem = Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0)
     profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 41))
-    assert profile.metadata["order"] == 64
+    assert profile.metadata["order"] == 32
     assert profile.metadata["doubling_delta"] == 0.0
-    assert np.all(profile.derivs == 64.0)
+    assert np.all(profile.derivs == 32.0)
 
 
 def test_1d_solve_raises_when_order_doubling_fails(monkeypatch):
@@ -196,6 +223,14 @@ def test_exact_2d_log_singularity_coefficient():
 def test_exact_2d_rejects_origin():
     with pytest.raises(ValueError):
         exact_point_solution_2d_radial(0.0, K0)
+
+
+@pytest.mark.parametrize("fn", [exact_point_solution_2d_radial,
+                                exact_point_solution_2d_radial_deriv])
+def test_exact_2d_rejects_radii_outside_the_disk(fn):
+    with pytest.raises(ValueError, match="outside"):
+        fn(1.5, K0)
+    fn(elliptic.radial_grid(20480)[1:], K0)  # the mesh's last node, r = 1, is inside
 
 
 def test_exact_2d_value_from_series_oracle():
@@ -506,6 +541,16 @@ def test_1d_weighted_sobolev_needs_nodes_on_both_sides_of_zero():
     prof = SolutionProfile(nodes=nodes, values=np.zeros(101), derivs=np.ones(101))
     with pytest.raises(ValueError, match="both sides"):
         weighted_sobolev_error(prof, prof, [WeightedNormSpec(alpha=0.25, dim=1)])
+
+
+@pytest.mark.parametrize("dim, nodes", [(1, [-1.0, 0.0, 1.0]), (1, [-0.5, 0.0, 1.0]),
+                                        (2, [0.5, 0.75, 1.0])])
+def test_profile_with_a_nonzero_boundary_value_is_rejected(dim, nodes):
+    profile = SolutionProfile(nodes=np.array(nodes), values=np.array([0.0, 1.0, 1e-9]),
+                              derivs=np.zeros(3), metadata=dict(dim=dim))
+    with pytest.raises(ValueError, match="boundary value 1.00e-09 at 1"):
+        profile.check_boundary()
+    profile.check_boundary(tol=1e-8)
 
 
 def test_profile_nodes_must_increase():

@@ -10,7 +10,6 @@ from .kernels import (
     catalog_lookup,
     catalog_names,
     eval_delta,
-    fourier_transform_1d,
     tensor_product,
 )
 from .moments import (
@@ -33,7 +32,6 @@ from .quadrature import (
     SlopeFit,
     convergence_slope,
     gauss_legendre,
-    integrate_1d,
     integrate_panels,
     weak_star_error,
 )

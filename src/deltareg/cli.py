@@ -159,6 +159,9 @@ def _cmd_kdv(args) -> int:
     if builder is not None:
         H = _detail_width("kdv", "H", args.H) if args.H else parse_h_schedule(opts["H"])[0]
         source = dict(kernel=builder(H))
+    elif args.H:
+        raise ConfigError("kdv --detail --source gaussian takes its width from --sigma, "
+                          "not --H")
     else:
         source = dict(gaussian_sigma=_detail_width("kdv", "sigma", args.sigma),
                       gaussian_normalized=args.normalized_gaussian)

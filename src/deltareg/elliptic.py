@@ -104,7 +104,6 @@ class WeightedNormSpec:
 
     alpha: float
     dim: int = 2
-    beta: float = 1.0
 
     def __post_init__(self):
         lo, hi = self.dim / 2 - 1, self.dim / 2
@@ -446,7 +445,9 @@ def weighted_sobolev_error(u_exact: SolutionProfile, u_reg: SolutionProfile,
     model on the first mesh cell and graded panels beyond it; 1D applies |x|^(2 alpha)
     inside the integrand, graded toward 0. One spline of u' - u_H' serves every weight.
     """
-    from scipy.interpolate import CubicSpline  # about 0.3 s to import; only this norm needs it
+    # imported here, as `bessel` imports scipy.special, so that importing the package
+    # loads no scipy; about 0.3 s to import even after scipy.special
+    from scipy.interpolate import CubicSpline
 
     _common_mask(u_exact, u_reg)
     if u_exact.derivs is None or u_reg.derivs is None:

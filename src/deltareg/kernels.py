@@ -11,7 +11,6 @@ import numpy as np
 
 from .moments import BasisFamily, BasisKind, MomentProblemSpec, solve_moment_problem
 from .profiles import PolyPiece, RadialProfile, cosine_profile, poly_profile
-from .quadrature import gauss_legendre, integrate_panels
 
 __all__ = [
     "RegularizedDelta",
@@ -24,7 +23,6 @@ __all__ = [
     "catalog_json",
     "tensor_product",
     "eval_delta",
-    "fourier_transform_1d",
 ]
 
 
@@ -341,26 +339,3 @@ def tensor_product(axes, fit_in_ball: bool) -> RegularizedDelta:
         weak_order=min(weak) if weak else 0,
         ball_moments_ok=fit_in_ball,
     )
-
-
-def fourier_transform_1d(delta: RegularizedDelta, k: float, order: int = 16) -> float:
-    """Transform integral of delta_H against exp(-i k x); real by even symmetry.
-
-    Composite Gauss over the support with panel edges on kernel breakpoints and
-    at least 10 nodes per oscillation period.
-    """
-    if delta.dim != 1:
-        raise ValueError("fourier_transform_1d requires a 1D kernel")
-    h = delta.half_widths[0]
-    prof = delta.profiles[0]
-    k = float(k)
-    edges = np.asarray(prof.breakpoints)
-    rule = gauss_legendre(order)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        width = hi - lo
-        # panel width small enough that `order` nodes cover >= 10 per period
-        nsub = max(1, math.ceil(width * 10.0 * abs(k) * h / (2 * np.pi * order)))
-        sub = np.linspace(lo, hi, nsub + 1)
-        total += integrate_panels(lambda y: prof.eval(y) * np.cos(k * h * y), sub, rule)
-    return 2.0 * total

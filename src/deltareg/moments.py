@@ -3,9 +3,10 @@
 The basis (orthonormal shifted Legendre from `numpy.polynomial.legendre`, or
 cos(k pi r)) is tabulated by one helper: at Gauss nodes its values give every
 moment row in one weighted matrix product, and its derivatives at r = 0 and
-r = 1 give the smoothness rows.  The square system is solved by LAPACK
-getrf/getrs; a Legendre solution also carries its monomial coefficients,
-through a Legendre-to-monomial matrix cached per degree.
+r = 1 give the smoothness rows.  The square system is solved by LAPACK gesv
+through `numpy.linalg.solve`, after a pivot check on Python floats; a Legendre
+solution also carries its monomial coefficients, through a Legendre-to-monomial
+matrix cached per degree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .profiles import RadialProfile, cosine_profile, poly_profile
 from .quadrature import gauss_legendre
@@ -192,13 +192,40 @@ def assemble_moment_system(spec: MomentProblemSpec) -> DenseLinearSystem:
     return DenseLinearSystem(matrix=mat, rhs=rhs, condition_estimate=cond, row_labels=tuple(labels))
 
 
-def solve_dense(system: DenseLinearSystem) -> np.ndarray:
-    """LAPACK getrf/getrs on the row-equilibrated matrix; fails loudly on pivot < 1e-13.
+def _first_small_pivot(rows: list) -> tuple | None:
+    """(column, row, pivot) of the first pivot below 1e-13 that getrf meets, or None.
 
-    Dividing each row by its largest entry makes getrf's partial pivoting pick
-    the pivots of scaled partial pivoting on the original rows, and the pivot
-    threshold is relative to the pivot row's scale.  A failing pivot names the
-    constraint of the row that the LU permutation put there.
+    Gaussian elimination with partial pivoting on lists of Python floats (the
+    systems are tiny, and numpy's per-call overhead would dominate): it keeps
+    getrf's pivot choice, the first row of largest magnitude, and only the
+    pivots, since LAPACK gives the solution.  `row` indexes the input rows;
+    `rows` is overwritten.
+    """
+    n = len(rows)
+    order = list(range(n))
+    for col in range(n):
+        p = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[p] = rows[p], rows[col]
+        order[col], order[p] = order[p], order[col]
+        top = rows[col]
+        if abs(top[col]) < 1e-13:
+            return col, order[col], top[col]
+        for row in rows[col + 1:]:
+            f = row[col] / top[col]
+            for j in range(col + 1, n):
+                row[j] -= f * top[j]
+    return None
+
+
+def solve_dense(system: DenseLinearSystem) -> np.ndarray:
+    """LAPACK gesv (`numpy.linalg.solve`) on the row-equilibrated matrix; fails loudly
+    on pivot < 1e-13.
+
+    Dividing each row by its largest entry makes partial pivoting pick the
+    pivots of scaled partial pivoting on the original rows, and the pivot
+    threshold is relative to the pivot row's scale.  gesv does not report its
+    pivots, so `_first_small_pivot` repeats the elimination to check them; a
+    failing pivot names the constraint of the row that the permutation put there.
     """
     a = np.asarray(system.matrix, dtype=float)
     b = np.asarray(system.rhs, dtype=float)
@@ -208,20 +235,15 @@ def solve_dense(system: DenseLinearSystem) -> np.ndarray:
     labels = system.row_labels or tuple(f"row {i}" for i in range(n))
     scale = np.max(np.abs(a), axis=1)
     scale[scale == 0.0] = 1.0
-    lu, piv, _ = dgetrf(a / scale[:, None])
-    small = np.flatnonzero(np.abs(np.diag(lu)) < 1e-13)
-    if small.size:
-        col = int(small[0])
-        perm = np.arange(n)
-        for i, p in enumerate(piv[: col + 1]):  # getrf swaps row i with row p, in order
-            perm[[i, p]] = perm[[p, i]]
-        row = perm[col]
+    scaled = a / scale[:, None]
+    small = _first_small_pivot(scaled.tolist())
+    if small is not None:
+        col, row, pivot = small
         raise SingularSystemError(
-            f"singular moment system: pivot {lu[col, col] * scale[row]:.3e} at column {col} "
+            f"singular moment system: pivot {pivot * scale[row]:.3e} at column {col} "
             f"(constraint '{labels[row]}')"
         )
-    x, _ = dgetrs(lu, piv, b / scale)
-    return x
+    return np.linalg.solve(scaled, b / scale)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "GaussRule",
     "gauss_legendre",
-    "integrate_1d",
     "integrate_panels",
     "weak_star_error",
     "convergence_slope",
@@ -51,16 +50,6 @@ def gauss_legendre(order: int) -> GaussRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return GaussRule(nodes=nodes, weights=weights, order=order)
-
-
-def integrate_1d(f, a: float, b: float, rule: GaussRule, panels: int = 1) -> float:
-    """Composite Gauss integration of a vectorized callable over `panels` equal subintervals."""
-    if not a < b:
-        raise ValueError("require a < b")
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    edges = np.linspace(a, b, panels + 1)
-    return integrate_panels(f, edges, rule)
 
 
 def integrate_panels(f, edges, rule: GaussRule) -> float:

@@ -106,6 +106,27 @@ def test_kdv_detail_writes_snapshots_and_spectra(tmp_path):
     assert [float(line.split(",")[0]) for line in spectra[33:35]] == [-4.0, -3.875]
 
 
+def test_kdv_detail_gaussian_rejects_H(tmp_path, capsys):
+    # the Gaussian's width is --sigma; an --H that changed nothing used to exit 0
+    out = tmp_path / "u.csv"
+    assert main(["kdv", "--detail", "--source", "gaussian", "--H", "0.5", "--N", "64",
+                 "--T", "0.001", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and "--sigma" in err and "--H" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kdv_detail_gaussian_width_is_sigma(tmp_path):
+    snapshots = []
+    for sigma in ("0.5", "0.05"):
+        out = tmp_path / f"u{sigma}.csv"
+        assert main(["kdv", "--detail", "--source", "gaussian", "--sigma", sigma, "--N", "64",
+                     "--T", "0.001", "--out", str(out)]) == 0
+        snapshots.append(out.read_text())
+    assert snapshots[0] != snapshots[1]
+
+
 # a KdV source is 'gaussian' or 'kernel:<catalog name>'; a typo must not run a Gaussian
 @pytest.mark.parametrize("source", ["kernal:eta_2_5_1d", "kernel:eta_2_5_1x", "gauss"])
 def test_kdv_source_typo_is_an_error(tmp_path, capsys, source):

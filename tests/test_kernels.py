@@ -12,7 +12,6 @@ from deltareg.kernels import (
     catalog_lookup,
     catalog_names,
     eval_delta,
-    fourier_transform_1d,
     tensor_product,
 )
 from deltareg.moments import moment_residuals
@@ -193,44 +192,6 @@ def test_tensor_ball_mass_differs_from_full_mass():
     assert ball_mass < 0.999  # hypercube corners carry real mass
     radial = catalog_lookup("eta_1_1_2d")(H)
     assert _radial_mass(radial) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_fourier_transform_at_zero_is_mass():
-    for name in ("eta_1_0_1d", "eta_2_3_1d", "eta_cubic"):
-        delta = catalog_lookup(name)(0.5)
-        assert fourier_transform_1d(delta, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fourier_transform_box_is_sinc():
-    H = 0.3
-    delta = catalog_lookup("eta_1_0_1d")(H)
-    for k in (1.0, 5.0, 12.0):
-        assert fourier_transform_1d(delta, k) == pytest.approx(
-            math.sin(k * H) / (k * H), abs=1e-12)
-
-
-def test_fourier_transform_hat_is_sinc_squared():
-    H = 0.4
-    delta = catalog_lookup("eta_1_1_1d")(H)
-    for k in (1.0, 7.0, 20.0):
-        arg = 0.5 * k * H
-        assert fourier_transform_1d(delta, k) == pytest.approx(
-            (math.sin(arg) / arg) ** 2, abs=1e-12)
-
-
-def test_fourier_decay_tracks_smoothness():
-    ks = [10.0, 20.0, 40.0, 80.0]
-    hat = catalog_lookup("eta_1_1_1d")(1.0)  # C0: kinks
-    quintic = catalog_lookup("eta_2_5_1d")(1.0)  # C1
-    box = catalog_lookup("eta_1_0_1d")(1.0)  # discontinuous
-    f_hat = [abs(fourier_transform_1d(hat, k)) for k in ks]
-    f_quintic = [abs(fourier_transform_1d(quintic, k)) for k in ks]
-    f_box = [abs(fourier_transform_1d(box, k)) for k in ks]
-    assert all(a > b for a, b in zip(f_hat, f_hat[1:]))  # monotone envelope
-    assert all(a > b for a, b in zip(f_quintic, f_quintic[1:]))
-    # smoother kernels decay faster across the sampled band
-    assert f_quintic[-1] / f_quintic[0] < f_hat[-1] / f_hat[0]
-    assert f_hat[-1] / f_hat[0] < f_box[-1] / f_box[0]
 
 
 def test_catalog_json_round_trip():

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltareg
 from deltareg.kernels import RegularizedDelta, catalog_entries, catalog_lookup
 from deltareg.moments import (
     BasisFamily,
@@ -18,6 +23,7 @@ from deltareg.moments import (
     SingularSystemError,
     assemble_moment_system,
     _basis_values,
+    _first_small_pivot,
     _legendre_to_monomial,
     moment_residuals,
     radial_moment_residuals,
@@ -157,6 +163,79 @@ def test_singular_pivot_names_its_row_through_the_permutation():
                                row_labels=("a", "b", "c"))
     with pytest.raises(SingularSystemError, match=r"column 2 \(constraint 'a'\)"):
         solve_dense(system)
+
+
+# pivots 1e-14 of their row's scale: LAPACK alone (numpy.linalg.solve) accepts both
+@pytest.mark.parametrize("mat", [
+    [[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+    [[3e6, 3e6], [2.0, 2.0 + 2e-14]],  # the threshold is relative to the row, not the matrix
+], ids=["unit-rows", "scaled-rows"])
+def test_tiny_equilibrated_pivot_is_singular(mat):
+    mat = np.array(mat)
+    assert np.all(np.isfinite(np.linalg.solve(mat, np.ones(2))))
+    system = DenseLinearSystem(matrix=mat, rhs=np.ones(2), condition_estimate=np.inf,
+                               row_labels=("mass", "tiny"))
+    with pytest.raises(SingularSystemError,
+                       match=r"^singular moment system: pivot \S+ at column 1 "
+                             r"\(constraint 'tiny'\)$"):
+        solve_dense(system)
+
+
+def test_pivot_check_matches_getrf():
+    # the check repeats getrf's elimination; both must stop at the same column, and,
+    # unless the candidates there are all rounding noise, name the same row
+    from scipy.linalg.lapack import dgetrf
+
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        noise_tie = n > 2 and trial % 3 == 2
+        if n > 2 and trial % 3 == 1:  # one row a combination of two others
+            i, j, k = rng.choice(n, 3, replace=False)
+            a[k] = rng.uniform(-2, 2) * a[i] + rng.uniform(-2, 2) * a[j]
+        elif noise_tie:  # one column a multiple of an earlier one
+            i, k = sorted(rng.choice(n, 2, replace=False))
+            a[:, k] = rng.uniform(-2, 2) * a[:, i]
+        a /= np.max(np.abs(a), axis=1)[:, None]
+        lu, piv, _ = dgetrf(a)
+        small = np.flatnonzero(np.abs(np.diag(lu)) < 1e-13)
+        got = _first_small_pivot(a.tolist())
+        assert (got is None) == (small.size == 0)
+        if got is None:
+            continue
+        col, perm = int(small[0]), list(range(n))
+        for i, p in enumerate(piv[: col + 1]):  # getrf swaps row i with row p, in order
+            perm[i], perm[p] = perm[p], perm[i]
+        assert got[0] == col and abs(got[2]) < 1e-13
+        assert noise_tie or got[1] == perm[col]
+
+
+def test_pivot_above_threshold_solves():
+    # equilibrated pivot about 1e-12, ten times the threshold
+    mat = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    system = DenseLinearSystem(matrix=mat, rhs=np.array([1.0, 2.0]), condition_estimate=np.inf)
+    x1 = 1.0 / (mat[1, 1] - 1.0)
+    assert solve_dense(system) == pytest.approx([1.0 - x1, x1], rel=1e-6)
+
+
+def test_package_imports_and_solves_without_scipy():
+    # scipy serves only the 2D studies (Bessel functions, the Sobolev spline); the
+    # package, its CLI and the moment solve must not load it
+    code = (
+        "import sys, deltareg, deltareg.cli\n"
+        "from deltareg.moments import BasisFamily, BasisKind, MomentProblemSpec, "
+        "solve_moment_problem\n"
+        "solve_moment_problem(MomentProblemSpec(dim=2, moments=2, degree=3, "
+        "basis=BasisFamily(BasisKind.SHIFTED_LEGENDRE, 3), boundary_smoothness=1))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(deltareg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

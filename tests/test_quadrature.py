@@ -12,7 +12,6 @@ from deltareg.quadrature import (
     _weak_star_once,
     convergence_slope,
     gauss_legendre,
-    integrate_1d,
     integrate_panels,
     weak_star_error,
 )
@@ -60,20 +59,21 @@ def test_newton_residual(order):
 
 
 def test_integrate_polynomial():
-    val = integrate_1d(lambda x: x**2, 0.0, 1.0, gauss_legendre(3), panels=1)
+    val = integrate_panels(lambda x: x**2, [0.0, 1.0], gauss_legendre(3))
     assert val == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_integrate_gaussian_against_high_order_oracle():
     # oracle: single-panel order-64 rule
-    oracle = integrate_1d(lambda x: np.exp(-(x**2)), -1.0, 1.0, gauss_legendre(64))
+    oracle = integrate_panels(lambda x: np.exp(-(x**2)), [-1.0, 1.0], gauss_legendre(64))
     assert oracle == pytest.approx(1.4936482656, abs=1e-9)
-    val = integrate_1d(lambda x: np.exp(-(x**2)), -1.0, 1.0, gauss_legendre(20), panels=4)
+    val = integrate_panels(lambda x: np.exp(-(x**2)), np.linspace(-1.0, 1.0, 5),
+                           gauss_legendre(20))
     assert val == pytest.approx(oracle, abs=1e-14)
 
 
 def test_integrate_abs_kink_on_panel_boundary():
-    val = integrate_1d(np.abs, -1.0, 1.0, gauss_legendre(10), panels=2)
+    val = integrate_panels(np.abs, [-1.0, 0.0, 1.0], gauss_legendre(10))
     assert val == pytest.approx(1.0, abs=1e-15)
 
 
@@ -106,11 +106,6 @@ def test_integrate_panels_matches_panel_by_panel_sum(order, edges):
     got = integrate_panels(f, edges, rule)
     assert got == _integrate_panel_by_panel(f, np.asarray(edges), rule)
     assert calls[0] == (order * int(np.count_nonzero(np.diff(edges) > 0)),)
-
-
-def test_integrate_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        integrate_1d(np.abs, 1.0, -1.0, gauss_legendre(4))
 
 
 def test_weak_star_box_kernel_against_direct_oracle():

@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--H")
     ps.add_argument("--alpha")
     ps.add_argument("--k0", type=float)
-    ps.add_argument("--nodes")
     _add_common(ps)
     ps.set_defaults(fn=_cmd_study_flags)
 

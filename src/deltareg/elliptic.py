@@ -1,18 +1,23 @@
 """Helmholtz point-source benchmarks: exact solutions, near-exact regularized solves,
-deleted-neighborhood sup error, and weighted-Sobolev error."""
+deleted-neighborhood sup error, and weighted-Sobolev error.
+
+The solves convolve the Green's function in separable form, exact to quadrature at any
+nodes: the radial 2D one on a mesh (the pointwise error's grid) or at given radii. The
+weighted-Sobolev norm solves at its own Gauss radii and interpolates no profile.
+"""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import bessel
 from .kernels import RegularizedDelta
-from .quadrature import QuadratureError, gauss_legendre, integrate_panels
+from .quadrature import QuadratureError, gauss_legendre
 
 __all__ = [
     "ResonanceError",
@@ -82,7 +87,7 @@ class Helmholtz1D:
 class RadialHelmholtz2D:
     kernel: RegularizedDelta
     k0: float = 10.0
-    n_cells: int = 20480  # radial mesh cells; the solve returns r = h .. 1, h = 1 / n_cells
+    n_cells: int = 20480  # cells of the mesh solve, which returns r = h .. 1, h = 1 / n_cells
 
     def __post_init__(self):
         if abs(bessel.j0(self.k0)) < 1e-8:
@@ -92,23 +97,22 @@ class RadialHelmholtz2D:
         if self.kernel.support_radius >= 1.0:
             raise ValueError("kernel support must lie inside the unit disk")
         # the solve is exact to quadrature on any mesh, but the mesh is also the grid
-        # of the pointwise error and of the Sobolev norm's spline and its a/r + c r
-        # model on (0, h), which need this resolution
+        # on which the pointwise table takes the sup of |u - u_H|; near a maximum that
+        # grid sup is short of the true sup by up to (k0 h)^2 / 8 relative, 3e-8 at
+        # 2e4 cells and k0 = 10. The weighted-Sobolev norm does not use the mesh.
         if self.n_cells < 2 * 10**4:
             raise ValueError("radial mesh needs at least 2e4 cells")
 
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
-    """Gradient norm weight |x|^(2 alpha); alpha admissible in (n/2 - 1, n/2)."""
+    """Gradient norm weight |x|^(2 alpha) on the disk; alpha admissible in (0, 1)."""
 
     alpha: float
-    dim: int = 2
 
     def __post_init__(self):
-        lo, hi = self.dim / 2 - 1, self.dim / 2
-        if not lo < self.alpha < hi:
-            raise ValueError(f"alpha must lie in ({lo}, {hi}) for dimension {self.dim}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1) for the disk")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +290,13 @@ def _ring_factors(r, k0: float):
     return a, bessel.y0(k0 * r) - (bessel.y0(k0) / bessel.j0(k0)) * a
 
 
+def _ring_node_factors(r, k0: float) -> tuple:
+    """a, b, a' and b' at the radii r."""
+    a, b = _ring_factors(r, k0)
+    j1 = bessel.j1(k0 * r)
+    return a, b, -k0 * j1, k0 * (bessel.y0(k0) / bessel.j0(k0) * j1 - bessel.y1(k0 * r))
+
+
 def _ring_weights(s, w, k0: float) -> np.ndarray:
     """a and b times the Gauss weight w and 2 pi s at the points s, as (2, *s.shape)."""
     return 2.0 * np.pi * s * w * np.stack(_ring_factors(s, k0))
@@ -298,11 +309,8 @@ def _ring_tables(n: int, k0: float) -> tuple[tuple, dict]:
     per Gauss order on the first cells, (2, cells, order), which `_convolve_ring`
     grows to the largest support seen.
     """
-    r = radial_grid(n)[1:]
-    a, b = _ring_factors(r, k0)
-    b[-1] = 0.0
-    j1 = bessel.j1(k0 * r)
-    nodes = (a, b, -k0 * j1, k0 * (bessel.y0(k0) / bessel.j0(k0) * j1 - bessel.y1(k0 * r)))
+    nodes = _ring_node_factors(radial_grid(n)[1:], k0)
+    nodes[1][-1] = 0.0
     for x in nodes:
         x.setflags(write=False)
     return nodes, {}
@@ -340,25 +348,50 @@ def _convolve_ring(n: int, delta: RegularizedDelta, k0: float,
                                   (a, b, da, db), 0.25)
 
 
-def solve_regularized_2d_radial(problem: RadialHelmholtz2D) -> SolutionProfile:
+def _convolve_ring_at(rs: np.ndarray, delta: RegularizedDelta, k0: float,
+                      order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and r-derivatives of the convolution at the ascending radii rs.
+
+    The panels are the kernel's breakpoint intervals cut at every radius strictly
+    inside the support, as in `_convolve_greens`, so no panel holds a node in its
+    interior and `_separable_convolution` sums one Gauss rule's moments for all nodes.
+    """
+    pos = np.asarray(delta.breakpoints_physical())  # holds 0
+    edges = np.unique(np.concatenate([pos, rs[rs < delta.support_radius]]))
+    s, w = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
+    am, bm = np.einsum("kij,ij->ki", _ring_weights(s, w, k0), delta.eval_radial(s))
+    return _separable_convolution(np.searchsorted(edges, rs, "right") - 1, am, bm,
+                                  _ring_node_factors(rs, k0), 0.25)
+
+
+def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
+                                nodes: np.ndarray | None = None) -> SolutionProfile:
     """Regularized radial point-source solve by separable ring-kernel convolution.
 
     The angular mean of the unit disk's Dirichlet Green's function is
     G(r, s) = -a(min(r, s)) b(max(r, s)) / 4, a = J0(k0 .) and
     b = Y0(k0 .) - (Y0(k0) / J0(k0)) J0(k0 .) (Graf's addition theorem, DLMF 10.23.8;
-    Watson, Treatise on Bessel Functions, 11.3), so `_convolve_ring` gives u_H and
-    u_H' as 1D integrals; the source sign makes exact_point_solution_2d_radial the
-    small-support limit. The profile is on the mesh nodes r = h .. 1 and leaves out
-    r = 0, where b and the point solution that u_H is compared against are singular.
-    `_accept_by_doubling` runs the passes from 8 Gauss points per panel up.
+    Watson, Treatise on Bessel Functions, 11.3), so u_H and u_H' are 1D integrals;
+    the source sign makes exact_point_solution_2d_radial the small-support limit.
+    Without `nodes` the profile is on the mesh nodes r = h .. 1 (`_convolve_ring`,
+    with ring weights cached per mesh); with them, on those ascending radii in (0, 1]
+    (`_convolve_ring_at`). Both leave out r = 0, where b and the point solution that
+    u_H is compared against are singular. `_accept_by_doubling` runs the passes from
+    8 Gauss points per panel up.
     """
-    n, k0 = problem.n_cells, problem.k0
-    vals, derivs, check = _accept_by_doubling(
-        lambda o: _convolve_ring(n, problem.kernel, k0, o), dim=2)
+    k0, delta = problem.k0, problem.kernel
+    if nodes is None:
+        n = problem.n_cells
+        nodes, grid = radial_grid(n)[1:], dict(n_cells=n)
+        convolve = partial(_convolve_ring, n, delta, k0)
+    else:
+        nodes, grid = _radial_point_args(nodes, k0)[0], {}
+        convolve = partial(_convolve_ring_at, nodes, delta, k0)
+    vals, derivs, check = _accept_by_doubling(convolve, dim=2)
     profile = SolutionProfile(
-        nodes=radial_grid(n)[1:], values=vals, derivs=derivs,
-        metadata=dict(dim=2, k0=k0, H=problem.kernel.half_widths[0],
-                      kernel=problem.kernel.name, n_cells=n, **check),
+        nodes=nodes, values=vals, derivs=derivs,
+        metadata=dict(dim=2, k0=k0, H=delta.half_widths[0], kernel=delta.name,
+                      **grid, **check),
     )
     profile.check_boundary()
     return profile
@@ -387,79 +420,53 @@ def pointwise_error(u_exact: SolutionProfile, u_reg: SolutionProfile, cutoff: fl
     return float(np.max(np.abs(u_exact.values[outside] - u_reg.values[outside])))
 
 
-def _sobolev_2d_radial(rs, diff, spline, alphas, support_edge) -> list[float]:
-    """2 pi * integral of diff(r)^2 r^(2 alpha + 1) per alpha, with a singular model on (0, r1).
-
-    `spline` interpolates diff; it, the model and the panels serve every alpha.
-    """
-    r1, r2 = rs[0], rs[1]
-    # model diff(r) = a/r + c r on the unresolved sliver next to the origin
-    c = (diff[1] * r2 - diff[0] * r1) / (r2 * r2 - r1 * r1)
-    a = diff[0] * r1 - c * r1 * r1
-    # geometric panels from r1 up to the kernel edge, then uniform panels to 1
-    edges = [r1]
-    while edges[-1] < min(support_edge, 1.0) * 0.999:
-        edges.append(min(edges[-1] * 2.0, min(support_edge, 1.0)))
-    tail_start = edges[-1]
-    n_tail = 48
-    edges.extend(np.linspace(tail_start, 1.0, n_tail + 1)[1:])
-    edges = np.asarray(edges)
-    rule = gauss_legendre(12)
-    out = []
-    for alpha in alphas:
-        ta = 2 * alpha
-        sliver = (a * a * r1**ta / ta
-                  + 2 * a * c * r1**(ta + 2) / (ta + 2)
-                  + c * c * r1**(ta + 4) / (ta + 4))
-        integral = integrate_panels(lambda r: spline(r) ** 2 * r**(ta + 1), edges, rule)
-        out.append(2.0 * np.pi * (sliver + integral))
-    return out
+# the norm's panels: Gauss rules of this order and twice it, geometric levels graded
+# toward r = 0 below the support edge, and the widest panel toward r = 1
+_SOBOLEV_ORDER = 10
+_SOBOLEV_LEVELS = 24
+_SOBOLEV_WIDTH = 0.125
 
 
-def _sobolev_1d(xs, spline, alphas) -> list[float]:
-    """Integral of diff(x)^2 |x|^(2 alpha) over [xs[0], xs[-1]] per alpha; `spline` is diff.
-
-    Each side of x = 0 takes 128 uniform panels, the innermost cut by 40 halvings
-    toward the weight's singularity at 0; the sliver left around 0 takes diff(0).
-    """
-    if not xs[0] < 0.0 < xs[-1]:
-        raise ValueError("1D weighted norm needs nodes on both sides of x = 0")
-    unit = np.concatenate([2.0 ** np.arange(-40, 0), np.arange(1, 129)]) / 128
-    rule = gauss_legendre(12)
-    out = []
-    for p in 2 * np.asarray(alphas):
-        sliver = ((-xs[0] * unit[0]) ** (p + 1) + (xs[-1] * unit[0]) ** (p + 1)) / (p + 1)
-        panels = sum(integrate_panels(lambda x: spline(x) ** 2 * np.abs(x) ** p, edges, rule)
-                     for edges in (xs[0] * unit[::-1], xs[-1] * unit))
-        out.append(float(spline(0.0)) ** 2 * sliver + panels)
-    return out
+def _sobolev_edges(delta: RegularizedDelta) -> np.ndarray:
+    """Panel edges on [r0, 1], r0 = R 2^-levels for the support radius R: the edges
+    R 2^j below 1, the kernel breakpoints and the multiples of the widest panel."""
+    R = delta.support_radius
+    geometric = R * 2.0 ** np.arange(-_SOBOLEV_LEVELS, math.ceil(-math.log2(R)))
+    uniform = np.arange(1, round(1.0 / _SOBOLEV_WIDTH) + 1) * _SOBOLEV_WIDTH
+    edges = np.unique(np.concatenate([geometric, uniform, delta.breakpoints_physical()]))
+    return edges[(edges >= geometric[0]) & (edges <= 1.0)]
 
 
-def weighted_sobolev_error(u_exact: SolutionProfile, u_reg: SolutionProfile,
+def weighted_sobolev_error(problem: RadialHelmholtz2D,
                            wspecs: Sequence[WeightedNormSpec]) -> list[float]:
-    """Weighted H1-seminorm errors (integral of |grad(u - u_H)|^2 |x|^(2 alpha))^(1/2),
-    one for each WeightedNormSpec in the sequence `wspecs`.
+    """Weighted H1-seminorm errors (integral of |grad(u - u_H)|^2 |x|^(2 alpha))^(1/2)
+    of the radial solve on the unit disk, one for each WeightedNormSpec in `wspecs`.
 
-    The 2D radial form is 2 pi * integral (u' - u_H')^2 r^(2 alpha + 1) dr with the
-    integrable derivative singularity at the origin handled by a fitted a/r + c r
-    model on the first mesh cell and graded panels beyond it; 1D applies |x|^(2 alpha)
-    inside the integrand, graded toward 0. One spline of u' - u_H' serves every weight.
+    The radial form is 2 pi * integral of (u' - u_H')^2 r^(2 alpha + 1) dr over (0, 1].
+    On [r0, 1] it takes Gauss rules of q and 2q points on the panels of
+    `_sobolev_edges`, with u_H' at both rules' radii from one
+    `solve_regularized_2d_radial` call and u' in closed form. On (0, r0) it takes
+    u' - u_H' = -1/(2 pi r), whose next term is O(r log r), in closed form:
+    r0^(2 alpha) / (4 pi alpha). The 2q values are returned once they agree with the
+    q values to 1e-10 relative; otherwise QuadratureError is raised.
     """
-    # imported here, as `bessel` imports scipy.special, so that importing the package
-    # loads no scipy; about 0.3 s to import even after scipy.special
-    from scipy.interpolate import CubicSpline
-
-    _common_mask(u_exact, u_reg)
-    if u_exact.derivs is None or u_reg.derivs is None:
-        raise ValueError("derivative values required")
-    diff = u_exact.derivs - u_reg.derivs
-    rs = u_exact.nodes
-    if any(wspec.dim != u_exact.dim for wspec in wspecs):
-        raise ValueError("weight dimension does not match profiles")
-    alphas = [wspec.alpha for wspec in wspecs]
-    if u_exact.dim == 2:
-        support_edge = float(u_reg.metadata.get("H", 0.0)) or rs[-1]
-        squares = _sobolev_2d_radial(rs, diff, CubicSpline(rs, diff), alphas, support_edge)
-    else:
-        squares = _sobolev_1d(rs, CubicSpline(rs, diff), alphas)
-    return [math.sqrt(v) for v in squares]
+    edges = _sobolev_edges(problem.kernel)
+    rules = [gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
+             for order in (_SOBOLEV_ORDER, 2 * _SOBOLEV_ORDER)]
+    radii, where = np.unique(np.concatenate([r.ravel() for r, _ in rules]),
+                             return_inverse=True)
+    u_reg = solve_regularized_2d_radial(problem, nodes=radii)
+    diff = exact_point_solution_2d_radial_deriv(radii, problem.k0) - u_reg.derivs
+    # each rule's radii, weights and (u' - u_H')^2, in the rule's order
+    samples = [(r.ravel(), w.ravel(), diff[i] ** 2)
+               for (r, w), i in zip(rules, np.split(where, [rules[0][0].size]))]
+    out = []
+    for wspec in wspecs:
+        ta = 2.0 * wspec.alpha
+        coarse, fine = (math.sqrt(edges[0] ** ta / (4.0 * math.pi * wspec.alpha)
+                                  + 2.0 * math.pi * float(np.sum(w * d2 * r ** (ta + 1))))
+                        for r, w, d2 in samples)
+        if abs(fine - coarse) > 1e-10 * fine:
+            raise QuadratureError("weighted-Sobolev norm failed the order-doubling check")
+        out.append(fine)
+    return out

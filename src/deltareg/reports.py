@@ -279,15 +279,6 @@ def _map_rows(fn, items, workers: int = 4):
         return list(pool.map(fn, items))
 
 
-def _exact_2d(k0: float, n_cells: int):
-    """The exact profile on the 2D solve's grid r = h .. 1, built on the first call and shared.
-
-    The units call it after their solves, so an invalid mesh fails in the solve first;
-    a call that raises caches nothing and the next unit raises again.
-    """
-    return cache(lambda: elliptic.exact_profile_2d(elliptic.radial_grid(n_cells)[1:], k0))
-
-
 # ---------------------------------------------------------------------------
 # studies: each yields (key columns, function returning the unit's rows)
 # ---------------------------------------------------------------------------
@@ -352,7 +343,9 @@ def _helmholtz(opts: dict, dim: int):
             return _map_rows(one, Hs)
     else:
         n_cells = int(opts["nodes"])
-        exact = _exact_2d(k0, n_cells)
+        # the exact profile on the solve's grid r = h .. 1, built on the first call and
+        # shared; the units call it after their solves, so an invalid mesh fails there
+        exact = cache(lambda: elliptic.exact_profile_2d(elliptic.radial_grid(n_cells)[1:], k0))
 
         def errors(make):
             profiles = [elliptic.solve_regularized_2d_radial(
@@ -389,16 +382,13 @@ def _sobolev(opts: dict):
     Hs = parse_h_schedule(opts["H"])
     alphas = _float_list(opts["alpha"])
     k0 = float(opts["k0"])
-    n_cells = int(opts["nodes"])
     tol = float(opts["tolerance"])
-    exact = _exact_2d(k0, n_cells)
+    wspecs = [elliptic.WeightedNormSpec(alpha=alpha) for alpha in alphas]
 
     def kernel_rows(name):
         make, entry, dim = _resolve_kernel(name)
-        profiles = [elliptic.solve_regularized_2d_radial(
-            elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0, n_cells=n_cells)) for H in Hs]
-        wspecs = [elliptic.WeightedNormSpec(alpha=alpha) for alpha in alphas]
-        per_H = [elliptic.weighted_sobolev_error(exact(), u_reg, wspecs) for u_reg in profiles]
+        per_H = [elliptic.weighted_sobolev_error(
+            elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0), wspecs) for H in Hs]
         rows = []
         for alpha, Es in zip(alphas, zip(*per_H)):
             ratios = _ratios(convergence_slope(Hs, Es))
@@ -502,7 +492,7 @@ STUDIES = {
     "helmholtz2d_sobolev": _Study(
         _sobolev, ("alpha", "kernel", "H", "E", "R", "target_R"),
         {"kernels": ..., "H": "2^-2..2^-8", "k0": "10", "alpha": "0.25,0.5,0.9",
-         "nodes": "20480", "tolerance": "0.05"}),
+         "tolerance": "0.05"}),
     "advect": _Study(
         _advect, ("kernel", "H", "max_error", "amp_drift", "phase_dev"),
         {"kernels": ..., "H": "0.5", "N": "1024", "T": "36pi", "amp_tolerance": "1e-9",

@@ -1,10 +1,17 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
+from scipy import special
 
 from deltareg.cli import _COMMAND_FLAGS, build_parser, main
+from deltareg.kernels import catalog_lookup
+from deltareg.quadrature import gauss_legendre, integrate_panels
 from deltareg.reports import STUDIES
+
+from test_elliptic import sobolev_oracle
 
 # rows each table emits; weakstar-2d adds two parity rows, helm2d-sobolev one set per alpha
 GATED_TABLES = {"weakstar-1d": 50, "weakstar-2d": 22, "helm1d": 20, "helm2d": 15,
@@ -309,3 +316,74 @@ def test_helm1d_table_cells(tables):
         "", "3.93706026004", "3.98432575522", "3.9960851936",
         "", "1.82492477297", "1.95582141272", "1.98893142855",
         "", "3.83190345601", "3.95792912924", "3.98947988332"]
+
+
+# closed-form oracles of the Helmholtz tables; k0, cutoff and grids are those of the
+# shipped helm1d, helm2d and helm2d-sobolev configs
+K0, CUTOFF = 10.0, 0.25
+
+
+def _helm1d_oracle(name, H, grid_points=4001):
+    """E of a helm1d cell: beyond the support, u - u_H = -b(x) (a(0) - <delta_H, a>) / D,
+    a(t) = sin(k0 (1 + t) / 2), b(t) = sin(k0 (1 - |t|) / 2), D = k0 sin k0. The even
+    kernel of mass 1 sees a(0) - (a(y) + a(-y)) / 2 = 2 sin(k0 / 2) sin^2(k0 y / 4)
+    inside the integrand; a(0) - <delta_H, a> itself would cancel to 1e-8."""
+    delta = catalog_lookup(name)(H)
+    gap = 2.0 * integrate_panels(
+        lambda y: delta.eval(y) * 2.0 * math.sin(K0 / 2) * np.sin(K0 * y / 4) ** 2,
+        delta.breakpoints_physical(), gauss_legendre(40))
+    x = np.abs(np.linspace(-1.0, 1.0, grid_points))
+    x = x[(x > CUTOFF) & (x >= delta.support_radius)]
+    return abs(gap) * np.max(np.abs(np.sin(K0 * (1.0 - x) / 2))) / abs(K0 * math.sin(K0))
+
+
+def _helm2d_oracle(name, H, n_cells=20480):
+    """E of a helm2d cell: beyond the support, u - u_H = -b(r) (1 - m_H) / 4, with
+    m_H = <delta_H, J0(k0 .)> and b = Y0(k0 .) - (Y0(k0) / J0(k0)) J0(k0 .). 1 - m_H
+    keeps the kernel's mass deficit, which the solve sees too: eta_2_3_2d has mass
+    1 - 2.4e-14 at every Gauss order, 2e-8 of 1 - m_H at H = 2^-6."""
+    delta = catalog_lookup(name)(H)
+    m_H = integrate_panels(
+        lambda s: delta.eval_radial(s) * special.j0(K0 * s) * 2.0 * np.pi * s,
+        delta.breakpoints_physical(), gauss_legendre(40))
+    r = np.arange(1, n_cells + 1) / n_cells
+    r = r[(r > CUTOFF) & (r >= delta.support_radius)]
+    b = special.y0(K0 * r) - special.y0(K0) / special.j0(K0) * special.j0(K0 * r)
+    return abs(1.0 - m_H) * np.max(np.abs(b)) / 4.0
+
+
+def _check_cells(rows, oracle, rel, key=("kernel",)):
+    """Every E cell against oracle(row) to rel, and every R cell against the R of the
+    oracle's E values, to the 3 rel that two E values within rel allow."""
+    runs = {}
+    for row in rows:
+        runs.setdefault(tuple(row[k] for k in key), []).append(row)
+    for run in runs.values():
+        Es = [oracle(row) for row in run]
+        assert [float(row["E"]) for row in run] == pytest.approx(Es, rel=rel, abs=0.0)
+        assert run[0]["R"] == ""
+        Rs = [math.log2(e0 / e1) for e0, e1 in zip(Es, Es[1:])]
+        assert [float(row["R"]) for row in run[1:]] == pytest.approx(Rs, rel=0.0, abs=3 * rel)
+
+
+def test_helm1d_cells_match_the_closed_form(tables):
+    _check_cells(tables["helm1d"][1],
+                 lambda row: _helm1d_oracle(row["kernel"], float(row["H"])), 1e-8)
+
+
+def test_helm2d_cells_match_the_closed_form(tables):
+    _check_cells(tables["helm2d"][1],
+                 lambda row: _helm2d_oracle(row["kernel"], float(row["H"])), 1e-8)
+
+
+def test_helm2d_sobolev_cells_match_the_nested_gauss_norm(tables):
+    alphas = (0.25, 0.5, 0.9)
+    norms = {}
+
+    def oracle(row):
+        unit = row["kernel"], float(row["H"])
+        if unit not in norms:
+            norms[unit] = sobolev_oracle(catalog_lookup(unit[0])(unit[1]), alphas)
+        return norms[unit][alphas.index(float(row["alpha"]))]
+
+    _check_cells(tables["helm2d-sobolev"][1], oracle, 1e-10, key=("alpha", "kernel"))

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import special
 
 from deltareg import elliptic
 from deltareg.cli import main
@@ -19,7 +20,6 @@ from deltareg.elliptic import (
     exact_point_solution_2d_radial,
     exact_point_solution_2d_radial_deriv,
     exact_profile_1d,
-    exact_profile_2d,
     greens_function_1d,
     pointwise_error,
     solve_regularized_1d,
@@ -325,6 +325,41 @@ def test_2d_derivative_inside_the_support_matches_centred_differences(name):
     assert np.max(np.abs(e1 - (e2 - e1) / 3)) <= 1e-11
 
 
+@pytest.mark.parametrize("name, H", [("eta_0_1_2d", 0.25), ("eta_2_3_2d", 0.125),
+                                     ("eta_2_3_2d", 1 / 3), ("eta_1_2_2d", 2.0**-8)])
+def test_2d_node_solve_outside_the_support_is_the_weak_star_error(name, H):
+    # for r >= H, u' - u_H' = -b'(r) (1 - m_H) / 4, the point derivative times 1 - m_H;
+    # u' - u_H' is a difference of two values of size |u'|, which bounds its rounding
+    delta = catalog_lookup(name)(H)
+    radii = np.unique(np.concatenate([np.geomspace(1e-6, H, 20), np.linspace(H, 1.0, 41)]))
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta), nodes=radii)
+    assert np.array_equal(profile.nodes, radii) and "n_cells" not in profile.metadata
+    outside = radii >= H
+    du = exact_point_solution_2d_radial_deriv(radii[outside], K0)
+    expected = -_ring_factor_derivs(radii[outside])[1] * (1.0 - _source_moment(delta)) / 4.0
+    error = np.abs(du - profile.derivs[outside] - expected)
+    assert np.max(error) <= 1e-12 * np.max(np.abs(expected)) + 2e-14 * np.max(np.abs(du))
+
+
+@pytest.mark.parametrize("name, H", [("eta_2_3_2d", 0.125), ("eta_0_1_2d", 1 / 3),
+                                     ("eta_2_cos_2d", 2.0**-8), ("eta_1_2_2d", 1e-5)])
+def test_2d_node_solve_at_the_mesh_radii_matches_the_mesh_solve(name, H):
+    problem = RadialHelmholtz2D(kernel=catalog_lookup(name)(H))
+    mesh = solve_regularized_2d_radial(problem)
+    nodes = solve_regularized_2d_radial(problem, nodes=mesh.nodes)
+    scale = np.max(np.abs(mesh.values))
+    assert np.max(np.abs(nodes.values - mesh.values)) <= 1e-13 * scale
+    assert np.max(np.abs(nodes.derivs - mesh.derivs)) <= 1e-13 * np.max(np.abs(mesh.derivs))
+    assert nodes.values[-1] == pytest.approx(0.0, abs=1e-13 * scale)
+
+
+def test_2d_node_solve_rejects_radii_outside_the_disk():
+    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
+    for radii in ([0.0, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError):
+            solve_regularized_2d_radial(problem, nodes=np.array(radii))
+
+
 def test_2d_solve_reports_mesh_order_and_doubling_delta():
     delta = catalog_lookup("eta_2_3_2d")(0.125)
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
@@ -469,12 +504,6 @@ def test_1d_one_moment_ratio_saturates_near_two():
     assert math.log2(errs[0] / errs[1]) == pytest.approx(1.9924, abs=0.05)
 
 
-def test_weighted_sobolev_error_identical_profiles():
-    profile = solve_regularized_2d_radial(
-        RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)))
-    assert weighted_sobolev_error(profile, profile, [WeightedNormSpec(alpha=0.5)]) == [0.0]
-
-
 def test_weighted_sobolev_alpha_validation():
     with pytest.raises(ValueError):
         WeightedNormSpec(alpha=0.0)
@@ -483,64 +512,86 @@ def test_weighted_sobolev_alpha_validation():
     WeightedNormSpec(alpha=0.25)  # admissible for the disk
 
 
-def test_weighted_sobolev_requires_derivatives():
-    nodes = np.linspace(0.01, 1.0, 50)
-    prof = SolutionProfile(nodes=nodes, values=np.zeros(50), derivs=None,
-                           metadata=dict(dim=2))
-    with pytest.raises(ValueError):
-        weighted_sobolev_error(prof, prof, [WeightedNormSpec(alpha=0.5)])
+def _ring_factor_derivs(r, k0=K0):
+    """a' and b' of a = J0(k0 r), b = Y0(k0 r) - (Y0(k0) / J0(k0)) J0(k0 r)."""
+    c = special.y0(k0) / special.j0(k0)
+    return -k0 * special.j1(k0 * r), k0 * (c * special.j1(k0 * r) - special.y1(k0 * r))
+
+
+def sobolev_oracle(delta, alphas, k0=K0, order=16, levels=30):
+    """Weighted-Sobolev errors of the radial solve by nested Gauss rules, no solver helper.
+
+    For r < H, u' - u_H' = -(b'(r) (1 - IL(r)) - a'(r) IR(r)) / 4 with the partial
+    moments IL(r) of a delta 2 pi s on (0, r) and IR(r) of b delta 2 pi s on (r, H):
+    the whole panels' moments plus a rule mapped onto (panel start, r) for each node.
+    For r >= H it is -b'(r) (1 - IL(H)) / 4. The panels halve from H toward 0, grow
+    by 1.5 from H toward 1, at most 1/16 wide; (0, r0) takes the -1/(2 pi r) term.
+    Only kernels with no breakpoint inside (0, H) are resolved.
+    """
+    H = delta.support_radius
+    c = special.y0(k0) / special.j0(k0)
+    rule = gauss_legendre(order)
+
+    def moments(s, w):
+        g = w * delta.eval_radial(s) * 2.0 * np.pi * s
+        a = special.j0(k0 * s)
+        return np.sum(a * g, axis=-1), np.sum((special.y0(k0 * s) - c * a) * g, axis=-1)
+
+    inner = np.concatenate([[0.0], H * 2.0 ** np.arange(-levels, 1.0)])
+    x, w = rule.mapped(inner[:-1, None], inner[1:, None])
+    whole_a, whole_b = moments(x, w)
+    part_a, part_b = moments(*rule.mapped(inner[:-1, None, None], x[:, :, None]))
+    il = np.concatenate([[0.0], np.cumsum(whole_a)[:-1]])[:, None] + part_a
+    ir = np.cumsum(whole_b[::-1])[::-1][:, None] - part_b
+    da, db = _ring_factor_derivs(x, k0)
+    d_in = -(db * (1.0 - il) - da * ir) / 4.0
+    grown = H * 1.5 ** np.arange(0, math.ceil(math.log(1.0 / H, 1.5)))
+    outer = np.unique(np.concatenate([grown, np.arange(1, 17) / 16.0]))
+    y, v = rule.mapped(outer[outer >= H][:-1, None], outer[outer >= H][1:, None])
+    d_out = -_ring_factor_derivs(y, k0)[1] * (1.0 - np.sum(whole_a)) / 4.0
+    out = []
+    for alpha in alphas:
+        p = 2.0 * alpha + 1.0
+        panels = np.sum((w * d_in**2 * x**p)[1:]) + np.sum(v * d_out**2 * y**p)
+        out.append(math.sqrt(inner[1] ** (2.0 * alpha) / (4.0 * np.pi * alpha)
+                             + 2.0 * np.pi * panels))
+    return out
+
+
+@pytest.mark.parametrize("name, H", [("eta_0_1_2d", 0.25), ("eta_2_3_2d", 0.125),
+                                     ("eta_1_2_2d", 2.0**-8), ("eta_2_cos_2d", 1 / 3)])
+def test_weighted_sobolev_error_matches_nested_gauss(name, H):
+    delta = catalog_lookup(name)(H)
+    alphas = (0.25, 0.5, 0.9)
+    got = weighted_sobolev_error(RadialHelmholtz2D(kernel=delta),
+                                 [WeightedNormSpec(alpha=alpha) for alpha in alphas])
+    assert got == pytest.approx(sobolev_oracle(delta, alphas), rel=1e-10)
+
+
+def test_weighted_sobolev_error_raises_when_order_doubling_fails(monkeypatch):
+    monkeypatch.setattr(elliptic, "_SOBOLEV_ORDER", 2)
+    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
+    with pytest.raises(QuadratureError, match="order-doubling"):
+        weighted_sobolev_error(problem, [WeightedNormSpec(alpha=0.5)])
 
 
 def test_sobolev_ratio_tracks_alpha_for_one_kernel():
     builder = catalog_lookup("eta_1_2_2d")
-    profiles = {}
-    for H in (1 / 64, 1 / 128, 1 / 256):
-        profiles[H] = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=builder(H)))
-    u_exact = exact_profile_2d(profiles[1 / 64].nodes, K0)
     alphas = (0.25, 0.9)
     wspecs = [WeightedNormSpec(alpha=alpha) for alpha in alphas]
-    per_H = [weighted_sobolev_error(u_exact, profiles[H], wspecs)
+    per_H = [weighted_sobolev_error(RadialHelmholtz2D(kernel=builder(H)), wspecs)
              for H in (1 / 64, 1 / 128, 1 / 256)]
     for alpha, es in zip(alphas, zip(*per_H)):
         final_ratio = math.log2(es[-2] / es[-1])
         assert final_ratio == pytest.approx(alpha, abs=0.05)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_sobolev_errors_for_several_alphas_match_one_at_a_time(dim):
-    if dim == 2:
-        u_exact = solve_regularized_2d_radial(
-            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.25)))
-        u_reg = solve_regularized_2d_radial(
-            RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.125)))
-        alphas = (0.25, 0.5, 0.9)
-    else:
-        nodes = np.linspace(-1.0, 1.0, 401)
-        u_exact = exact_profile_1d(nodes, K0)
-        u_reg = solve_regularized_1d(
-            Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0), nodes)
-        alphas = (0.0, 0.25, 0.45)
-    wspecs = [WeightedNormSpec(alpha=alpha, dim=dim) for alpha in alphas]
-    together = weighted_sobolev_error(u_exact, u_reg, wspecs)
-    assert together == [weighted_sobolev_error(u_exact, u_reg, [w])[0] for w in wspecs]
+def test_sobolev_errors_for_several_alphas_match_one_at_a_time():
+    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.125))
+    wspecs = [WeightedNormSpec(alpha=alpha) for alpha in (0.25, 0.5, 0.9)]
+    together = weighted_sobolev_error(problem, wspecs)
+    assert together == [weighted_sobolev_error(problem, [w])[0] for w in wspecs]
     assert all(e > 0.0 for e in together)
-
-
-@pytest.mark.parametrize("alpha", [-0.25, 0.25, 0.45])
-def test_1d_weighted_sobolev_of_a_constant_matches_closed_form(alpha):
-    # integral over [-1, 1] of |x|^(2 alpha) is 2 / (2 alpha + 1); the grid holds x = 0
-    nodes = np.linspace(-1.0, 1.0, 401)
-    one = SolutionProfile(nodes=nodes, values=np.zeros(401), derivs=np.ones(401))
-    zero = SolutionProfile(nodes=nodes, values=np.zeros(401), derivs=np.zeros(401))
-    [err] = weighted_sobolev_error(one, zero, [WeightedNormSpec(alpha=alpha, dim=1)])
-    assert err == pytest.approx(math.sqrt(2.0 / (2.0 * alpha + 1.0)), rel=1e-10)
-
-
-def test_1d_weighted_sobolev_needs_nodes_on_both_sides_of_zero():
-    nodes = np.linspace(0.0, 1.0, 101)
-    prof = SolutionProfile(nodes=nodes, values=np.zeros(101), derivs=np.ones(101))
-    with pytest.raises(ValueError, match="both sides"):
-        weighted_sobolev_error(prof, prof, [WeightedNormSpec(alpha=0.25, dim=1)])
 
 
 @pytest.mark.parametrize("dim, nodes", [(1, [-1.0, 0.0, 1.0]), (1, [-0.5, 0.0, 1.0]),

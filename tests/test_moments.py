@@ -220,8 +220,9 @@ def test_pivot_above_threshold_solves():
 
 
 def test_package_imports_and_solves_without_scipy():
-    # scipy serves only the 2D studies (Bessel functions, the Sobolev spline); the
-    # package, its CLI and the moment solve must not load it
+    # scipy serves only the 2D studies' Bessel functions (scipy.special); the package,
+    # its CLI and the moment solve must not load scipy, and the Sobolev study loads
+    # no more of it than scipy.special
     code = (
         "import sys, deltareg, deltareg.cli\n"
         "from deltareg.moments import BasisFamily, BasisKind, MomentProblemSpec, "
@@ -229,13 +230,18 @@ def test_package_imports_and_solves_without_scipy():
         "solve_moment_problem(MomentProblemSpec(dim=2, moments=2, degree=3, "
         "basis=BasisFamily(BasisKind.SHIFTED_LEGENDRE, 3), boundary_smoothness=1))\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from deltareg.reports import parse_config_text, run_study\n"
+        "report = run_study(parse_config_text('study = helmholtz2d_sobolev\\n"
+        "kernels = eta_2_3_2d\\nH = 2^-2..2^-3'))\n"
+        "assert not report.had_error and len(report.rows) == 6\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n"
     )
     src = str(Path(deltareg.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ deleted-neighborhood sup error, and weighted-Sobolev error.
 The solves convolve the Green's function in separable form, exact to quadrature at any
 nodes: the radial 2D one on a mesh (the pointwise error's grid) or at given radii. The
 weighted-Sobolev norm solves at its own Gauss radii and interpolates no profile.
+The Green's-function factors depend on the geometry alone, never on the kernel: the
+node solves memoize them by (k0, nodes) and (k0, Gauss order, panel edges), so doubling
+passes and kernels on one geometry share them; the mesh solve, by (cells, k0).
 """
 
 from __future__ import annotations
@@ -175,15 +178,14 @@ def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float,
     in its interior, where G has its kink; one Gauss rule over all of them gives the
     moments that `_separable_convolution` sums.
     """
-    half = 0.5 * k0
     pos = np.asarray(delta.breakpoints_physical())  # holds 0
     edges = np.unique(np.concatenate([-pos, pos, xs[np.abs(xs) < delta.support_radius]]))
     k = np.maximum(np.searchsorted(edges, xs, "right") - 1, 0)
     y, w = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
-    am, bm = np.sum(w * delta.eval(y) * np.sin([half * (1.0 + y), half * (1.0 - y)]), axis=2)
-    factors = (np.sin(half * (1.0 + xs)), np.sin(half * (1.0 - xs)),
-               half * np.cos(half * (1.0 + xs)), -half * np.cos(half * (1.0 - xs)))
-    return _separable_convolution(k, am, bm, factors, 1.0 / (k0 * math.sin(k0)))
+    (sines,) = _greens_factors(1, k0, order, edges.tobytes())
+    am, bm = np.sum(w * delta.eval(y) * sines, axis=2)
+    return _separable_convolution(k, am, bm, _greens_factors(1, k0, 0, xs.tobytes()),
+                                  1.0 / (k0 * math.sin(k0)))
 
 
 def _accept_by_doubling(convolve, dim: int):
@@ -210,7 +212,8 @@ def solve_regularized_1d(problem: Helmholtz1D,
 
     Each `_convolve_greens` pass gives values and derivatives; `_accept_by_doubling`
     runs the passes from 8 Gauss points per panel up and records `order` and
-    `doubling_delta`.
+    `doubling_delta`. The sines and cosines at the nodes and at each pass's Gauss
+    points come from `_greens_factors`, shared by every solve on the same geometry.
     """
     if nodes is None:
         nodes = np.linspace(-1.0, 1.0, 4001)
@@ -302,12 +305,36 @@ def _ring_weights(s, w, k0: float) -> np.ndarray:
     return 2.0 * np.pi * s * w * np.stack(_ring_factors(s, k0))
 
 
+@lru_cache(maxsize=32)
+def _greens_factors(dim: int, k0: float, order: int, points: bytes) -> tuple:
+    """Read-only Green's-function factors of the dim-D node solve, memoized by value.
+
+    With order 0, a, b, a' and b' at the nodes `points` (bytes), in 2D also the point
+    solution's u'; otherwise the table at that order's Gauss points on the panels with
+    edges `points`: sin(k0 (1 +- y) / 2) in 1D, `_ring_weights` in 2D. 32 entries hold
+    one study's geometries (the 1D table needs 17, the 2D Sobolev table 21).
+    """
+    x, half = np.frombuffer(points), 0.5 * k0
+    if order:
+        y, w = gauss_legendre(order).mapped(x[:-1, None], x[1:, None])
+        factors = [_ring_weights(y, w, k0) if dim == 2 else
+                   np.sin([half * (1.0 + y), half * (1.0 - y)])]
+    elif dim == 1:
+        factors = [np.sin(half * (1.0 + x)), np.sin(half * (1.0 - x)),
+                   half * np.cos(half * (1.0 + x)), -half * np.cos(half * (1.0 - x))]
+    else:
+        factors = [*_ring_node_factors(x, k0), exact_point_solution_2d_radial_deriv(x, k0)]
+    for f in factors:
+        f.setflags(write=False)
+    return tuple(factors)
+
+
 @lru_cache(maxsize=4)
 def _ring_tables(n: int, k0: float) -> tuple[tuple, dict]:
     """a, b, a' and b' at r = h .. 1 on the n-cell mesh, read-only and shared by every
     solve on it, with b(1) = 0 set exactly, and a dict of read-only `_ring_weights`
     per Gauss order on the first cells, (2, cells, order), which `_convolve_ring`
-    grows to the largest support seen.
+    grows to the largest support seen; memoized by (n, k0).
     """
     nodes = _ring_node_factors(radial_grid(n)[1:], k0)
     nodes[1][-1] = 0.0
@@ -358,10 +385,11 @@ def _convolve_ring_at(rs: np.ndarray, delta: RegularizedDelta, k0: float,
     """
     pos = np.asarray(delta.breakpoints_physical())  # holds 0
     edges = np.unique(np.concatenate([pos, rs[rs < delta.support_radius]]))
-    s, w = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
-    am, bm = np.einsum("kij,ij->ki", _ring_weights(s, w, k0), delta.eval_radial(s))
+    s, _ = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
+    (weights,) = _greens_factors(2, k0, order, edges.tobytes())
+    am, bm = np.einsum("kij,ij->ki", weights, delta.eval_radial(s))
     return _separable_convolution(np.searchsorted(edges, rs, "right") - 1, am, bm,
-                                  _ring_node_factors(rs, k0), 0.25)
+                                  _greens_factors(2, k0, 0, rs.tobytes())[:4], 0.25)
 
 
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
@@ -374,8 +402,9 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
     Watson, Treatise on Bessel Functions, 11.3), so u_H and u_H' are 1D integrals;
     the source sign makes exact_point_solution_2d_radial the small-support limit.
     Without `nodes` the profile is on the mesh nodes r = h .. 1 (`_convolve_ring`,
-    with ring weights cached per mesh); with them, on those ascending radii in (0, 1]
-    (`_convolve_ring_at`). Both leave out r = 0, where b and the point solution that
+    ring weights memoized per mesh in `_ring_tables`); with them, on those ascending
+    radii in (0, 1] (`_convolve_ring_at`, Bessel factors memoized by value in
+    `_greens_factors`). Both leave out r = 0, where b and the point solution that
     u_H is compared against are singular. `_accept_by_doubling` runs the passes from
     8 Gauss points per panel up.
     """
@@ -444,8 +473,8 @@ def weighted_sobolev_error(problem: RadialHelmholtz2D,
 
     The radial form is 2 pi * integral of (u' - u_H')^2 r^(2 alpha + 1) dr over (0, 1].
     On [r0, 1] it takes Gauss rules of q and 2q points on the panels of
-    `_sobolev_edges`, with u_H' at both rules' radii from one
-    `solve_regularized_2d_radial` call and u' in closed form. On (0, r0) it takes
+    `_sobolev_edges`, with u_H' at both rules' radii from one node solve and u' in
+    closed form from its `_greens_factors` entry. On (0, r0) it takes
     u' - u_H' = -1/(2 pi r), whose next term is O(r log r), in closed form:
     r0^(2 alpha) / (4 pi alpha). The 2q values are returned once they agree with the
     q values to 1e-10 relative; otherwise QuadratureError is raised.
@@ -456,7 +485,7 @@ def weighted_sobolev_error(problem: RadialHelmholtz2D,
     radii, where = np.unique(np.concatenate([r.ravel() for r, _ in rules]),
                              return_inverse=True)
     u_reg = solve_regularized_2d_radial(problem, nodes=radii)
-    diff = exact_point_solution_2d_radial_deriv(radii, problem.k0) - u_reg.derivs
+    diff = _greens_factors(2, problem.k0, 0, radii.tobytes())[4] - u_reg.derivs
     # each rule's radii, weights and (u' - u_H')^2, in the rule's order
     samples = [(r.ravel(), w.ravel(), diff[i] ** 2)
                for (r, w), i in zip(rules, np.split(where, [rules[0][0].size]))]

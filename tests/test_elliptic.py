@@ -28,6 +28,7 @@ from deltareg.elliptic import (
 )
 from deltareg.kernels import catalog_lookup
 from deltareg.quadrature import QuadratureError, gauss_legendre, integrate_panels
+from deltareg.reports import emit, parse_config_text, run_study
 
 from test_bessel import j0_series, y0_series
 
@@ -456,6 +457,101 @@ def test_2d_resonance_guard():
     # first zero of J0 is a Dirichlet eigenvalue of the unit disk
     with pytest.raises(ResonanceError):
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125), k0=2.4048255577)
+
+
+# ---------------------------------------------------------------------------
+# memoized Green's-function factors of the node solves
+# ---------------------------------------------------------------------------
+
+NODES_1D = np.linspace(-1.0, 1.0, 201)
+RADII_2D = np.linspace(0.01, 1.0, 100)
+
+
+def _node_solves():
+    one = solve_regularized_1d(Helmholtz1D(kernel=catalog_lookup("eta_cubic")(0.25)), NODES_1D)
+    two = solve_regularized_2d_radial(
+        RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.25)), nodes=RADII_2D)
+    return one, two
+
+
+def test_node_solves_from_a_cold_and_a_warm_memo_are_identical():
+    elliptic._greens_factors.cache_clear()
+    cold = _node_solves()
+    assert elliptic._greens_factors.cache_info().currsize > 0
+    for c, w in zip(cold, _node_solves()):
+        assert np.array_equal(c.values, w.values) and np.array_equal(c.derivs, w.derivs)
+
+
+def test_every_memo_entry_is_read_only(monkeypatch):
+    original, entries = elliptic._greens_factors, []
+
+    def record(*key):
+        entries.append(original(*key))
+        return entries[-1]
+
+    original.cache_clear()
+    monkeypatch.setattr(elliptic, "_greens_factors", record)
+    _node_solves()
+    weighted_sobolev_error(RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)),
+                           [WeightedNormSpec(alpha=0.5)])
+    assert len(entries) > original.cache_info().currsize > 0
+    for shared in (x for entry in entries for x in entry):
+        with pytest.raises(ValueError, match="read-only"):
+            shared.flat[0] = 0.0
+
+
+def test_memo_is_keyed_by_the_nodes_values():
+    problem = Helmholtz1D(kernel=catalog_lookup("eta_0_1_1d")(0.25))
+    elliptic._greens_factors.cache_clear()
+    base = solve_regularized_1d(problem, NODES_1D)
+    size = elliptic._greens_factors.cache_info().currsize
+    # an equal copy shares the entries; a node outside the support moved by one ulp
+    # leaves the panels as they were and gets a node entry of its own
+    assert np.array_equal(solve_regularized_1d(problem, NODES_1D.copy()).values, base.values)
+    assert elliptic._greens_factors.cache_info().currsize == size
+    moved = NODES_1D.copy()
+    moved[150] = np.nextafter(moved[150], 1.0)
+    solve_regularized_1d(problem, moved)
+    entries = [elliptic._greens_factors(1, K0, 0, x.tobytes()) for x in (NODES_1D, moved)]
+    assert entries[0] is not entries[1]
+    assert elliptic._greens_factors.cache_info().currsize == size + 1
+
+
+def test_sobolev_norm_of_a_kernel_with_the_same_breakpoints_reuses_the_bessel_tables(
+        monkeypatch):
+    # eta_0_1_2d and eta_2_3_2d both break at 0 and H, so their norms share the radii
+    # and every pass's panels
+    points = []
+
+    def j0(x):
+        points.append(np.size(x))
+        return special.j0(x)
+
+    monkeypatch.setattr(elliptic.bessel, "j0", j0)
+    wspecs = [WeightedNormSpec(alpha=0.5)]
+    elliptic._greens_factors.cache_clear()
+    first = weighted_sobolev_error(RadialHelmholtz2D(kernel=catalog_lookup("eta_0_1_2d")(0.125)),
+                                   wspecs)
+    assert max(points) > 1
+    points.clear()
+    second = weighted_sobolev_error(
+        RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)), wspecs)
+    assert points and max(points) == 1  # only J0(k0)
+    assert first != second
+
+
+def test_helmholtz1d_study_filling_the_memo_in_the_row_pool_matches_a_warm_run():
+    config = parse_config_text(
+        "study = helmholtz1d\nkernels = eta_0_1_1d, eta_cubic\nH = 2^-2..2^-5")
+    elliptic._greens_factors.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cold = emit(run_study(config))
+    finally:
+        sys.setswitchinterval(interval)
+    assert elliptic._greens_factors.cache_info().currsize > 0
+    assert emit(run_study(config)) == cold
 
 
 # ---------------------------------------------------------------------------

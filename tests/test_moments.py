@@ -222,9 +222,10 @@ def test_pivot_above_threshold_solves():
 def test_package_imports_and_solves_without_scipy():
     # scipy serves only the 2D studies' Bessel functions (scipy.special); the package,
     # its CLI and the moment solve must not load scipy, and the Sobolev study loads
-    # no more of it than scipy.special
+    # no more of it than scipy.special; importing builds no Green's-function table
     code = (
         "import sys, deltareg, deltareg.cli\n"
+        "print(deltareg.elliptic._greens_factors.cache_info().currsize)\n"
         "from deltareg.moments import BasisFamily, BasisKind, MomentProblemSpec, "
         "solve_moment_problem\n"
         "solve_moment_problem(MomentProblemSpec(dim=2, moments=2, degree=3, "
@@ -241,7 +242,7 @@ def test_package_imports_and_solves_without_scipy():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert done.stdout.split("\n")[:3] == ["0", "[]", "[]"]
 
 
 # ---------------------------------------------------------------------------

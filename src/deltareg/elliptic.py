@@ -2,11 +2,11 @@
 deleted-neighborhood sup error, and weighted-Sobolev error.
 
 The solves convolve the Green's function in separable form, exact to quadrature at any
-nodes: the radial 2D one on a mesh (the pointwise error's grid) or at given radii. The
-weighted-Sobolev norm solves at its own Gauss radii and interpolates no profile.
-The Green's-function factors depend on the geometry alone, never on the kernel: the
-node solves memoize them by (k0, nodes) and (k0, Gauss order, panel edges), so doubling
-passes and kernels on one geometry share them; the mesh solve, by (cells, k0).
+nodes; the radial 2D solve on a mesh (the pointwise error's grid) is the node solve at
+the mesh radii. The weighted-Sobolev norm solves at its own Gauss radii and interpolates
+no profile. The Green's-function factors depend on the geometry alone, never on the
+kernel: the solves memoize them by (k0, nodes) and (k0, Gauss order, panel edges), so
+doubling passes and kernels on one geometry share them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,24 +168,28 @@ def _separable_convolution(k, am, bm, factors, scale: float):
     return -scale * (b * il + a * ir), -scale * (db * il + da * ir)
 
 
-def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float,
-                     order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Green's function and its x-derivative convolved with delta at every node of xs.
+def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float):
+    """Green's function and its x-derivative convolved with delta at every node of xs,
+    as a function of the Gauss order.
 
     G(x, y) = -a(min(x, y)) b(max(x, y)) / D, a(t) = sin(k0 (1 + t) / 2),
     b(t) = sin(k0 (1 - t) / 2), D = k0 sin k0. The panels are the kernel's breakpoint
     intervals cut at every node strictly inside the support, so no panel holds a node
     in its interior, where G has its kink; one Gauss rule over all of them gives the
-    moments that `_separable_convolution` sums.
+    moments that `_separable_convolution` sums. The panels, each node's panel and the
+    node factors are built once for every order.
     """
     pos = np.asarray(delta.breakpoints_physical())  # holds 0
     edges = np.unique(np.concatenate([-pos, pos, xs[np.abs(xs) < delta.support_radius]]))
     k = np.maximum(np.searchsorted(edges, xs, "right") - 1, 0)
-    y, w = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
-    (sines,) = _greens_factors(1, k0, order, edges.tobytes())
-    am, bm = np.sum(w * delta.eval(y) * sines, axis=2)
-    return _separable_convolution(k, am, bm, _greens_factors(1, k0, 0, xs.tobytes()),
-                                  1.0 / (k0 * math.sin(k0)))
+    key, nodes = edges.tobytes(), _greens_factors(1, k0, 0, xs.tobytes())
+
+    def convolve(order):
+        y, w, sines = _greens_factors(1, k0, order, key)
+        am, bm = np.sum(w * delta.eval(y) * sines, axis=2)
+        return _separable_convolution(k, am, bm, nodes, 1.0 / (k0 * math.sin(k0)))
+
+    return convolve
 
 
 def _accept_by_doubling(convolve, dim: int):
@@ -210,7 +214,7 @@ def solve_regularized_1d(problem: Helmholtz1D,
                          nodes: np.ndarray | None = None) -> SolutionProfile:
     """Regularized point-source solve by Green's-function convolution on nodes in [-1, 1].
 
-    Each `_convolve_greens` pass gives values and derivatives; `_accept_by_doubling`
+    `_convolve_greens` gives each pass's values and derivatives; `_accept_by_doubling`
     runs the passes from 8 Gauss points per panel up and records `order` and
     `doubling_delta`. The sines and cosines at the nodes and at each pass's Gauss
     points come from `_greens_factors`, shared by every solve on the same geometry.
@@ -219,8 +223,8 @@ def solve_regularized_1d(problem: Helmholtz1D,
         nodes = np.linspace(-1.0, 1.0, 4001)
     k0 = problem.k0
     xs = _point_args_1d(nodes, k0)
-    vals, derivs, check = _accept_by_doubling(
-        lambda o: _convolve_greens(xs, problem.kernel, k0, o), dim=1)
+    vals, derivs, check = _accept_by_doubling(_convolve_greens(xs, problem.kernel, k0),
+                                              dim=1)
     profile = SolutionProfile(
         nodes=xs, values=vals, derivs=derivs,
         metadata=dict(dim=1, k0=k0, H=problem.kernel.half_widths[0],
@@ -293,103 +297,56 @@ def _ring_factors(r, k0: float):
     return a, bessel.y0(k0 * r) - (bessel.y0(k0) / bessel.j0(k0)) * a
 
 
-def _ring_node_factors(r, k0: float) -> tuple:
-    """a, b, a' and b' at the radii r."""
-    a, b = _ring_factors(r, k0)
-    j1 = bessel.j1(k0 * r)
-    return a, b, -k0 * j1, k0 * (bessel.y0(k0) / bessel.j0(k0) * j1 - bessel.y1(k0 * r))
-
-
-def _ring_weights(s, w, k0: float) -> np.ndarray:
-    """a and b times the Gauss weight w and 2 pi s at the points s, as (2, *s.shape)."""
-    return 2.0 * np.pi * s * w * np.stack(_ring_factors(s, k0))
-
-
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _greens_factors(dim: int, k0: float, order: int, points: bytes) -> tuple:
     """Read-only Green's-function factors of the dim-D node solve, memoized by value.
 
-    With order 0, a, b, a' and b' at the nodes `points` (bytes), in 2D also the point
-    solution's u'; otherwise the table at that order's Gauss points on the panels with
-    edges `points`: sin(k0 (1 +- y) / 2) in 1D, `_ring_weights` in 2D. 32 entries hold
-    one study's geometries (the 1D table needs 17, the 2D Sobolev table 21).
+    With order 0, a, b, a' and b' at the nodes `points` (bytes), in 2D with b(1) = 0
+    set exactly and also the point solution's u'. Otherwise that order's Gauss points y
+    on the panels with edges `points` and the table there: the weights w and
+    sin(k0 (1 +- y) / 2) in 1D, a and b times 2 pi y w in 2D. A pass of the helm2d
+    and helm2d-sobolev tables fills 32 entries (11 mesh, 21 Sobolev) and helm1d 17,
+    so 64 keep a repeated pass from cycling the memo.
     """
     x, half = np.frombuffer(points), 0.5 * k0
     if order:
         y, w = gauss_legendre(order).mapped(x[:-1, None], x[1:, None])
-        factors = [_ring_weights(y, w, k0) if dim == 2 else
-                   np.sin([half * (1.0 + y), half * (1.0 - y)])]
+        factors = ([y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0))] if dim == 2 else
+                   [y, w, np.sin([half * (1.0 + y), half * (1.0 - y)])])
     elif dim == 1:
         factors = [np.sin(half * (1.0 + x)), np.sin(half * (1.0 - x)),
                    half * np.cos(half * (1.0 + x)), -half * np.cos(half * (1.0 - x))]
     else:
-        factors = [*_ring_node_factors(x, k0), exact_point_solution_2d_radial_deriv(x, k0)]
+        (a, b), j1 = _ring_factors(x, k0), bessel.j1(k0 * x)
+        b[x == 1.0] = 0.0
+        factors = [a, b, -k0 * j1, k0 * (bessel.y0(k0) / bessel.j0(k0) * j1 - bessel.y1(k0 * x)),
+                   exact_point_solution_2d_radial_deriv(x, k0)]
     for f in factors:
         f.setflags(write=False)
     return tuple(factors)
 
 
-@lru_cache(maxsize=4)
-def _ring_tables(n: int, k0: float) -> tuple[tuple, dict]:
-    """a, b, a' and b' at r = h .. 1 on the n-cell mesh, read-only and shared by every
-    solve on it, with b(1) = 0 set exactly, and a dict of read-only `_ring_weights`
-    per Gauss order on the first cells, (2, cells, order), which `_convolve_ring`
-    grows to the largest support seen; memoized by (n, k0).
-    """
-    nodes = _ring_node_factors(radial_grid(n)[1:], k0)
-    nodes[1][-1] = 0.0
-    for x in nodes:
-        x.setflags(write=False)
-    return nodes, {}
+def _convolve_radial(rs: np.ndarray, delta: RegularizedDelta, k0: float):
+    """Values and r-derivatives of the convolution at the ascending radii rs, as a
+    function of the Gauss order.
 
-
-def _convolve_ring(n: int, delta: RegularizedDelta, k0: float,
-                   order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and r-derivatives of the convolution at r = h .. 1 on the n-cell mesh.
-
-    G(r, s) = -a(min(r, s)) b(max(r, s)) / 4 with the measure 2 pi s ds. Each cell
-    inside the support is a panel, cut where a kernel breakpoint falls inside it,
-    and `_separable_convolution` sums the cells' Gauss moments.
-    """
-    h, rule = 1.0 / n, gauss_legendre(order)
-    (a, b, da, db), tables = _ring_tables(n, k0)
-    m = min(n, math.ceil(delta.support_radius / h - 1e-9))  # cells meeting the support
-    x, w = rule.mapped(0.0, h)  # the rule on the first cell; cell c holds c h + x
-    s = np.arange(m)[:, None] * h + x
-    weights = tables.get(order)
-    if weights is None or weights.shape[1] < m:
-        # threads that grow it at once each keep their own; the last stored may be
-        # the smaller one, which costs a later call a rebuild and nothing else
-        weights = _ring_weights(s, w, k0)
-        weights.setflags(write=False)
-        tables[order] = weights
-    am, bm = np.einsum("kij,ij->ki", weights[:, :m], delta.eval_radial(s))
-    cuts = [bp for bp in delta.breakpoints_physical()
-            if 0.0 < bp < 1.0 and abs(bp / h - round(bp / h)) > 1e-9]
-    for c in {int(bp / h) for bp in cuts}:
-        panels = np.unique(np.clip([c * h, *cuts, (c + 1) * h], c * h, (c + 1) * h))[:, None]
-        s, w = rule.mapped(panels[:-1], panels[1:])
-        am[c], bm[c] = np.einsum("kij,ij->k", _ring_weights(s, w, k0), delta.eval_radial(s))
-    # node r_j has cells 0 .. j - 1 on its left
-    return _separable_convolution(np.minimum(np.arange(1, n + 1), m), am, bm,
-                                  (a, b, da, db), 0.25)
-
-
-def _convolve_ring_at(rs: np.ndarray, delta: RegularizedDelta, k0: float,
-                      order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and r-derivatives of the convolution at the ascending radii rs.
-
-    The panels are the kernel's breakpoint intervals cut at every radius strictly
-    inside the support, as in `_convolve_greens`, so no panel holds a node in its
-    interior and `_separable_convolution` sums one Gauss rule's moments for all nodes.
+    G(r, s) = -a(min(r, s)) b(max(r, s)) / 4 with the measure 2 pi s ds. The panels are
+    the kernel's breakpoint intervals cut at every radius strictly inside the support,
+    as in `_convolve_greens`, so no panel holds a node in its interior and
+    `_separable_convolution` sums one Gauss rule's moments for all nodes. The panels,
+    each node's panel and the node factors are built once for every order.
     """
     pos = np.asarray(delta.breakpoints_physical())  # holds 0
     edges = np.unique(np.concatenate([pos, rs[rs < delta.support_radius]]))
-    s, _ = gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
-    (weights,) = _greens_factors(2, k0, order, edges.tobytes())
-    am, bm = np.einsum("kij,ij->ki", weights, delta.eval_radial(s))
-    return _separable_convolution(np.searchsorted(edges, rs, "right") - 1, am, bm,
-                                  _greens_factors(2, k0, 0, rs.tobytes())[:4], 0.25)
+    k = np.searchsorted(edges, rs, "right") - 1
+    key, nodes = edges.tobytes(), _greens_factors(2, k0, 0, rs.tobytes())[:4]
+
+    def convolve(order):
+        s, weights = _greens_factors(2, k0, order, key)
+        am, bm = np.einsum("kij,ij->ki", weights, delta.eval_radial(s))
+        return _separable_convolution(k, am, bm, nodes, 0.25)
+
+    return convolve
 
 
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
@@ -401,22 +358,18 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
     b = Y0(k0 .) - (Y0(k0) / J0(k0)) J0(k0 .) (Graf's addition theorem, DLMF 10.23.8;
     Watson, Treatise on Bessel Functions, 11.3), so u_H and u_H' are 1D integrals;
     the source sign makes exact_point_solution_2d_radial the small-support limit.
-    Without `nodes` the profile is on the mesh nodes r = h .. 1 (`_convolve_ring`,
-    ring weights memoized per mesh in `_ring_tables`); with them, on those ascending
-    radii in (0, 1] (`_convolve_ring_at`, Bessel factors memoized by value in
-    `_greens_factors`). Both leave out r = 0, where b and the point solution that
-    u_H is compared against are singular. `_accept_by_doubling` runs the passes from
-    8 Gauss points per panel up.
+    Without `nodes` the profile is on the mesh nodes r = h .. 1, h = 1 / n_cells; with
+    them, on those ascending radii in (0, 1]. Both are one node solve,
+    `_convolve_radial` with Bessel factors memoized by value in `_greens_factors`, and
+    leave out r = 0, where b and the point solution that u_H is compared against are
+    singular. `_accept_by_doubling` runs the passes from 8 Gauss points per panel up.
     """
     k0, delta = problem.k0, problem.kernel
     if nodes is None:
-        n = problem.n_cells
-        nodes, grid = radial_grid(n)[1:], dict(n_cells=n)
-        convolve = partial(_convolve_ring, n, delta, k0)
+        nodes, grid = radial_grid(problem.n_cells)[1:], dict(n_cells=problem.n_cells)
     else:
         nodes, grid = _radial_point_args(nodes, k0)[0], {}
-        convolve = partial(_convolve_ring_at, nodes, delta, k0)
-    vals, derivs, check = _accept_by_doubling(convolve, dim=2)
+    vals, derivs, check = _accept_by_doubling(_convolve_radial(nodes, delta, k0), dim=2)
     profile = SolutionProfile(
         nodes=nodes, values=vals, derivs=derivs,
         metadata=dict(dim=2, k0=k0, H=delta.half_widths[0], kernel=delta.name,

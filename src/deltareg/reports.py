@@ -5,7 +5,8 @@ helmholtz1d, helmholtz2d, helmholtz2d_sobolev), one (kernel, H) pair (advect)
 or one H (kdv), then the gate units that compare finished ones (the weak-star
 parity pairs, the advect ordering).  It yields each unit as its key columns
 and a function that computes the unit's rows.  `run_study` is the driver: it
-adds the rows each function returns, or, when the function raises, one error
+runs the units one after another in the calling thread and adds the rows each
+function returns, or, when the function raises, one error
 row that names the unit's key columns and the exception's type and text, so
 one failed kernel never hides the others and a gate whose input failed reports
 an error instead of vanishing.  A config fault (a gate naming a kernel that is
@@ -23,7 +24,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, NamedTuple
@@ -271,12 +271,9 @@ def _status(ok: bool) -> str:
     return "ok" if ok else "fail"
 
 
-def _map_rows(fn, items, workers: int = 4):
-    """Evaluate fn over items concurrently; results return in input order."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# a function of its own only because bench/layertrace.py wraps it to time each row
+def _map_rows(fn, items):
+    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------

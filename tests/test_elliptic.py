@@ -2,6 +2,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def _convolve_one_node(x, delta, order):
 
 
 def _check_against_oracle(xs, delta):
-    values, derivs = elliptic._convolve_greens(xs, delta, K0, 16)
+    values, derivs = elliptic._convolve_greens(xs, delta, K0)(16)
     ref = np.array([_convolve_one_node(x, delta, 16) for x in xs])
     assert np.max(np.abs(values - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref[:, 0]))
     assert np.max(np.abs(derivs - ref[:, 1])) <= 1e-14 * np.max(np.abs(ref[:, 1]))
@@ -184,8 +185,8 @@ def test_1d_solve_reports_accepted_order_and_doubling_delta():
 def _fake_convolution(factor):
     """A convolution whose values are (1 - x^2) * factor(order) and whose derivatives
     are the order itself, so a profile shows which pass its derivatives came from."""
-    return lambda xs, delta, k0, order: ((1.0 - xs**2) * factor(order),
-                                         np.full_like(xs, float(order)))
+    return lambda xs, delta, k0: lambda order: ((1.0 - xs**2) * factor(order),
+                                                np.full_like(xs, float(order)))
 
 
 def test_1d_solve_accepts_the_third_order(monkeypatch):
@@ -342,16 +343,23 @@ def test_2d_node_solve_outside_the_support_is_the_weak_star_error(name, H):
     assert np.max(error) <= 1e-12 * np.max(np.abs(expected)) + 2e-14 * np.max(np.abs(du))
 
 
-@pytest.mark.parametrize("name, H", [("eta_2_3_2d", 0.125), ("eta_0_1_2d", 1 / 3),
-                                     ("eta_2_cos_2d", 2.0**-8), ("eta_1_2_2d", 1e-5)])
-def test_2d_node_solve_at_the_mesh_radii_matches_the_mesh_solve(name, H):
+# every cell of the helm2d table, a support edge inside a cell, the cosine profile and
+# a support inside the first cell
+@pytest.mark.parametrize("name, H", [(name, 2.0**-k)
+                                     for name in ("eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d")
+                                     for k in range(2, 7)]
+                         + [("eta_0_1_2d", 1 / 3), ("eta_2_cos_2d", 2.0**-8),
+                            ("eta_1_2_2d", 1e-5)])
+def test_2d_mesh_solve_is_the_node_solve_at_the_mesh_radii(name, H):
     problem = RadialHelmholtz2D(kernel=catalog_lookup(name)(H))
     mesh = solve_regularized_2d_radial(problem)
-    nodes = solve_regularized_2d_radial(problem, nodes=mesh.nodes)
-    scale = np.max(np.abs(mesh.values))
-    assert np.max(np.abs(nodes.values - mesh.values)) <= 1e-13 * scale
-    assert np.max(np.abs(nodes.derivs - mesh.derivs)) <= 1e-13 * np.max(np.abs(mesh.derivs))
-    assert nodes.values[-1] == pytest.approx(0.0, abs=1e-13 * scale)
+    nodes = solve_regularized_2d_radial(problem, nodes=elliptic.radial_grid(20480)[1:])
+    assert np.array_equal(mesh.nodes, nodes.nodes)
+    assert np.array_equal(mesh.values, nodes.values)
+    assert np.array_equal(mesh.derivs, nodes.derivs)
+    for key in ("order", "doubling_delta"):
+        assert mesh.metadata[key] == nodes.metadata[key]
+    assert nodes.values[-1] == 0.0
 
 
 def test_2d_node_solve_rejects_radii_outside_the_disk():
@@ -382,14 +390,9 @@ def test_2d_support_inside_the_first_cell(name, order):
     assert profile.metadata["order"] == order
 
 
-def _fake_ring_convolution(factor):
-    fake = _fake_convolution(factor)
-    return lambda n, delta, k0, order: fake(elliptic.radial_grid(n)[1:], delta, k0, order)
-
-
 def test_2d_solve_accepts_the_third_order(monkeypatch):
-    monkeypatch.setattr(elliptic, "_convolve_ring",
-                        _fake_ring_convolution(lambda order: 2.0 if order == 8 else 1.0))
+    monkeypatch.setattr(elliptic, "_convolve_radial",
+                        _fake_convolution(lambda order: 2.0 if order == 8 else 1.0))
     profile = solve_regularized_2d_radial(
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)))
     assert profile.metadata["order"] == 32
@@ -398,7 +401,7 @@ def test_2d_solve_accepts_the_third_order(monkeypatch):
 
 
 def test_2d_solve_raises_when_order_doubling_fails(monkeypatch, capsys):
-    monkeypatch.setattr(elliptic, "_convolve_ring", _fake_ring_convolution(float))
+    monkeypatch.setattr(elliptic, "_convolve_radial", _fake_convolution(float))
     problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
     with pytest.raises(QuadratureError, match="order-doubling"):
         solve_regularized_2d_radial(problem)
@@ -409,28 +412,12 @@ def test_2d_solve_raises_when_order_doubling_fails(monkeypatch, capsys):
     assert "order-doubling" in rows[0]["message"]
 
 
-def test_2d_ring_tables_grow_without_changing_a_solve():
-    # tables built for H = 1/8, then grown for H = 1/4, give the H = 1/8 solve its bits
-    small = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_cos_2d")(0.125))
-    elliptic._ring_tables.cache_clear()
-    fresh = solve_regularized_2d_radial(small)
-    solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup("eta_2_cos_2d")(0.25)))
-    nodes, cells = elliptic._ring_tables(20480, K0)
-    assert cells[8].shape == (2, 5120, 8) and cells[16].shape == (2, 5120, 16)
-    for shared in (*nodes, cells[8], cells[16]):
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = 0
-    grown = solve_regularized_2d_radial(small)
-    assert np.array_equal(fresh.values, grown.values)
-    assert np.array_equal(fresh.derivs, grown.derivs)
-
-
 def test_2d_solves_in_threads_that_grow_the_tables_match_serial_solves():
     problems = [RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(2.0**-k))
                 for k in (5, 4, 3, 2)]
-    elliptic._ring_tables.cache_clear()
+    elliptic._greens_factors.cache_clear()
     serial = [solve_regularized_2d_radial(p).values for p in problems]
-    elliptic._ring_tables.cache_clear()
+    elliptic._greens_factors.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -540,16 +527,24 @@ def test_sobolev_norm_of_a_kernel_with_the_same_breakpoints_reuses_the_bessel_ta
     assert first != second
 
 
-def test_helmholtz1d_study_filling_the_memo_in_the_row_pool_matches_a_warm_run():
+def test_a_second_pass_of_the_2d_tables_misses_no_memo_entry():
+    # one pass of helm2d and helm2d-sobolev fills 32 entries; a memo smaller than that
+    # would cycle and miss on every repeated pass
+    configs = [parse_config_text((resources.files("deltareg") / "configs" / name).read_text())
+               for name in ("helm2d.cfg", "helm2d-sobolev.cfg")]
+    elliptic._greens_factors.cache_clear()
+    first = [emit(run_study(config)) for config in configs]
+    filled = elliptic._greens_factors.cache_info()
+    assert [emit(run_study(config)) for config in configs] == first
+    again = elliptic._greens_factors.cache_info()
+    assert again.misses == filled.misses and again.hits > filled.hits
+
+
+def test_helmholtz1d_study_filling_the_memo_matches_a_warm_run():
     config = parse_config_text(
         "study = helmholtz1d\nkernels = eta_0_1_1d, eta_cubic\nH = 2^-2..2^-5")
     elliptic._greens_factors.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        cold = emit(run_study(config))
-    finally:
-        sys.setswitchinterval(interval)
+    cold = emit(run_study(config))
     assert elliptic._greens_factors.cache_info().currsize > 0
     assert emit(run_study(config)) == cold
 

@@ -227,7 +227,7 @@ def solve_regularized_1d(problem: Helmholtz1D,
                                               dim=1)
     profile = SolutionProfile(
         nodes=xs, values=vals, derivs=derivs,
-        metadata=dict(dim=1, k0=k0, H=problem.kernel.half_widths[0],
+        metadata=dict(dim=1, k0=k0, H=problem.kernel.half_width,
                       kernel=problem.kernel.name, **check),
     )
     profile.check_boundary()
@@ -372,7 +372,7 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
     vals, derivs, check = _accept_by_doubling(_convolve_radial(nodes, delta, k0), dim=2)
     profile = SolutionProfile(
         nodes=nodes, values=vals, derivs=derivs,
-        metadata=dict(dim=2, k0=k0, H=delta.half_widths[0], kernel=delta.name,
+        metadata=dict(dim=2, k0=k0, H=delta.half_width, kernel=delta.name,
                       **grid, **check),
     )
     profile.check_boundary()

@@ -1,4 +1,4 @@
-"""Evaluable n-dimensional regularized point sources and the named kernel catalog."""
+"""Regularized point sources, radial or a 2D tensor square, and the named kernel catalog."""
 
 from __future__ import annotations
 
@@ -32,81 +32,53 @@ class UnknownKernelError(KeyError):
 
 @dataclass(frozen=True)
 class RegularizedDelta:
-    """A scaled kernel delta_H: radial profile or tensor product of 1D profiles.
+    """A scaled kernel delta_H: one profile eta at one half-width h.
 
+    A radial kernel is eta(|x|/h) / h^dim.  A tensor kernel (is_radial=False)
+    is the 2D square eta(|x|/h) eta(|y|/h) / h^2 of one 1D profile.
     Immutable; evaluation is pure and safe to share across threads.
     """
 
     dim: int
     name: str
-    profiles: tuple  # one RadialProfile (radial) or dim profiles (tensor)
-    half_widths: tuple  # scale factors matching profiles
-    is_radial: bool
-    moments: int = 0
-    weak_order: int = 0
-    smoothness: str = ""
-    ball_moments_ok: bool = True
-
-    # -- geometry helpers -------------------------------------------------
-    @property
-    def radial_profile(self) -> RadialProfile:
-        if not self.is_radial:
-            raise ValueError("not a radial kernel")
-        return self.profiles[0]
-
-    def axis_profile(self, i: int) -> RadialProfile:
-        return self.profiles[0] if self.is_radial else self.profiles[i]
-
-    @property
-    def axis_half_widths(self) -> tuple:
-        return self.half_widths if not self.is_radial else (self.half_widths[0],) * self.dim
-
-    @property
-    def half_width(self) -> float:
-        return self.half_widths[0]
-
-    @property
-    def scaled_support(self) -> float:
-        return max(p.support for p in self.profiles)
+    profile: RadialProfile
+    half_width: float
+    is_radial: bool = True
 
     @property
     def support_radius(self) -> float:
         """Radius of the smallest origin-centered ball containing the support."""
-        if self.is_radial:
-            return self.half_widths[0] * self.profiles[0].support
-        widths = [h * p.support for h, p in zip(self.half_widths, self.profiles)]
-        return math.hypot(*widths)
-
-    def profile_breakpoints(self) -> tuple:
-        return self.profiles[0].breakpoints
+        s = self.half_width * self.profile.support
+        return s if self.is_radial else math.hypot(s, s)
 
     def breakpoints_physical(self) -> tuple:
         """Kernel breakpoints in the physical variable (radial case)."""
-        h = self.half_widths[0]
-        return tuple(h * b for b in self.profiles[0].breakpoints)
+        return tuple(self.half_width * b for b in self.profile.breakpoints)
 
-    # -- evaluation --------------------------------------------------------
     def eval(self, x):
         x = np.asarray(x, dtype=float)
+        h = self.half_width
         if self.dim == 1:
-            h = self.half_widths[0]
-            return self.profiles[0].eval(x / h) / h
+            return self.profile.eval(x / h) / h
         if x.shape[-1] != self.dim:
             raise ValueError(f"point dimension {x.shape[-1]} != kernel dimension {self.dim}")
         if self.is_radial:
             return self.eval_radial(np.linalg.norm(x, axis=-1))
-        out = 1.0
-        for i in range(self.dim):
-            h = self.half_widths[i]
-            out = out * self.profiles[i].eval(x[..., i] / h) / h
-        return out
+        return self.profile.eval(x[..., 0] / h) / h * self.profile.eval(x[..., 1] / h) / h
 
     __call__ = eval
 
     def eval_radial(self, r):
         """A radial kernel's value at distance r >= 0 from the origin."""
-        h = self.half_widths[0]
-        return self.radial_profile.eval(np.asarray(r, dtype=float) / h) / h**self.dim
+        if not self.is_radial:
+            raise ValueError("not a radial kernel")
+        h = self.half_width
+        return self.profile.eval(np.asarray(r, dtype=float) / h) / h**self.dim
+
+
+def _check_support_scale(H: float) -> None:
+    if not 0.0 < H < math.inf:
+        raise ValueError(f"H must be positive and finite, got {H}")
 
 
 def eval_delta(delta: RegularizedDelta, x) -> float:
@@ -157,19 +129,9 @@ class KernelBuilder:
         ))
 
     def __call__(self, H: float) -> RegularizedDelta:
-        if H <= 0:
-            raise ValueError("H must be positive")
-        e = self.entry
-        return RegularizedDelta(
-            dim=e.dim,
-            name=e.name,
-            profiles=(self.profile(),),
-            half_widths=(H,),
-            is_radial=True,
-            moments=e.moments,
-            weak_order=e.weak_order,
-            smoothness=e.smoothness,
-        )
+        _check_support_scale(H)
+        return RegularizedDelta(dim=self.entry.dim, name=self.entry.name,
+                                profile=self.profile(), half_width=H)
 
 
 _CATALOG: dict[str, KernelBuilder] = {}
@@ -281,61 +243,18 @@ def catalog_json() -> str:
     return json.dumps(rows, indent=2, sort_keys=True)
 
 
-def _axis_profile_of(obj) -> tuple[RadialProfile, str]:
-    if isinstance(obj, RadialProfile):
-        return obj, "profile"
-    if isinstance(obj, KernelBuilder):
-        if obj.entry.dim != 1:
-            raise ValueError(f"tensor axes must be 1D kernels, got {obj.entry.name}")
-        return obj.profile(), obj.entry.name
-    if isinstance(obj, str):
-        return _axis_profile_of(catalog_lookup(obj))
-    if hasattr(obj, "spec") and hasattr(obj, "profile"):  # EtaKernel
-        if obj.spec.dim != 1:
-            raise ValueError("tensor axes must be 1D kernels")
-        return obj.profile(), obj.name or "eta"
-    raise TypeError(f"cannot use {type(obj)!r} as a tensor axis")
+def tensor_product(kernel: str | KernelBuilder, H: float) -> RegularizedDelta:
+    """The square eta(|x|/h) eta(|y|/h) / h^2 of one 1D kernel, a catalog name or builder.
 
-
-def tensor_product(axes, fit_in_ball: bool) -> RegularizedDelta:
-    """Tensor product of 1D kernels, each given as (kernel, H).
-
-    With fit_in_ball the actual half-width of every axis is shrunk to H/sqrt(n)
-    so the hypercube support fits inside the ball of radius H; otherwise the
-    half-widths are used as given and ball-moment conditions are flagged as
-    not guaranteed.
+    h = H / (sqrt(2) S), S the profile's support, so the support square
+    [-H/sqrt(2), H/sqrt(2)]^2 has its corners on the circle of radius H.  The
+    moment conditions hold on the square, not on that ball.
     """
-    axes = list(axes)
-    n = len(axes)
-    profs, scales, names = [], [], []
-    moments, weak = [], []
-    for obj, H in axes:
-        prof, name = _axis_profile_of(obj)
-        if H <= 0:
-            raise ValueError("H must be positive")
-        if fit_in_ball:
-            # actual half-width S*h == H/sqrt(n)
-            h = H / (math.sqrt(n) * prof.support)
-        else:
-            h = H
-        profs.append(prof)
-        scales.append(h)
-        names.append(name)
-        if isinstance(obj, (KernelBuilder, str)):
-            b = obj if isinstance(obj, KernelBuilder) else catalog_lookup(obj)
-            moments.append(b.entry.moments)
-            weak.append(b.entry.weak_order)
-    if n == 1:
-        prof = profs[0]
-        return RegularizedDelta(
-            dim=1, name=f"tensor({names[0]})",
-            profiles=(prof,), half_widths=(scales[0],), is_radial=True,
-            moments=moments[0] if moments else 0, weak_order=weak[0] if weak else 0,
-        )
-    return RegularizedDelta(
-        dim=n, name="tensor(" + ",".join(names) + ")",
-        profiles=tuple(profs), half_widths=tuple(scales), is_radial=False,
-        moments=min(moments) if moments else 0,
-        weak_order=min(weak) if weak else 0,
-        ball_moments_ok=fit_in_ball,
-    )
+    builder = catalog_lookup(kernel) if isinstance(kernel, str) else kernel
+    name = builder.entry.name
+    if builder.entry.dim != 1:
+        raise ValueError(f"tensor axes must be 1D kernels, got {name}")
+    _check_support_scale(H)
+    prof = builder.profile()
+    return RegularizedDelta(dim=2, name=f"tensor({name},{name})", profile=prof,
+                            half_width=H / (math.sqrt(2) * prof.support), is_radial=False)

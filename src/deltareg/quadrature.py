@@ -76,31 +76,22 @@ def _default_test_function(dim: int):
     return lambda x, y: np.exp(-(x**2) - (y**2))
 
 
-def _scaled_panel_edges(delta, factor: float = 2.0) -> np.ndarray:
-    """Panel edges in the rescaled radial variable covering `factor` times the support."""
-    bps = [b for b in delta.profile_breakpoints() if b > 0.0]
-    s = delta.scaled_support
-    edges = sorted(set([0.0] + bps + [s, factor * s]))
-    return np.asarray(edges)
-
-
 def _weak_star_once(delta, phi, order: int) -> float:
     """One evaluation of the integral of delta_H against phi at Gauss order `order`.
 
     Radial kernels use a polar product rule: Gauss in rho on the breakpoint
     panels, weighted by nu(n) rho^(n-1), times the mean of phi over the unit
     directions, {+1, -1} in 1D and `order` equispaced angles in 2D (the periodic
-    trapezoid rule).  Tensor products use Gauss panels on each axis.
+    trapezoid rule).  The tensor square uses the same Gauss panels on both axes.
     """
     rule = gauss_legendre(order)
+    prof, h = delta.profile, delta.half_width
     if delta.is_radial:
         # angles 0 and pi give the 1D directions +1 and -1
         n_dir, nu = (2, 2.0) if delta.dim == 1 else (order, 2.0 * np.pi)
         theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
         dirs = (np.cos(theta), np.sin(theta))[: delta.dim]
         mean_w = np.full(n_dir, 1.0 / n_dir)
-        h = delta.half_width
-        prof = delta.radial_profile
 
         def integrand(rho):
             r = h * rho[:, None]
@@ -108,43 +99,31 @@ def _weak_star_once(delta, phi, order: int) -> float:
             mean_phi = vals @ mean_w if np.ndim(vals) else vals  # a constant phi may be scalar
             return prof.eval(rho) * rho ** (delta.dim - 1) * mean_phi
 
-        return nu * integrate_panels(integrand, _scaled_panel_edges(delta), rule)
-    # tensor-product geometry: Gauss panels over the scaled support box, per axis
-    profs = [delta.axis_profile(i) for i in range(delta.dim)]
-    hws = delta.axis_half_widths
-    exts = []
-    for i, prof in enumerate(profs):
-        bps = [b for b in prof.breakpoints if b > 0]
-        s = prof.support
-        e = sorted(set([0.0] + bps + [s]))
-        edges = np.asarray([-v for v in e[::-1]] + e[1:])
-        exts.append(edges)
+        return nu * integrate_panels(integrand, prof.breakpoints, rule)
+    # the square: the same panels on both axes, summed one panel pair at a time
+    bps = prof.breakpoints
+    edges = [-b for b in bps[::-1]] + list(bps[1:])
     total = 0.0
-    x_edges, y_edges = exts
-    for xlo, xhi in zip(x_edges[:-1], x_edges[1:]):
+    for xlo, xhi in zip(edges[:-1], edges[1:]):
         xn, xw = rule.mapped(xlo, xhi)
-        fx = profs[0].eval(np.abs(xn))
-        for ylo, yhi in zip(y_edges[:-1], y_edges[1:]):
+        fx = prof.eval(np.abs(xn))
+        for ylo, yhi in zip(edges[:-1], edges[1:]):
             yn, yw = rule.mapped(ylo, yhi)
-            fy = profs[1].eval(np.abs(yn))
-            vals = phi(hws[0] * xn[:, None], hws[1] * yn[None, :])
+            fy = prof.eval(np.abs(yn))
+            vals = phi(h * xn[:, None], h * yn[None, :])
             total += float(xw @ (vals * fx[:, None] * fy[None, :]) @ yw)
     return total
 
 
-def weak_star_error(delta, phi=None, box_halfwidth: float = 2.0, order: int = 24) -> float:
+def weak_star_error(delta, phi=None, order: int = 24) -> float:
     """|integral of delta_H against the test function - value at 0|.
 
-    Integration runs in the rescaled variable over twice the kernel support
-    with panel edges on every kernel breakpoint; radial kernels integrate phi
-    over the directions of every radius, so phi need not be radial.  The result
-    is accepted only once doubling the Gauss order (radial nodes and, in 2D,
+    Integration runs in the rescaled variable over the kernel support, with
+    panel edges on every kernel breakpoint; radial kernels integrate phi over
+    the directions of every radius, so phi need not be radial.  The result is
+    accepted only once doubling the Gauss order (radial nodes and, in 2D,
     angles alike) moves it by <= 1e-12.
     """
-    if delta.support_radius > box_halfwidth:
-        raise ValueError(
-            f"kernel support {delta.support_radius:g} exceeds integration box {box_halfwidth:g}"
-        )
     if phi is None:
         phi = _default_test_function(delta.dim)
         phi0 = 1.0

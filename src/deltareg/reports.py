@@ -73,8 +73,7 @@ def parse_h_schedule(text: str) -> list[float]:
     """Parse '2^-2..2^-6' (dyadic, descending) or a comma list like 'pi,pi/2,0.25'."""
     text = text.strip()
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        a, b = _parse_number(lo_s), _parse_number(hi_s)
+        a, b = _positive_widths([_parse_number(t) for t in text.split("..", 1)], text)
         ka, kb = math.log2(a), math.log2(b)
         if abs(ka - round(ka)) > 1e-12 or abs(kb - round(kb)) > 1e-12:
             raise ConfigError(f"range schedule must be dyadic: {text}")
@@ -83,9 +82,13 @@ def parse_h_schedule(text: str) -> list[float]:
             ka, kb = kb, ka
         return [2.0**k for k in range(ka, kb - 1, -1)]
     values = [_parse_number(t) for t in text.split(",") if t.strip()]
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError(f"bad H schedule: {text}")
-    return sorted(values, reverse=True)
+    return sorted(_positive_widths(values, text), reverse=True)
+
+
+def _positive_widths(values: list[float], text: str) -> list[float]:
+    if not values or not all(0.0 < v < math.inf for v in values):
+        raise ConfigError(f"bad H schedule: every width must be positive and finite: {text}")
+    return values
 
 
 _COMMON_KEYS = {"out": None, "format": "csv"}
@@ -135,7 +138,9 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
     if unknown:
         raise ConfigError(f"unknown config keys for {study}: {sorted(unknown)}")
     options = {**defaults, **options}
-    missing = sorted(key for key, value in options.items() if value is ...)
+    # a required list that names nothing is as missing as an absent key
+    missing = sorted(key for key, value in options.items()
+                     if value is ... or (defaults[key] is ... and not _csv_list(value)))
     if missing:
         raise ConfigError(f"config for {study} needs {missing}")
     return ExperimentConfig(study=study, options=options)
@@ -210,14 +215,9 @@ def _resolve_kernel(spec_str: str):
     if spec_str.startswith("tensor:"):
         base = spec_str.split(":", 1)[1]
         builder = catalog_lookup(base)
-
-        def make(H: float):
-            return tensor_product([(builder, H), (builder, H)], fit_in_ball=True)
-
-        entry = builder.entry
-        return make, entry, 2
+        return partial(tensor_product, builder), builder.entry, 2
     builder = catalog_lookup(spec_str)
-    return (lambda H: builder(H)), builder.entry, builder.entry.dim
+    return builder, builder.entry, builder.entry.dim
 
 
 def kdv_source_kernel(source: str):

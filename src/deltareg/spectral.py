@@ -197,7 +197,7 @@ def advect_leapfrog(run: AdvectionRun, exact_translation: bool = False) -> Advec
         n_steps=n_steps, dt=dt,
         metadata=dict(
             kernel=getattr(run.kernel, "name", "custom"),
-            H=run.kernel.half_widths[0] if run.kernel is not None else None,
+            H=run.kernel.half_width if run.kernel is not None else None,
             t_final=run.t_final,
             exact_translation=exact_translation,
             n_steps=n_steps,
@@ -358,7 +358,7 @@ def kdv_solve(run: KdVRun) -> KdVResult:
         mass=np.asarray(mass), momentum=np.asarray(momentum),
         metadata=dict(
             kernel=getattr(run.kernel, "name", None),
-            H=run.kernel.half_widths[0] if run.kernel is not None else None,
+            H=run.kernel.half_width if run.kernel is not None else None,
             dt=dt, n_steps=n_steps, t_final=run.t_final, dealias=run.dealias,
             n=grid.n, length=grid.length,
         ),

@@ -165,6 +165,44 @@ def test_non_dyadic_range_schedule_is_an_error(capsys):
     assert "dyadic" in capsys.readouterr().err
 
 
+# every width of a schedule is checked before any is computed with
+@pytest.mark.parametrize("command, schedule", [
+    ("weakstar", "inf..2^-3"), ("weakstar", "nan..2^-3"), ("weakstar", "0..2^-3"),
+    ("weakstar", "2^-2..inf"), ("weakstar", "inf,0.25,0.125"),
+    ("helmholtz1d", "nan,0.25,0.125"),
+])
+def test_non_finite_or_zero_width_in_a_schedule_is_an_error(capsys, command, schedule):
+    assert main([command, "--kernels", "eta_1_1_1d", "--H", schedule]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("H", ["nan", "inf", "0"])
+def test_kernel_eval_rejects_a_width_that_is_not_positive_and_finite(capsys, H):
+    assert main(["kernel", "eval", "--name", "eta_1_1_1d", "--H", H, "--at", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "positive and finite" in err
+
+
+# a study that lists no kernel would emit a header-only table and pass
+def test_blank_kernel_list_is_an_error(tmp_path, capsys):
+    config = tmp_path / "study.cfg"
+    config.write_text("study = weakstar\nkernels =\n")
+    assert main(["study", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "needs ['kernels']" in err
+
+
+def test_dims_filter_that_keeps_no_kernel_is_an_error(capsys):
+    assert main(["weakstar", "--kernels", "eta_1_1_2d", "--dims", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "needs ['kernels']" in err
+
+
 # a gate that names a kernel the study does not list is a config error, not a
 # silently missing row
 @pytest.mark.parametrize("lines", [

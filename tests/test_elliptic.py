@@ -109,7 +109,7 @@ def test_kernel_support_must_fit_in_domain():
 
 def _breakpoint_edges(delta):
     """The kernel's breakpoints and their mirror images, ascending."""
-    pos = delta.half_widths[0] * np.asarray(delta.profiles[0].breakpoints)
+    pos = delta.half_width * np.asarray(delta.profile.breakpoints)
     return np.unique(np.concatenate([-pos, pos]))
 
 
@@ -250,7 +250,7 @@ def test_exact_2d_value_from_series_oracle():
 
 def _ring_kernel_oracle(delta, rr, k0=K0):
     """Independent solution via the disk ring kernel built on series-oracle Bessels."""
-    H = delta.half_widths[0]
+    H = delta.half_width
     c = float(y0_series(k0)) / float(j0_series(k0))
 
     def Z(x):
@@ -294,7 +294,7 @@ def test_2d_breakpoint_between_mesh_nodes_is_solved():
 
 def _source_moment(delta, k0=K0):
     """m_H = integral of J0(k0 s) delta_H(s) 2 pi s ds, from the series-oracle J0."""
-    edges = delta.half_widths[0] * np.asarray(delta.profiles[0].breakpoints)
+    edges = delta.half_width * np.asarray(delta.profile.breakpoints)
     return integrate_panels(lambda s: j0_series(k0 * s) * delta.eval_radial(s) * 2 * np.pi * s,
                             edges, gauss_legendre(40))
 

@@ -51,31 +51,30 @@ def test_eval_dimension_mismatch():
 
 
 def test_tensor_peak_value():
+    # each axis has half-width H / sqrt(2), so the peak is 1 / h^2 = 2 / H^2
     H = 0.5
-    delta = tensor_product([("eta_1_1_1d", H), ("eta_1_1_1d", H)], fit_in_ball=False)
-    assert eval_delta(delta, [0.0, 0.0]) == pytest.approx(1.0 / H**2, abs=1e-12)
+    delta = tensor_product("eta_1_1_1d", H)
+    assert eval_delta(delta, [0.0, 0.0]) == pytest.approx(2.0 / H**2, abs=1e-12)
 
 
-def test_tensor_fit_in_ball_halfwidths():
-    delta = tensor_product([("eta_1_1_1d", 1.0), ("eta_1_1_1d", 1.0)], fit_in_ball=True)
-    assert delta.half_widths == pytest.approx([1 / math.sqrt(2)] * 2)
+@pytest.mark.parametrize("name, half_width", [("eta_1_1_1d", 1 / math.sqrt(2)),
+                                              ("eta_hat2", 1 / (2 * math.sqrt(2)))],
+                         ids=["support-1", "support-2"])
+def test_tensor_square_fits_the_ball(name, half_width):
+    delta = tensor_product(catalog_lookup(name), 1.0)
+    assert delta.half_width == pytest.approx(half_width, abs=1e-15)
     assert delta.support_radius == pytest.approx(1.0, abs=1e-14)
-    assert delta.ball_moments_ok
+    # support is the full square: nonzero just inside its corners, zero just outside
+    assert eval_delta(delta, [0.7, 0.7]) > 0.0
+    assert eval_delta(delta, [0.71, 0.0]) == 0.0
 
 
-def test_tensor_without_fit_sets_flag():
-    delta = tensor_product([("eta_1_1_1d", 1.0), ("eta_1_1_1d", 1.0)], fit_in_ball=False)
-    assert not delta.ball_moments_ok
-    assert delta.support_radius == pytest.approx(math.sqrt(2.0))
-    # support is the full square: nonzero just inside the corners
-    assert eval_delta(delta, [0.99, 0.99]) > 0.0
-
-
-def test_tensor_single_axis_equals_radial():
-    radial = catalog_lookup("eta_1_1_1d")(0.5)
-    tens = tensor_product([("eta_1_1_1d", 0.5)], fit_in_ball=True)
-    xs = np.linspace(-0.7, 0.7, 31)
-    assert np.allclose(radial.eval(xs), tens.eval(xs), atol=1e-15)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_kernels_reject_a_support_scale_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        catalog_lookup("eta_1_1_1d")(bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        tensor_product("eta_1_1_1d", bad)
 
 
 @pytest.mark.parametrize("name", ["eta_2_3_2d", "eta_2_cos_2d"])
@@ -88,14 +87,14 @@ def test_eval_radial_matches_eval_on_the_axis(name):
 
 
 def test_eval_radial_rejects_tensor_kernels():
-    tens = tensor_product([("eta_1_1_1d", 0.5), ("eta_1_1_1d", 0.5)], fit_in_ball=True)
+    tens = tensor_product("eta_1_1_1d", 0.5)
     with pytest.raises(ValueError, match="not a radial kernel"):
         tens.eval_radial(np.array([0.1]))
 
 
 def test_tensor_rejects_2d_axis():
-    with pytest.raises(ValueError):
-        tensor_product([("eta_1_1_2d", 0.5), ("eta_1_1_1d", 0.5)], fit_in_ball=True)
+    with pytest.raises(ValueError, match="must be 1D kernels"):
+        tensor_product("eta_1_1_2d", 0.5)
 
 
 def test_cubic_pieces_agree_at_join():
@@ -147,7 +146,7 @@ def test_even_symmetry(name):
 
 
 def _radial_mass(delta):
-    prof = delta.radial_profile
+    prof = delta.profile
     h = delta.half_width
     rule = gauss_legendre(48)
     edges = np.asarray(prof.breakpoints) * h
@@ -175,13 +174,15 @@ def test_catalog_moment_residuals(name):
 
 def test_tensor_ball_mass_differs_from_full_mass():
     H = 0.5
-    tens = tensor_product([("eta_1_1_1d", H), ("eta_1_1_1d", H)], fit_in_ball=False)
-    # mass restricted to the inscribed ball of radius H by nested quadrature
+    tens = tensor_product("eta_1_1_1d", H)
+    # mass restricted to the ball inscribed in the square, of radius H / sqrt(2),
+    # by nested quadrature
+    R = H / math.sqrt(2)
     rule = gauss_legendre(40)
-    xs, ws = rule.mapped(-H, H)
+    xs, ws = rule.mapped(-R, R)
 
     def strip(x):
-        half = math.sqrt(max(H * H - x * x, 0.0))
+        half = math.sqrt(max(R * R - x * x, 0.0))
         if half == 0.0:
             return 0.0
         yn, yw = rule.mapped(-half, half)

@@ -494,7 +494,7 @@ def test_every_square_problem_meets_its_rows_and_weak_order(spec):
     # vanish by symmetry, so an even m also matches m + 1
     q = spec.moments + (spec.moments % 2 == 0)
     Hs = [2.0**-k for k in range(1, 5)]
-    deltas = [RegularizedDelta(dim=spec.dim, name="eta", profiles=(kernel.profile(),),
-                               half_widths=(H,), is_radial=True) for H in Hs]
+    deltas = [RegularizedDelta(dim=spec.dim, name="eta", profile=kernel.profile(),
+                               half_width=H) for H in Hs]
     errors = [weak_star_error(delta) for delta in deltas]
     assert convergence_slope(Hs, errors).slope == pytest.approx(q + 1, abs=0.25)

@@ -149,29 +149,38 @@ def test_weak_star_radial_2d_anisotropic_test_function():
     assert val == pytest.approx(0.1104040125256, abs=1e-12)
 
 
-# the tensor path integrates a product of two 1D kernels against a separable phi;
-# it must factor into the two 1D radial-path integrals
-@pytest.mark.parametrize("a, b, H", [("eta_2_3_1d", "eta_1_2_1d", 0.25),
-                                     ("eta_cubic", "eta_cos", 0.5)])
-def test_weak_star_tensor_path_factors_into_radial_paths(a, b, H):
+# the tensor path integrates the square of a 1D kernel against a separable phi;
+# it must factor into the two 1D radial-path integrals at the square's half-width
+@pytest.mark.parametrize("name, H", [("eta_2_3_1d", 0.25), ("eta_1_2_1d", 0.25),
+                                     ("eta_cubic", 0.5), ("eta_cos", 0.5)])
+def test_weak_star_tensor_path_factors_into_radial_paths(name, H):
     def f(x):
         return np.exp(0.8 * x) * np.cos(3 * x)
 
     def g(y):
         return 1.0 / (1.0 + ((y - 0.1) / 0.3) ** 2)
 
-    ka, kb = catalog_lookup(a), catalog_lookup(b)
-    tensor = tensor_product([(ka, H), (kb, H)], fit_in_ball=False)
+    builder = catalog_lookup(name)
+    tensor = tensor_product(builder, H)
+    axis = builder(tensor.half_width)
     for order in (24, 48):
-        product = _weak_star_once(ka(H), f, order) * _weak_star_once(kb(H), g, order)
+        product = _weak_star_once(axis, f, order) * _weak_star_once(axis, g, order)
         assert _weak_star_once(tensor, lambda x, y: f(x) * g(y), order) == pytest.approx(
             product, abs=1e-13)
 
 
-def test_weak_star_support_exceeding_box():
-    delta = catalog_lookup("eta_hat2")(1.5)  # support radius 3
-    with pytest.raises(ValueError):
-        weak_star_error(delta, box_halfwidth=2.0)
+def test_weak_star_covers_a_support_wider_than_two():
+    # eta_hat2 at H = 1.5 reaches |x| = 3; oracle: 80-point Gauss on [-3, 0] and
+    # [0, 3] of the printed hat 1/4 (2 - |x| / H) / H against exp(-x^2)
+    H = 1.5
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+    mass = 0.0
+    for lo, hi in ((-3.0, 0.0), (0.0, 3.0)):
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        mass += 0.5 * (hi - lo) * np.dot(weights, 0.25 * (2.0 - np.abs(x) / H) / H * np.exp(-x**2))
+    delta = catalog_lookup("eta_hat2")(H)
+    assert delta.support_radius == 3.0
+    assert weak_star_error(delta) == pytest.approx(abs(mass - 1.0), abs=1e-13)
 
 
 @pytest.mark.parametrize("name", catalog_names())

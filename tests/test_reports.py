@@ -73,7 +73,7 @@ def test_advect_ordering_must_hold_at_every_H(monkeypatch):
 
     def staged(run):
         _, result = real(run)
-        return np.array([maxima[run.kernel.name, run.kernel.half_widths[0]]]), result
+        return np.array([maxima[run.kernel.name, run.kernel.half_width]]), result
 
     monkeypatch.setattr(spectral, "pointwise_error_after_periods", staged)
     report = run_study(parse_config_text(

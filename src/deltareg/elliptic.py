@@ -389,16 +389,19 @@ def _common_mask(u_exact: SolutionProfile, u_reg: SolutionProfile):
         raise ValueError("profiles must share a common evaluation grid")
 
 
-def pointwise_error(u_exact: SolutionProfile, u_reg: SolutionProfile, cutoff: float,
-                    min_points: int = 2000) -> float:
+# the fewest grid points outside the cutoff that a sup error is taken over
+_MIN_POINTS = 2000
+
+
+def pointwise_error(u_exact: SolutionProfile, u_reg: SolutionProfile, cutoff: float) -> float:
     """Sup of |u - u_H| over grid points with |x| > cutoff (sharp exclusion)."""
     _common_mask(u_exact, u_reg)
     outside = np.abs(u_exact.nodes) > cutoff
     n_out = int(np.count_nonzero(outside))
     if n_out == 0:
         raise ValueError("empty exterior region")
-    if n_out < min_points:
-        raise ValueError(f"only {n_out} grid points outside the cutoff; need {min_points}")
+    if n_out < _MIN_POINTS:
+        raise ValueError(f"only {n_out} grid points outside the cutoff; need {_MIN_POINTS}")
     return float(np.max(np.abs(u_exact.values[outside] - u_reg.values[outside])))
 
 

@@ -248,7 +248,8 @@ def solve_dense(system: DenseLinearSystem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EtaKernel:
-    """Solution of a moment problem: basis coefficients plus (Legendre) monomial form."""
+    """Solution of a moment problem: basis coefficients plus (Legendre) monomial form,
+    evaluated through its `profile()` and serialized by `to_json`."""
 
     spec: MomentProblemSpec
     coeffs: np.ndarray
@@ -259,13 +260,6 @@ class EtaKernel:
         if self.spec.basis.kind is BasisKind.SHIFTED_LEGENDRE:
             return poly_profile(self.monomial)
         return cosine_profile(self.coeffs)
-
-    def eval(self, r):
-        prof = self.profile()
-        return prof.eval(r)
-
-    def deriv(self, r, order: int = 1):
-        return self.profile().deriv(r, order)
 
     def to_json(self) -> str:
         payload = {
@@ -283,22 +277,6 @@ class EtaKernel:
             payload["monomial"] = list(map(float, self.monomial))
         return json.dumps(payload, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "EtaKernel":
-        d = json.loads(text)
-        spec = MomentProblemSpec(
-            dim=d["dim"],
-            moments=d["m"],
-            degree=d["p"],
-            basis=BasisFamily(BasisKind(d["basis"]), d["p"]),
-            boundary_smoothness=d.get("boundary_smoothness", 0),
-            origin_smoothness=d.get("origin_smoothness", 0),
-            normalization=Normalization(d["normalization"]),
-        )
-        monomial = np.asarray(d["monomial"]) if "monomial" in d else None
-        return EtaKernel(spec=spec, coeffs=np.asarray(d["coeffs"]), monomial=monomial,
-                         name=d.get("name", ""))
-
 
 def solve_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
     """Solve the assembled system; Legendre solutions also carry monomial coordinates."""
@@ -313,36 +291,33 @@ def solve_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
     return EtaKernel(spec=spec, coeffs=beta, monomial=monomial, name=name)
 
 
-def radial_moment_residuals(kernel, upto: int, dim: int | None = None,
-                            normalization: Normalization | None = None) -> np.ndarray:
+def radial_moment_residuals(kernel, upto: int, dim: int | None = None) -> np.ndarray:
     """Radial-reduction residuals nu(n) * integral(eta r^(theta+n-1)) - [theta=0], theta = 0..upto.
 
-    `kernel` is an EtaKernel, whose spec supplies dim and normalization unless
-    they are given, or a RadialProfile, which needs `dim` (normalization
-    defaults to SurfaceMeasure).  These are the literal moment rows of the
+    `kernel` is an EtaKernel, whose spec supplies the normalization and, unless
+    it is given, dim; or a RadialProfile, which needs `dim` and takes the
+    SurfaceMeasure normalization.  These are the literal moment rows of the
     assembled system; no symmetry credit is taken for odd orders.
     """
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    prof = kernel
+    prof, normalization = kernel, Normalization.SURFACE_MEASURE
     if isinstance(kernel, EtaKernel):
-        prof = kernel.profile()
+        prof, normalization = kernel.profile(), kernel.spec.normalization
         dim = kernel.spec.dim if dim is None else dim
-        normalization = normalization or kernel.spec.normalization
     if dim is None:
         raise TypeError("dimension required")
-    nu = (normalization or Normalization.SURFACE_MEASURE).nu(dim)
+    nu = normalization.nu(dim)
     theta = np.arange(upto + 1)
     return np.array([nu * prof.moment(t + dim - 1) for t in theta]) - (theta == 0)
 
 
-def moment_residuals(kernel, upto: int, dim: int | None = None,
-                     normalization: Normalization | None = None) -> np.ndarray:
+def moment_residuals(kernel, upto: int, dim: int | None = None) -> np.ndarray:
     """Ball-moment residuals of the (symmetric) kernel for orders 0..upto.
 
     radial_moment_residuals with the odd entries set to exact zeros: odd ball
     moments vanish identically for a radially symmetric (even-extended) kernel.
     """
-    out = radial_moment_residuals(kernel, upto, dim, normalization)
+    out = radial_moment_residuals(kernel, upto, dim)
     out[1::2] = 0.0
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyint, polyval
+from numpy.polynomial.polynomial import polyint, polyval
 
 from .quadrature import gauss_legendre, integrate_panels
 
@@ -25,8 +25,7 @@ class RadialProfile:
 
     Either a list of monomial-polynomial pieces or a single cosine series
     sum_k c_k cos(k pi r / support) over the whole support.  Polynomial pieces
-    are differentiated and integrated exactly by `numpy.polynomial.polynomial`
-    (`deriv`, `moment`).
+    are integrated exactly by `numpy.polynomial.polynomial` (`moment`).
     """
 
     pieces: tuple = ()
@@ -49,21 +48,15 @@ class RadialProfile:
             return tuple(edges)
         return (0.0, self.support)
 
-    def _piece_masks(self, r: np.ndarray):
-        # boundary points belong to the inner piece
-        for piece in self.pieces:
-            mask = (r >= piece.lo) & (r <= piece.hi)
-            if piece.lo > 0.0:
-                mask &= r > piece.lo
-            yield piece, mask
-
     def eval(self, r):
         """Profile value at |r| (even in r), exactly 0 outside the support."""
         scalar = np.isscalar(r) or np.ndim(r) == 0
         r = np.atleast_1d(np.abs(np.asarray(r, dtype=float)))
         out = np.zeros_like(r)
         if self.is_polynomial:
-            for piece, mask in self._piece_masks(r):
+            for piece in self.pieces:  # a boundary point belongs to the inner piece
+                above = r > piece.lo if piece.lo > 0.0 else r >= piece.lo
+                mask = above & (r <= piece.hi)
                 out[mask] = np.polyval(piece.coeffs[::-1], r[mask])
         else:
             mask = r <= self.support
@@ -71,24 +64,6 @@ class RadialProfile:
             acc = np.zeros_like(rm)
             for k, c in enumerate(self.cos_coeffs):
                 acc += c * np.cos(k * np.pi * rm / self.support)
-            out[mask] = acc
-        return float(out[0]) if scalar else out
-
-    def deriv(self, r, order: int = 1):
-        """Derivative of the one-sided profile at r in [0, support]."""
-        scalar = np.isscalar(r) or np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r)
-        if self.is_polynomial:
-            for piece, mask in self._piece_masks(r):
-                out[mask] = polyval(r[mask], polyder(piece.coeffs, order))
-        else:
-            mask = r <= self.support
-            rm = r[mask]
-            acc = np.zeros_like(rm)
-            for k, c in enumerate(self.cos_coeffs):
-                w = k * np.pi / self.support
-                acc += c * w**order * np.cos(w * rm + order * np.pi / 2)
             out[mask] = acc
         return float(out[0]) if scalar else out
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -144,7 +144,6 @@ class SlopeFit:
 
     slope: float
     ratios: np.ndarray
-    used: np.ndarray = field(default=None)
 
 
 def convergence_slope(Hs, Es) -> SlopeFit:
@@ -169,4 +168,4 @@ def convergence_slope(Hs, Es) -> SlopeFit:
     for i in range(Hs.size - 1):
         if good[i] and good[i + 1]:
             ratios[i] = math.log(Es[i] / Es[i + 1]) / math.log(Hs[i] / Hs[i + 1])
-    return SlopeFit(slope=slope, ratios=ratios, used=good)
+    return SlopeFit(slope=slope, ratios=ratios)

@@ -58,12 +58,15 @@ def _parse_number(token: str) -> float:
     token = token.strip().lower()
     if token in _NUMBER_TOKENS:
         return _NUMBER_TOKENS[token]
-    if "^" in token:
-        base, exp = token.split("^", 1)
-        return float(base) ** float(exp)
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return _parse_number(num) / _parse_number(den)
+    try:
+        if "^" in token:
+            base, exp = token.split("^", 1)
+            return math.pow(float(base), float(exp))  # a complex power raises
+        if "/" in token:
+            num, den = token.split("/", 1)
+            return _parse_number(num) / _parse_number(den)
+    except ArithmeticError as exc:  # overflow, division by zero
+        raise ConfigError(f"cannot evaluate '{token}': {exc}") from None
     if token.endswith("pi"):
         return float(token[:-2] or "1") * math.pi
     return float(token)
@@ -451,11 +454,10 @@ def _kdv(opts: dict):
         else:
             run = spectral.KdVRun(grid=grid, gaussian_sigma=H, dt=dt, t_final=t_final)
         result = spectral.kdv_solve(run)
-        diag = spectral.transport_diagnostics(result)
+        com = spectral.com_displacement(result)
         drift = abs(result.mass[-1] - result.mass[0])
         return [dict(max_u=float(np.max(np.abs(result.snapshots[-1]))), mass_drift=drift,
-                     com_displacement=diag["com_displacement"],
-                     status=_status(drift <= mass_tol and diag["com_displacement"] > 0))]
+                     com_displacement=com, status=_status(drift <= mass_tol and com > 0))]
 
     for H in Hs:
         yield {"source": source, "H": H}, partial(run_rows, H)

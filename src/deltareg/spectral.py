@@ -25,9 +25,7 @@ __all__ = [
     "kdv_solve",
     "gaussian_source",
     "conserved_quantities",
-    "soliton",
-    "peak_location",
-    "transport_diagnostics",
+    "com_displacement",
 ]
 
 
@@ -164,15 +162,14 @@ def leapfrog_multiplier(grid: PeriodicGrid1D, dt: float, n_steps: int) -> np.nda
     return g
 
 
-def advect_leapfrog(run: AdvectionRun, exact_translation: bool = False) -> AdvectionResult:
+def advect_leapfrog(run: AdvectionRun) -> AdvectionResult:
     """March u_t + u_x = 0 with spectral derivative and leapfrog in time.
 
     Startup uses the scheme's principal root (dispersion phase arcsin(k dt)),
     which keeps every modal amplitude constant and makes the per-mode phase
     follow sin(omega dt) = k dt exactly.  The final spectrum is c_0 times the
     grid's `leapfrog_multiplier`, so runs on one grid with one dt and step count
-    march once.  With exact_translation the modes are instead multiplied by
-    exp(-i k T): no dispersion, for oracle comparisons.
+    march once.
     """
     grid = run.grid
     dt = run.time_step
@@ -185,11 +182,7 @@ def advect_leapfrog(run: AdvectionRun, exact_translation: bool = False) -> Advec
         raise CFLError(f"k_max dt = {kmax_dt:.3f} > 1; leapfrog unstable")
     u0 = run.initial_values()
     c0 = np.fft.rfft(u0)
-    if exact_translation:
-        factor = np.exp(-1j * grid.deriv_wavenumbers * run.t_final)
-    else:
-        factor = leapfrog_multiplier(grid, dt, n_steps)
-    cT = c0 * factor
+    cT = c0 * leapfrog_multiplier(grid, dt, n_steps)
     uT = np.fft.irfft(cT, n=grid.n)
     return AdvectionResult(
         grid=grid, u_initial=u0, u_final=uT,
@@ -199,20 +192,18 @@ def advect_leapfrog(run: AdvectionRun, exact_translation: bool = False) -> Advec
             kernel=getattr(run.kernel, "name", "custom"),
             H=run.kernel.half_width if run.kernel is not None else None,
             t_final=run.t_final,
-            exact_translation=exact_translation,
             n_steps=n_steps,
             kmax_dt=kmax_dt,
         ),
     )
 
 
-def pointwise_error_after_periods(run: AdvectionRun,
-                                  exact_translation: bool = False) -> tuple[np.ndarray, AdvectionResult]:
+def pointwise_error_after_periods(run: AdvectionRun) -> tuple[np.ndarray, AdvectionResult]:
     """E(x) = |u(x, 0) - u(x, T)| on grid nodes, for T an integer number of periods."""
     periods = run.t_final / run.grid.length
     if abs(periods - round(periods)) > 1e-9:
         raise ValueError(f"final time {run.t_final:g} is not an integer number of periods")
-    result = advect_leapfrog(run, exact_translation=exact_translation)
+    result = advect_leapfrog(run)
     return np.abs(result.u_initial - result.u_final), result
 
 
@@ -220,8 +211,8 @@ def pointwise_error_after_periods(run: AdvectionRun,
 # KdV
 # ---------------------------------------------------------------------------
 
-def gaussian_source(x, sigma: float, center: float = 0.5, normalized: bool = False):
-    """Reference bump (2 pi sigma^2)^(-1/2) exp(-(x - c)^2 / sigma^2).
+def gaussian_source(x, sigma: float, normalized: bool = False):
+    """Reference bump (2 pi sigma^2)^(-1/2) exp(-(x - 0.5)^2 / sigma^2).
 
     As printed the exponent carries sigma^2 (not 2 sigma^2), so the total mass
     is 1/sqrt(2); normalized=True switches to the unit-mass variant.
@@ -231,14 +222,7 @@ def gaussian_source(x, sigma: float, center: float = 0.5, normalized: bool = Fal
     x = np.asarray(x, dtype=float)
     amp = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
     denom = 2.0 * sigma * sigma if normalized else sigma * sigma
-    return amp * np.exp(-((x - center) ** 2) / denom)
-
-
-def soliton(x, c: float = 1.0, t: float = 0.0):
-    """Single right-moving solitary wave (c/2) sech^2(sqrt(c) (x - c t) / 2)."""
-    x = np.asarray(x, dtype=float)
-    arg = 0.5 * math.sqrt(c) * (x - c * t)
-    return 0.5 * c / np.cosh(arg) ** 2
+    return amp * np.exp(-((x - 0.5) ** 2) / denom)
 
 
 def conserved_quantities(u: np.ndarray, grid: PeriodicGrid1D) -> tuple[float, float]:
@@ -257,7 +241,6 @@ class KdVRun:
     dt: float = 1e-4
     t_final: float = 0.05
     snapshots: tuple = ()
-    dealias: bool = True
 
     def __post_init__(self):
         given = sum(x is not None for x in (self.kernel, self.initial, self.gaussian_sigma))
@@ -295,7 +278,7 @@ def kdv_solve(run: KdVRun) -> KdVResult:
     are built once per run (Trefethen, Spectral Methods in MATLAB, program 27);
     up to rounding this is RK4 with the factor exp(-i k^3 t) anchored at t = 0.
     The quadratic term 3 (u^2)_x is evaluated pseudospectrally on real FFTs with
-    2/3-rule dealiasing (on by default).  Aborts with a diagnostic when max|u| > 1e6.
+    2/3-rule dealiasing.  Aborts with a diagnostic when max|u| > 1e6.
     """
     grid = run.grid
     dt = run.dt
@@ -315,8 +298,7 @@ def kdv_solve(run: KdVRun) -> KdVResult:
     E = np.exp(0.5j * dt * k**3)
     E2 = E * E
     gm = -3j * k
-    if run.dealias:
-        gm[k > (2.0 / 3.0) * k[-1]] = 0.0
+    gm[k > (2.0 / 3.0) * k[-1]] = 0.0
 
     def nonlinear(w):
         # spectrum of -3 (u^2)_x for the field with spectrum w
@@ -359,16 +341,16 @@ def kdv_solve(run: KdVRun) -> KdVResult:
         metadata=dict(
             kernel=getattr(run.kernel, "name", None),
             H=run.kernel.half_width if run.kernel is not None else None,
-            dt=dt, n_steps=n_steps, t_final=run.t_final, dealias=run.dealias,
+            dt=dt, n_steps=n_steps, t_final=run.t_final,
             n=grid.n, length=grid.length,
         ),
     )
 
 
-def transport_diagnostics(result: KdVResult) -> dict:
-    """Rightward-transport measures between the first and last snapshots.
+def com_displacement(result: KdVResult) -> float:
+    """Displacement of the first moment of u between the first and last snapshots.
 
-    The first moment of u moves right at speed 3 * integral(u^2) exactly, so its
+    The first moment moves right at speed 3 * integral(u^2) exactly, so its
     displacement is the robust sign check for the emerging coherent structure;
     the raw argmax can drift left at short times while dispersive radiation
     still dominates the pointwise maximum.
@@ -376,21 +358,4 @@ def transport_diagnostics(result: KdVResult) -> dict:
     grid = result.grid
     x = grid.nodes
     u0, uT = result.snapshots[0], result.snapshots[-1]
-    m1_0 = float(np.sum(x * u0) * grid.dx)
-    m1_T = float(np.sum(x * uT) * grid.dx)
-    t_span = float(result.times[-1] - result.times[0])
-    return dict(
-        com_displacement=m1_T - m1_0,
-        com_predicted=3.0 * float(result.momentum[0]) * t_span,
-        peak_displacement=peak_location(uT, grid) - peak_location(u0, grid),
-    )
-
-
-def peak_location(u: np.ndarray, grid: PeriodicGrid1D) -> float:
-    """Sub-grid peak position by parabolic interpolation around the discrete max."""
-    j = int(np.argmax(u))
-    n = grid.n
-    um, u0, up = u[(j - 1) % n], u[j], u[(j + 1) % n]
-    denom = um - 2.0 * u0 + up
-    shift = 0.0 if denom == 0 else 0.5 * (um - up) / denom
-    return grid.nodes[j] + shift * grid.dx
+    return float(np.sum(x * uT) * grid.dx) - float(np.sum(x * u0) * grid.dx)

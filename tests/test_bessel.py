@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -48,27 +47,6 @@ def bisect(fn, lo, hi, iters=60):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def test_first_call_binds_scipy_special():
-    import scipy.special
-
-    importlib.reload(bessel)  # back to the stand-ins, whatever ran before
-    assert bessel.y1 is not scipy.special.y1
-    assert bessel.j0(0.0) == 1.0
-    assert {name: vars(bessel)[name] for name in bessel.__all__} == {
-        name: getattr(scipy.special, name) for name in bessel.__all__}
-
-
-def test_first_call_keeps_a_name_replaced_from_outside(monkeypatch):
-    import scipy.special
-
-    importlib.reload(bessel)
-    stand_in, calls = bessel.j0, []
-    monkeypatch.setattr(bessel, "j0", lambda x: calls.append(x) or stand_in(x))
-    assert bessel.j0(0.0) == 1.0 and bessel.j0(0.0) == 1.0
-    assert calls == [0.0, 0.0]  # every call still passes through the replacement
-    assert bessel.y0 is scipy.special.y0
 
 
 def test_unknown_name_is_an_attribute_error():

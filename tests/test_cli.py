@@ -178,6 +178,20 @@ def test_non_finite_or_zero_width_in_a_schedule_is_an_error(capsys, command, sch
     assert "positive and finite" in err
 
 
+# a number whose arithmetic fails is a config error (exit 1), not a traceback
+@pytest.mark.parametrize("argv", [
+    ["weakstar", "--kernels", "eta_1_1_1d", "--H", "2^10000"],
+    ["weakstar", "--kernels", "eta_1_1_1d", "--H", "1/0"],
+    ["advect", "--kernel", "eta_1_1_1d", "--T", "1/0"],
+    ["weakstar", "--kernels", "eta_1_1_1d", "--H=-8^0.5"],  # a complex power
+])
+def test_number_whose_arithmetic_fails_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("H", ["nan", "inf", "0"])
 def test_kernel_eval_rejects_a_width_that_is_not_positive_and_finite(capsys, H):
     assert main(["kernel", "eval", "--name", "eta_1_1_1d", "--H", H, "--at", "0.1"]) == 1

@@ -570,7 +570,7 @@ def test_pointwise_error_requires_common_grid():
     a = exact_profile_1d(np.linspace(-1, 1, 101), K0)
     b = exact_profile_1d(np.linspace(-1, 1, 201), K0)
     with pytest.raises(ValueError, match="common"):
-        pointwise_error(a, b, 0.25, min_points=10)
+        pointwise_error(a, b, 0.25)
 
 
 def test_1d_two_moment_ratio_saturates_near_four():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyder, polyval
 
 import deltareg
 from deltareg.kernels import RegularizedDelta, catalog_entries, catalog_lookup
@@ -16,7 +17,6 @@ from deltareg.moments import (
     BasisFamily,
     BasisKind,
     DenseLinearSystem,
-    EtaKernel,
     MomentProblemSpec,
     MomentSystemError,
     Normalization,
@@ -30,7 +30,6 @@ from deltareg.moments import (
     solve_dense,
     solve_moment_problem,
 )
-from deltareg.profiles import cosine_profile
 from deltareg.quadrature import convergence_slope, gauss_legendre, weak_star_error
 
 PI = math.pi
@@ -316,7 +315,7 @@ def test_catalog_profile_matches_printed_form(name, spec, printed):
 
 def test_quadratic_without_continuity_is_discontinuous():
     kernel = solve_moment_problem(legendre_spec(1, 2, 2))
-    assert abs(kernel.eval(1.0)) > 1.0  # non-vanishing at the support edge
+    assert abs(kernel.profile().eval(1.0)) > 1.0  # non-vanishing at the support edge
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ def test_cosine_zero_moment_1d():
     kernel = solve_moment_problem(spec)
     # boundary constraint eta(1) = 0 fixes the cosine weight to +1/2
     assert kernel.coeffs == pytest.approx(expected, abs=1e-12)
-    assert kernel.eval(1.0) == pytest.approx(0.0, abs=1e-14)
+    assert kernel.profile().eval(1.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cosine_two_moment_1d_closed_form():
@@ -349,18 +348,6 @@ def test_cosine_two_moment_2d_closed_form():
     assert kernel.coeffs == pytest.approx(expected, abs=1e-10)
 
 
-@pytest.mark.parametrize("order", range(6))
-def test_cosine_profile_deriv_matches_phase_table(order):
-    # d^n/dr^n cos(w r) cycles through cos, -sin, -cos, sin
-    coeffs, support = (0.5, -0.3, 0.2, 0.1), 0.8
-    r = np.linspace(0.0, support, 17)
-    sign, trig = [(1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos), (1.0, np.sin)][order % 4]
-    ws = np.arange(len(coeffs)) * PI / support
-    expected = sum(c * w**order * sign * trig(w * r) for c, w in zip(coeffs, ws))
-    got = cosine_profile(coeffs, support).deriv(r, order)
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.sum(np.abs(coeffs) * ws**order)
-
-
 def test_cosine_rejects_redundant_origin_constraints():
     with pytest.raises(MomentSystemError):
         cosine_spec(1, 2, 4, s=2)
@@ -376,10 +363,10 @@ def test_cosine_rejects_redundant_origin_constraints():
 
 def test_solution_satisfies_smoothness_constraints():
     kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2))
-    prof = kernel.profile()
-    assert abs(prof.eval(1.0)) <= 1e-10
-    assert abs(prof.deriv(1.0)) <= 1e-10
-    assert abs(prof.deriv(0.0)) <= 1e-10
+    slope = polyder(kernel.monomial)
+    assert abs(kernel.profile().eval(1.0)) <= 1e-10
+    assert abs(polyval(1.0, slope)) <= 1e-10
+    assert abs(polyval(0.0, slope)) <= 1e-10
 
 
 def test_moment_residuals_box_kernel():
@@ -430,25 +417,24 @@ def test_condition_estimate_present():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_json_round_trip_is_bit_faithful():
+def test_json_carries_spec_and_exact_coefficients():
     kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2), name="quintic")
-    text = kernel.to_json()
-    back = EtaKernel.from_json(text)
-    assert list(back.coeffs) == list(kernel.coeffs)
-    assert list(back.monomial) == list(kernel.monomial)
-    assert back.spec == kernel.spec
-    assert back.to_json() == text
-    payload = json.loads(text)
+    payload = json.loads(kernel.to_json())
+    assert payload["coeffs"] == list(kernel.coeffs)
+    assert payload["monomial"] == list(kernel.monomial)
     assert payload["name"] == "quintic"
     assert payload["basis"] == "shifted_legendre"
+    assert (payload["dim"], payload["m"], payload["p"]) == (1, 2, 5)
+    assert (payload["boundary_smoothness"], payload["origin_smoothness"]) == (2, 2)
+    assert payload["normalization"] == "surface_measure"
 
 
 def test_cosine_kernel_serializes_without_monomial():
     kernel = solve_moment_problem(cosine_spec(1, 2, 3, s=1))
     payload = json.loads(kernel.to_json())
     assert "monomial" not in payload
-    back = EtaKernel.from_json(kernel.to_json())
-    assert back.eval(0.3) == pytest.approx(kernel.eval(0.3), abs=1e-15)
+    assert payload["basis"] == "cosine"
+    assert payload["coeffs"] == list(kernel.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,29 @@ from deltareg.spectral import (
     KdVRun,
     PeriodicGrid1D,
     advect_leapfrog,
+    com_displacement,
     conserved_quantities,
     gaussian_source,
     kdv_solve,
     leapfrog_multiplier,
     leapfrog_phase_factors,
-    peak_location,
     pointwise_error_after_periods,
-    soliton,
-    transport_diagnostics,
 )
+
+
+def soliton(x, c=1.0, t=0.0):
+    """Single right-moving solitary wave (c/2) sech^2(sqrt(c) (x - c t) / 2) of the KdV."""
+    arg = 0.5 * math.sqrt(c) * (np.asarray(x, dtype=float) - c * t)
+    return 0.5 * c / np.cosh(arg) ** 2
+
+
+def peak_location(u, grid):
+    """Sub-grid peak position by parabolic interpolation around the discrete max."""
+    j = int(np.argmax(u))
+    um, u0, up = u[j - 1], u[j], u[(j + 1) % grid.n]
+    denom = um - 2.0 * u0 + up
+    shift = 0.0 if denom == 0 else 0.5 * (um - up) / denom
+    return grid.nodes[j] + shift * grid.dx
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +182,6 @@ def test_band_limited_error_within_dispersion_bound():
     assert errs.max() <= 1e-2  # low modes barely disperse over one period
 
 
-def test_exact_translation_returns_to_initial_data():
-    grid = PeriodicGrid1D(n=256)
-    run = AdvectionRun(grid=grid, kernel=catalog_lookup("eta_1_1_1d")(0.5),
-                       t_final=2 * math.pi)
-    errs, _ = pointwise_error_after_periods(run, exact_translation=True)
-    assert errs.max() <= 1e-12
-
-
 def test_non_integer_period_count_rejected():
     grid = PeriodicGrid1D(n=64)
     run = AdvectionRun(grid=grid, initial=np.cos(grid.nodes), t_final=3.0)
@@ -277,12 +282,15 @@ def test_mass_is_exactly_conserved_for_impulse():
     assert abs(result.mass[-1] - result.mass[0]) <= 1e-12
 
 
-def test_transport_diagnostics_match_first_moment_law():
+def test_com_displacement_matches_first_moment_law():
+    # the first moment of u moves right at speed 3 * integral(u^2)
     grid = _kdv_grid()
     run = KdVRun(grid=grid, initial=soliton(grid.nodes), dt=2e-4, t_final=0.5)
-    diag = transport_diagnostics(kdv_solve(run))
-    assert diag["com_displacement"] == pytest.approx(diag["com_predicted"], rel=1e-3)
-    assert diag["peak_displacement"] > 0
+    result = kdv_solve(run)
+    predicted = 3.0 * result.momentum[0] * (result.times[-1] - result.times[0])
+    assert com_displacement(result) == pytest.approx(predicted, rel=1e-3)
+    peaks = [peak_location(u, grid) for u in result.snapshots]
+    assert peaks[-1] - peaks[0] > 0
 
 
 def _kdv_reference(u0, grid, dt, n_steps, snap_steps):
@@ -335,24 +343,20 @@ def test_kdv_rejects_snapshot_outside_run(t):
         kdv_solve(run)
 
 
-def test_dealias_changes_rough_run_and_spectra_keep_full_fft_layout():
+def test_dealias_keeps_rough_run_high_modes_and_spectra_keep_full_fft_layout():
     grid = _kdv_grid()
-    results = {}
-    for dealias in (True, False):
-        run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 4),
-                     dt=1e-4, t_final=0.02, dealias=dealias)
-        results[dealias] = result = kdv_solve(run)
-        assert result.spectra.shape == (2, grid.n)
-        assert np.array_equal(result.spectra, np.abs(np.fft.fft(result.snapshots, axis=1)))
-    gap = np.max(np.abs(results[True].snapshots[-1] - results[False].snapshots[-1]))
-    assert gap > 1e-3
-
-
-def test_dealias_flag_recorded():
-    grid = _kdv_grid()
-    result = kdv_solve(KdVRun(grid=grid, initial=np.zeros(grid.n), t_final=0.001,
-                              dealias=False))
-    assert result.metadata["dealias"] is False
+    run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 4),
+                 dt=1e-4, t_final=0.02)
+    result = kdv_solve(run)
+    assert result.spectra.shape == (2, grid.n)
+    assert np.array_equal(result.spectra, np.abs(np.fft.fft(result.snapshots, axis=1)))
+    # the 2/3 rule leaves the modes above the cutoff (Nyquist aside, which the real
+    # snapshot drops) to the linear factor alone, so their moduli stay put; without
+    # it they move by 0.19 here
+    k = grid.wavenumbers
+    high = (k > (2.0 / 3.0) * k[-1]) & (k < k[-1])
+    first, last = np.abs(np.fft.rfft(result.snapshots, axis=1))
+    assert np.max(np.abs(last[high] - first[high])) <= 1e-12 * np.max(first)
 
 
 def test_kdv_run_validation():

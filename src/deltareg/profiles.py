@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyint, polyval
@@ -26,11 +26,13 @@ class RadialProfile:
     Either a list of monomial-polynomial pieces or a single cosine series
     sum_k c_k cos(k pi r / support) over the whole support.  Polynomial pieces
     are integrated exactly by `numpy.polynomial.polynomial` (`moment`).
+    `_weak_star` holds its `quadrature._weak_star_table`s: weakstar-1d and -2d fill 28 in 12.
     """
 
     pieces: tuple = ()
     cos_coeffs: tuple = ()
     support: float = 1.0
+    _weak_star: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if bool(self.pieces) == bool(self.cos_coeffs):

@@ -58,11 +58,17 @@ def integrate_panels(f, edges, rule: GaussRule) -> float:
     `f` is called once, on every panel's nodes; panels of zero width are skipped.
     The panel sums are added in order, as a per-panel loop would add them.
     """
+    x, w = _panels(edges, rule)
+    return _panel_sum(w, np.reshape(f(x.ravel()), x.shape))
+
+
+def _panels(edges, rule: GaussRule) -> tuple[np.ndarray, np.ndarray]:
     edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    keep = hi > lo
-    x, w = rule.mapped(lo[keep, None], hi[keep, None])
-    fx = np.reshape(f(x.ravel()), x.shape)
+    keep = edges[1:] > edges[:-1]
+    return rule.mapped(edges[:-1][keep, None], edges[1:][keep, None])
+
+
+def _panel_sum(w, fx) -> float:
     total = 0.0
     for wi, fi in zip(w, fx):
         total += float(np.dot(wi, fi))
@@ -76,6 +82,29 @@ def _default_test_function(dim: int):
     return lambda x, y: np.exp(-(x**2) - (y**2))
 
 
+def _weak_star_table(delta, order: int) -> tuple:
+    """Read-only nodes, weights, eta (times rho^(n-1)) and directions: neither H nor phi."""
+    prof, key = delta.profile, (delta.dim, delta.is_radial, order)
+    table = prof._weak_star.get(key)
+    if table is None:
+        bps = prof.breakpoints  # the tensor square mirrors them onto both half-axes
+        x, w = _panels(bps if delta.is_radial else [-b for b in bps[::-1]] + list(bps[1:]),
+                       gauss_legendre(order))
+        if delta.is_radial:
+            # angles 0 and pi give the 1D directions +1 and -1
+            n_dir = 2 if delta.dim == 1 else order
+            theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
+            rho = x.ravel()
+            table = (rho, w, prof.eval(rho) * rho ** (delta.dim - 1),
+                     *(np.cos(theta), np.sin(theta))[: delta.dim], np.full(n_dir, 1.0 / n_dir))
+        else:
+            table = (x, w, prof.eval(np.abs(x)))
+        for a in table:
+            a.setflags(write=False)
+        prof._weak_star[key] = table
+    return table
+
+
 def _weak_star_once(delta, phi, order: int) -> float:
     """One evaluation of the integral of delta_H against phi at Gauss order `order`.
 
@@ -83,33 +112,21 @@ def _weak_star_once(delta, phi, order: int) -> float:
     panels, weighted by nu(n) rho^(n-1), times the mean of phi over the unit
     directions, {+1, -1} in 1D and `order` equispaced angles in 2D (the periodic
     trapezoid rule).  The tensor square uses the same Gauss panels on both axes.
+    A call evaluates only phi(h x); the rest is `_weak_star_table`, kept per (dim,
+    is_radial, order) in the profile's `_weak_star` for every H and later call, not
+    in a process-wide cache: a profile from a list of pieces is unhashable.
     """
-    rule = gauss_legendre(order)
-    prof, h = delta.profile, delta.half_width
+    table, h = _weak_star_table(delta, order), delta.half_width
     if delta.is_radial:
-        # angles 0 and pi give the 1D directions +1 and -1
-        n_dir, nu = (2, 2.0) if delta.dim == 1 else (order, 2.0 * np.pi)
-        theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
-        dirs = (np.cos(theta), np.sin(theta))[: delta.dim]
-        mean_w = np.full(n_dir, 1.0 / n_dir)
-
-        def integrand(rho):
-            r = h * rho[:, None]
-            vals = phi(*(r * d for d in dirs))
-            mean_phi = vals @ mean_w if np.ndim(vals) else vals  # a constant phi may be scalar
-            return prof.eval(rho) * rho ** (delta.dim - 1) * mean_phi
-
-        return nu * integrate_panels(integrand, prof.breakpoints, rule)
+        rho, w, eta, *dirs, mean_w = table
+        vals = phi(*(h * rho[:, None] * d for d in dirs))
+        mean_phi = vals @ mean_w if np.ndim(vals) else vals  # a constant phi may be scalar
+        nu = 2.0 if delta.dim == 1 else 2.0 * np.pi  # the measure of the unit sphere
+        return nu * _panel_sum(w, np.reshape(eta * mean_phi, w.shape))
     # the square: the same panels on both axes, summed one panel pair at a time
-    bps = prof.breakpoints
-    edges = [-b for b in bps[::-1]] + list(bps[1:])
     total = 0.0
-    for xlo, xhi in zip(edges[:-1], edges[1:]):
-        xn, xw = rule.mapped(xlo, xhi)
-        fx = prof.eval(np.abs(xn))
-        for ylo, yhi in zip(edges[:-1], edges[1:]):
-            yn, yw = rule.mapped(ylo, yhi)
-            fy = prof.eval(np.abs(yn))
+    for xn, xw, fx in zip(*table):
+        for yn, yw, fy in zip(*table):
             vals = phi(h * xn[:, None], h * yn[None, :])
             total += float(xw @ (vals * fx[:, None] * fy[None, :]) @ yw)
     return total
@@ -122,7 +139,8 @@ def weak_star_error(delta, phi=None, order: int = 24) -> float:
     panel edges on every kernel breakpoint; radial kernels integrate phi over
     the directions of every radius, so phi need not be radial.  The result is
     accepted only once doubling the Gauss order (radial nodes and, in 2D,
-    angles alike) moves it by <= 1e-12.
+    angles alike) moves it by <= 1e-12.  Each order's H-free table is built once
+    per profile and geometry and shared by every H (`_weak_star_once`).
     """
     if phi is None:
         phi = _default_test_function(delta.dim)

@@ -1,3 +1,4 @@
+import importlib.resources
 import math
 import warnings
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltareg.kernels import catalog_lookup, catalog_names, tensor_product
+from deltareg.kernels import RegularizedDelta, catalog_lookup, catalog_names, tensor_product
+from deltareg.profiles import PolyPiece, RadialProfile, poly_profile
 from deltareg.quadrature import (
     QuadratureError,
+    _default_test_function,
     _weak_star_once,
     convergence_slope,
     gauss_legendre,
@@ -191,6 +194,117 @@ def test_weak_star_order_doubling_floor(name):
     a = weak_star_error(delta, order=12)
     b = weak_star_error(delta, order=24)
     assert abs(a - b) <= 1e-12
+
+
+def _per_call_weak_star_once(delta, phi, order: int) -> float:
+    """Oracle: the weak-star sum that builds nodes, weights and eta on every call."""
+    rule = gauss_legendre(order)
+    prof, h = delta.profile, delta.half_width
+    if delta.is_radial:
+        # angles 0 and pi give the 1D directions +1 and -1
+        n_dir, nu = (2, 2.0) if delta.dim == 1 else (order, 2.0 * np.pi)
+        theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
+        dirs = (np.cos(theta), np.sin(theta))[: delta.dim]
+        mean_w = np.full(n_dir, 1.0 / n_dir)
+
+        def integrand(rho):
+            r = h * rho[:, None]
+            vals = phi(*(r * d for d in dirs))
+            mean_phi = vals @ mean_w if np.ndim(vals) else vals  # a constant phi may be scalar
+            return prof.eval(rho) * rho ** (delta.dim - 1) * mean_phi
+
+        return nu * integrate_panels(integrand, prof.breakpoints, rule)
+    # the square: the same panels on both axes, summed one panel pair at a time
+    bps = prof.breakpoints
+    edges = [-b for b in bps[::-1]] + list(bps[1:])
+    total = 0.0
+    for xlo, xhi in zip(edges[:-1], edges[1:]):
+        xn, xw = rule.mapped(xlo, xhi)
+        fx = prof.eval(np.abs(xn))
+        for ylo, yhi in zip(edges[:-1], edges[1:]):
+            yn, yw = rule.mapped(ylo, yhi)
+            fy = prof.eval(np.abs(yn))
+            vals = phi(h * xn[:, None], h * yn[None, :])
+            total += float(xw @ (vals * fx[:, None] * fy[None, :]) @ yw)
+    return total
+
+
+def _make_kernel(spec: str, H: float) -> RegularizedDelta:
+    if spec.startswith("tensor:"):
+        return tensor_product(spec.split(":", 1)[1], H)
+    return catalog_lookup(spec)(H)
+
+
+@pytest.mark.parametrize("spec", catalog_names() + ["tensor:eta_1_1_1d", "tensor:eta_2_3_1d"])
+def test_weak_star_table_matches_the_per_call_sum_exactly(spec):
+    # the table must change no bit: warm (built by an earlier H) and cold alike
+    for H in (2.0**-k for k in range(2, 7)):
+        delta = _make_kernel(spec, H)
+        phi = _default_test_function(delta.dim)
+        for order in (24, 48):
+            expected = _per_call_weak_star_once(delta, phi, order)
+            assert _weak_star_once(delta, phi, order) == expected
+            delta.profile._weak_star.clear()
+            assert _weak_star_once(delta, phi, order) == expected
+    tables = delta.profile._weak_star.values()
+    assert tables
+    for array in (a for table in tables for a in table):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.0
+
+
+def test_weak_star_of_a_profile_from_a_list_of_pieces():
+    # a list of pieces makes the profile unhashable; a process-wide cache keyed
+    # on the profile raised TypeError here
+    listed = RadialProfile(pieces=[PolyPiece(0.0, 1.0, np.array([1.0, -1.0]))])
+    twin = poly_profile([1.0, -1.0])
+    with pytest.raises(TypeError):
+        hash(listed)
+    errors = [weak_star_error(RegularizedDelta(dim=1, name="hat", profile=prof, half_width=0.25))
+              for prof in (listed, twin)]
+    assert errors == [0.010287897542340718] * 2
+
+
+def test_weak_star_table_holds_no_test_function():
+    # test functions in a row share the tables; each matches its pinned oracle
+    delta = catalog_lookup("eta_1_1_1d")(0.5)
+    delta.profile._weak_star.clear()
+    lorentzian = weak_star_error(delta, phi=lambda x: 1.0 / (1.0 + ((x - 0.125) / 0.05) ** 2))
+    assert lorentzian == pytest.approx(0.0710773122544052, abs=1e-14)
+    keys = [(1, True, n) for n in (24, 48, 96, 192)]
+    assert sorted(delta.profile._weak_star) == keys
+    # oracle: order-64 Gauss on the hat (1 - |x| / H) / H against exp(-x^2)
+    hat = integrate_panels(lambda x: (1.0 - np.abs(x) / 0.5) / 0.5 * np.exp(-(x**2)),
+                           [-0.5, 0.0, 0.5], gauss_legendre(64))
+    warm = weak_star_error(delta)
+    assert warm == pytest.approx(abs(1.0 - hat), abs=1e-12)
+    delta.profile._weak_star.clear()
+    assert weak_star_error(delta) == warm
+    radial_2d = catalog_lookup("eta_1_1_2d")(0.5)
+    radial_2d.profile._weak_star.clear()
+    val = weak_star_error(radial_2d, phi=lambda x, y: np.exp(-(x**2) - 4 * y**2))
+    assert val == pytest.approx(0.1104040125256, abs=1e-12)
+    assert sorted(radial_2d.profile._weak_star) == [(2, True, 24), (2, True, 48)]
+
+
+def test_weak_star_tables_hold_one_entry_per_geometry_and_order():
+    from deltareg.reports import parse_config_text, run_study
+
+    profiles = {id(p): p for p in (catalog_lookup(n).profile() for n in catalog_names())}
+    for prof in profiles.values():
+        prof._weak_star.clear()
+    used = {}  # profile id -> (dim, is_radial) geometries the tables use it in
+    for table in ("weakstar-1d", "weakstar-2d"):
+        text = (importlib.resources.files("deltareg") / "configs" / f"{table}.cfg").read_text()
+        config = parse_config_text(text)
+        assert run_study(config).exit_code == 0
+        for spec in config.options["kernels"].split(","):
+            delta = _make_kernel(spec.strip(), 0.25)
+            used.setdefault(id(delta.profile), set()).add((delta.dim, delta.is_radial))
+    for key, prof in profiles.items():
+        allowed = {(*geometry, order) for geometry in used.get(key, ()) for order in (24, 48)}
+        assert set(prof._weak_star) <= allowed
+    assert sum(len(p._weak_star) for p in profiles.values()) == 28
 
 
 def test_slope_exact_power_laws():

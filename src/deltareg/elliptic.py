@@ -64,11 +64,11 @@ class SolutionProfile:
     def dim(self) -> int:
         return int(self.metadata.get("dim", 1))
 
-    def check_boundary(self, tol: float = 1e-10) -> None:
-        """Domain-edge values must vanish: x = +-1 in 1D, r = 1 in 2D."""
+    def check_boundary(self) -> None:
+        """Domain-edge values must vanish to 1e-10: x = +-1 in 1D, r = 1 in 2D."""
         for edge in (-1.0, 1.0) if self.dim == 1 else (1.0,):
             i = int(np.argmin(np.abs(self.nodes - edge)))
-            if abs(self.nodes[i] - edge) < 1e-12 and abs(self.values[i]) > tol:
+            if abs(self.nodes[i] - edge) < 1e-12 and abs(self.values[i]) > 1e-10:
                 raise ValueError(f"boundary value {self.values[i]:.2e} at {edge:g}")
 
 

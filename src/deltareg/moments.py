@@ -134,8 +134,11 @@ class MomentProblemSpec:
 class DenseLinearSystem:
     matrix: np.ndarray
     rhs: np.ndarray
-    condition_estimate: float
     row_labels: tuple = field(default=())
+
+    @property
+    def condition_estimate(self) -> float:  # 1-norm: an explicit inverse, so only when read
+        return float(np.linalg.cond(self.matrix, 1))
 
 
 def _basis_values(basis: BasisFamily, r, order: int = 0) -> np.ndarray:
@@ -188,8 +191,7 @@ def assemble_moment_system(spec: MomentProblemSpec) -> DenseLinearSystem:
     mat = np.vstack(rows)
     rhs = np.zeros(spec.n_unknowns)
     rhs[0] = 1.0 / spec.normalization.nu(spec.dim)
-    cond = float(np.linalg.cond(mat, 1))
-    return DenseLinearSystem(matrix=mat, rhs=rhs, condition_estimate=cond, row_labels=tuple(labels))
+    return DenseLinearSystem(matrix=mat, rhs=rhs, row_labels=tuple(labels))
 
 
 def _first_small_pivot(rows: list) -> tuple | None:

@@ -692,7 +692,6 @@ def test_profile_with_a_nonzero_boundary_value_is_rejected(dim, nodes):
                               derivs=np.zeros(3), metadata=dict(dim=dim))
     with pytest.raises(ValueError, match="boundary value 1.00e-09 at 1"):
         profile.check_boundary()
-    profile.check_boundary(tol=1e-8)
 
 
 def test_profile_nodes_must_increase():

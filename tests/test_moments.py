@@ -140,7 +140,6 @@ def test_solver_row_scaling_invariance():
     scaled = DenseLinearSystem(
         matrix=system.matrix * scales[:, None],
         rhs=system.rhs * scales,
-        condition_estimate=system.condition_estimate,
         row_labels=system.row_labels,
     )
     assert solve_dense(scaled) == pytest.approx(base, abs=1e-12)
@@ -149,7 +148,6 @@ def test_solver_row_scaling_invariance():
 def test_singular_system_fails_loudly():
     mat = np.array([[1.0, 2.0], [2.0, 4.0]])
     system = DenseLinearSystem(matrix=mat, rhs=np.array([1.0, 2.0]),
-                               condition_estimate=np.inf,
                                row_labels=("mass", "dup"))
     with pytest.raises(SingularSystemError, match="pivot"):
         solve_dense(system)
@@ -158,8 +156,7 @@ def test_singular_system_fails_loudly():
 def test_singular_pivot_names_its_row_through_the_permutation():
     # the first pivot swaps 'c' to the top, so the zero pivot of column 2 is row 'a'
     mat = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    system = DenseLinearSystem(matrix=mat, rhs=np.ones(3), condition_estimate=np.inf,
-                               row_labels=("a", "b", "c"))
+    system = DenseLinearSystem(matrix=mat, rhs=np.ones(3), row_labels=("a", "b", "c"))
     with pytest.raises(SingularSystemError, match=r"column 2 \(constraint 'a'\)"):
         solve_dense(system)
 
@@ -172,8 +169,7 @@ def test_singular_pivot_names_its_row_through_the_permutation():
 def test_tiny_equilibrated_pivot_is_singular(mat):
     mat = np.array(mat)
     assert np.all(np.isfinite(np.linalg.solve(mat, np.ones(2))))
-    system = DenseLinearSystem(matrix=mat, rhs=np.ones(2), condition_estimate=np.inf,
-                               row_labels=("mass", "tiny"))
+    system = DenseLinearSystem(matrix=mat, rhs=np.ones(2), row_labels=("mass", "tiny"))
     with pytest.raises(SingularSystemError,
                        match=r"^singular moment system: pivot \S+ at column 1 "
                              r"\(constraint 'tiny'\)$"):
@@ -213,7 +209,7 @@ def test_pivot_check_matches_getrf():
 def test_pivot_above_threshold_solves():
     # equilibrated pivot about 1e-12, ten times the threshold
     mat = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-    system = DenseLinearSystem(matrix=mat, rhs=np.array([1.0, 2.0]), condition_estimate=np.inf)
+    system = DenseLinearSystem(matrix=mat, rhs=np.array([1.0, 2.0]))
     x1 = 1.0 / (mat[1, 1] - 1.0)
     assert solve_dense(system) == pytest.approx([1.0 - x1, x1], rel=1e-6)
 

@@ -1,26 +1,28 @@
 """Helmholtz point-source benchmarks: exact solutions, near-exact regularized solves,
 deleted-neighborhood sup error, and weighted-Sobolev error.
 
-The solves convolve the Green's function in separable form, exact to quadrature at any
-nodes; the radial 2D solve on a mesh (the pointwise error's grid) is the node solve at
-the mesh radii. The weighted-Sobolev norm solves at its own Gauss radii and interpolates
-no profile. The Green's-function factors depend on the geometry alone, never on the
-kernel: the solves memoize them by (k0, nodes) and (k0, Gauss order, panel edges), so
-doubling passes and kernels on one geometry share them.
+Both geometries share one node solve: G = -scale a(min) b(max) convolved with the
+kernel in separable form, exact to quadrature at any nodes, with sines for a and b in
+1D and J0/Y0 ring factors in 2D. The 1D and 2D solves only choose their nodes; the
+radial 2D solve on a mesh (the pointwise error's grid) is the node solve at the mesh
+radii, and the weighted-Sobolev norm solves at its own Gauss radii and interpolates no
+profile. The Green's-function factors depend on the geometry alone, never on the
+kernel: the solves memoize them by (dim, k0, nodes) and (dim, k0, Gauss order, panel
+edges), so doubling passes and kernels on one geometry share them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bessel
 from .kernels import RegularizedDelta
-from .quadrature import QuadratureError, gauss_legendre
+from .quadrature import QuadratureError, _panels, gauss_legendre
 
 __all__ = [
     "ResonanceError",
@@ -49,20 +51,19 @@ class ResonanceError(ValueError):
 
 @dataclass(frozen=True)
 class SolutionProfile:
-    """Sampled solution of a point-source problem on a 1D or radial-2D grid."""
+    """Sampled solution of a point-source problem on a 1D or radial-2D grid; a solve's
+    profile carries its accepted Gauss order and doubling delta, a closed form None."""
 
     nodes: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    dim: int = 1
+    order: int | None = None
+    doubling_delta: float | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("profile nodes must be strictly increasing")
-
-    @property
-    def dim(self) -> int:
-        return int(self.metadata.get("dim", 1))
 
     def check_boundary(self) -> None:
         """Domain-edge values must vanish to 1e-10: x = +-1 in 1D, r = 1 in 2D."""
@@ -119,7 +120,7 @@ class WeightedNormSpec:
 
 
 # ---------------------------------------------------------------------------
-# 1D: closed-form point solution and Green's-function convolution solve
+# 1D: closed-form point solution
 # ---------------------------------------------------------------------------
 
 def _point_args_1d(x, k0: float) -> np.ndarray:
@@ -153,99 +154,18 @@ def greens_function_1d(x, y, k0: float = 10.0):
     return -np.sin(half * (1.0 + lo)) * np.sin(half * (1.0 - hi)) / (k0 * math.sin(k0))
 
 
-def _separable_convolution(k, am, bm, factors, scale: float):
-    """Values and derivatives of the convolution of G(x, y) = -scale a(min) b(max).
-
-    `am` and `bm` are the panels' moments of a delta and b delta, in panel order, and
-    node j has the first k[j] panels on its left, so il, the moments of a delta left of
-    it, and ir, those of b delta right of it, are cumulative sums. `factors` holds a, b,
-    a' and b' at the nodes; returns u = -scale (b il + a ir) and
-    u' = -scale (b' il + a' ir).
-    """
-    a, b, da, db = factors
-    il = np.concatenate([[0.0], np.cumsum(am)])[k]
-    ir = np.concatenate([np.cumsum(bm[::-1])[::-1], [0.0]])[k]
-    return -scale * (b * il + a * ir), -scale * (db * il + da * ir)
-
-
-def _convolve_greens(xs: np.ndarray, delta: RegularizedDelta, k0: float):
-    """Green's function and its x-derivative convolved with delta at every node of xs,
-    as a function of the Gauss order.
-
-    G(x, y) = -a(min(x, y)) b(max(x, y)) / D, a(t) = sin(k0 (1 + t) / 2),
-    b(t) = sin(k0 (1 - t) / 2), D = k0 sin k0. The panels are the kernel's breakpoint
-    intervals cut at every node strictly inside the support, so no panel holds a node
-    in its interior, where G has its kink; one Gauss rule over all of them gives the
-    moments that `_separable_convolution` sums. The panels, each node's panel and the
-    node factors are built once for every order.
-    """
-    pos = np.asarray(delta.breakpoints_physical())  # holds 0
-    edges = np.unique(np.concatenate([-pos, pos, xs[np.abs(xs) < delta.support_radius]]))
-    k = np.maximum(np.searchsorted(edges, xs, "right") - 1, 0)
-    key, nodes = edges.tobytes(), _greens_factors(1, k0, 0, xs.tobytes())
-
-    def convolve(order):
-        y, w, sines = _greens_factors(1, k0, order, key)
-        am, bm = np.sum(w * delta.eval(y) * sines, axis=2)
-        return _separable_convolution(k, am, bm, nodes, 1.0 / (k0 * math.sin(k0)))
-
-    return convolve
-
-
-def _accept_by_doubling(convolve, dim: int):
-    """Values and derivatives from `convolve(order)`, accepted by Gauss-order doubling.
-
-    Passes run at 8, 16 and, if needed, 32 Gauss points per panel; the 16 or 32 pass
-    is accepted once it differs from the pass before by <= 1e-10 of its own maximum,
-    and values and derivatives come from it. Returns them with the metadata `order`
-    and `doubling_delta`: the accepted order and that last change.
-    """
-    coarse, _ = convolve(8)
-    for order in (16, 32):
-        vals, derivs = convolve(order)
-        diff = float(np.max(np.abs(vals - coarse)))
-        if diff <= 1e-10 * max(float(np.max(np.abs(vals))), 1e-300):
-            return vals, derivs, dict(order=order, doubling_delta=diff)
-        coarse = vals
-    raise QuadratureError(f"{dim}D convolution quadrature failed the order-doubling check")
-
-
-def solve_regularized_1d(problem: Helmholtz1D,
-                         nodes: np.ndarray | None = None) -> SolutionProfile:
-    """Regularized point-source solve by Green's-function convolution on nodes in [-1, 1].
-
-    `_convolve_greens` gives each pass's values and derivatives; `_accept_by_doubling`
-    runs the passes from 8 Gauss points per panel up and records `order` and
-    `doubling_delta`. The sines and cosines at the nodes and at each pass's Gauss
-    points come from `_greens_factors`, shared by every solve on the same geometry.
-    """
-    if nodes is None:
-        nodes = np.linspace(-1.0, 1.0, 4001)
-    k0 = problem.k0
-    xs = _point_args_1d(nodes, k0)
-    vals, derivs, check = _accept_by_doubling(_convolve_greens(xs, problem.kernel, k0),
-                                              dim=1)
-    profile = SolutionProfile(
-        nodes=xs, values=vals, derivs=derivs,
-        metadata=dict(dim=1, k0=k0, H=problem.kernel.half_width,
-                      kernel=problem.kernel.name, **check),
-    )
-    profile.check_boundary()
-    return profile
-
-
 def exact_profile_1d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
     nodes = np.asarray(nodes, dtype=float)
     return SolutionProfile(
         nodes=nodes,
         values=exact_point_solution_1d(nodes, k0),
         derivs=exact_point_solution_1d_deriv(nodes, k0),
-        metadata=dict(dim=1, k0=k0, H=0.0, kernel="point_source"),
+        dim=1,
     )
 
 
 # ---------------------------------------------------------------------------
-# 2D radial: Bessel closed form and separable ring-kernel convolution
+# 2D radial: Bessel closed form and ring factors
 # ---------------------------------------------------------------------------
 
 def _radial_point_args(r, k0: float):
@@ -281,7 +201,7 @@ def exact_profile_2d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
         nodes=nodes,
         values=exact_point_solution_2d_radial(nodes, k0),
         derivs=exact_point_solution_2d_radial_deriv(nodes, k0),
-        metadata=dict(dim=2, k0=k0, H=0.0, kernel="point_source"),
+        dim=2,
     )
 
 
@@ -297,22 +217,26 @@ def _ring_factors(r, k0: float):
     return a, bessel.y0(k0 * r) - (bessel.y0(k0) / bessel.j0(k0)) * a
 
 
+# ---------------------------------------------------------------------------
+# one node solve for both geometries
+# ---------------------------------------------------------------------------
+
 @lru_cache(maxsize=64)
 def _greens_factors(dim: int, k0: float, order: int, points: bytes) -> tuple:
     """Read-only Green's-function factors of the dim-D node solve, memoized by value.
 
     With order 0, a, b, a' and b' at the nodes `points` (bytes), in 2D with b(1) = 0
     set exactly and also the point solution's u'. Otherwise that order's Gauss points y
-    on the panels with edges `points` and the table there: the weights w and
-    sin(k0 (1 +- y) / 2) in 1D, a and b times 2 pi y w in 2D. A pass of the helm2d
-    and helm2d-sobolev tables fills 32 entries (11 mesh, 21 Sobolev) and helm1d 17,
-    so 64 keep a repeated pass from cycling the memo.
+    on the panels with edges `points` and the weighted factors there, shape (2, panels,
+    order): w sin(k0 (1 +- y) / 2) in 1D, 2 pi y w times a and b in 2D. A pass of the
+    helm2d and helm2d-sobolev tables fills 32 entries (11 mesh, 21 Sobolev) and helm1d
+    17, so 64 keep a repeated pass from cycling the memo.
     """
     x, half = np.frombuffer(points), 0.5 * k0
     if order:
-        y, w = gauss_legendre(order).mapped(x[:-1, None], x[1:, None])
-        factors = ([y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0))] if dim == 2 else
-                   [y, w, np.sin([half * (1.0 + y), half * (1.0 - y)])])
+        y, w = _panels(x, gauss_legendre(order))
+        factors = [y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0)) if dim == 2 else
+                   w * np.sin([half * (1.0 + y), half * (1.0 - y)])]
     elif dim == 1:
         factors = [np.sin(half * (1.0 + x)), np.sin(half * (1.0 - x)),
                    half * np.cos(half * (1.0 + x)), -half * np.cos(half * (1.0 - x))]
@@ -326,27 +250,80 @@ def _greens_factors(dim: int, k0: float, order: int, points: bytes) -> tuple:
     return tuple(factors)
 
 
-def _convolve_radial(rs: np.ndarray, delta: RegularizedDelta, k0: float):
-    """Values and r-derivatives of the convolution at the ascending radii rs, as a
-    function of the Gauss order.
+def _separable_convolution(k, am, bm, factors, scale: float):
+    """Values and derivatives of the convolution of G(x, y) = -scale a(min) b(max).
 
-    G(r, s) = -a(min(r, s)) b(max(r, s)) / 4 with the measure 2 pi s ds. The panels are
-    the kernel's breakpoint intervals cut at every radius strictly inside the support,
-    as in `_convolve_greens`, so no panel holds a node in its interior and
-    `_separable_convolution` sums one Gauss rule's moments for all nodes. The panels,
-    each node's panel and the node factors are built once for every order.
+    `am` and `bm` are the panels' moments of a delta and b delta, in panel order, and
+    node j has the first k[j] panels on its left, so il, the moments of a delta left of
+    it, and ir, those of b delta right of it, are cumulative sums. `factors` holds a, b,
+    a' and b' at the nodes; returns u = -scale (b il + a ir) and
+    u' = -scale (b' il + a' ir).
+    """
+    a, b, da, db = factors
+    il = np.concatenate([[0.0], np.cumsum(am)])[k]
+    ir = np.concatenate([np.cumsum(bm[::-1])[::-1], [0.0]])[k]
+    return -scale * (b * il + a * ir), -scale * (db * il + da * ir)
+
+
+def _convolve(dim: int, nodes: np.ndarray, delta: RegularizedDelta, k0: float):
+    """Values and derivatives of the convolution at the ascending nodes, as a function
+    of the Gauss order.
+
+    G(x, y) = -scale a(min(x, y)) b(max(x, y)). In 1D, a(t) = sin(k0 (1 + t) / 2),
+    b(t) = sin(k0 (1 - t) / 2) and scale = 1 / (k0 sin k0); in 2D, a and b are the ring
+    factors with the measure 2 pi s ds and scale = 1/4. The panels are the kernel's
+    breakpoint intervals (mirrored in 1D) cut at every node strictly inside the
+    support, so no panel holds a node in its interior, where G has its kink; one Gauss
+    rule over all of them gives the moments that `_separable_convolution` sums. The
+    panels, each node's panel and the node factors are built once for every order.
     """
     pos = np.asarray(delta.breakpoints_physical())  # holds 0
-    edges = np.unique(np.concatenate([pos, rs[rs < delta.support_radius]]))
-    k = np.searchsorted(edges, rs, "right") - 1
-    key, nodes = edges.tobytes(), _greens_factors(2, k0, 0, rs.tobytes())[:4]
+    inside = nodes[np.abs(nodes) < delta.support_radius]
+    edges = np.unique(np.concatenate([-pos, pos, inside] if dim == 1 else [pos, inside]))
+    k = np.maximum(np.searchsorted(edges, nodes, "right") - 1, 0)
+    key, factors = edges.tobytes(), _greens_factors(dim, k0, 0, nodes.tobytes())[:4]
+    profile = delta.eval if dim == 1 else delta.eval_radial
+    scale = 1.0 / (k0 * math.sin(k0)) if dim == 1 else 0.25
 
     def convolve(order):
-        s, weights = _greens_factors(2, k0, order, key)
-        am, bm = np.einsum("kij,ij->ki", weights, delta.eval_radial(s))
-        return _separable_convolution(k, am, bm, nodes, 0.25)
+        y, weights = _greens_factors(dim, k0, order, key)
+        am, bm = np.einsum("kij,ij->ki", weights, profile(y))
+        return _separable_convolution(k, am, bm, factors, scale)
 
     return convolve
+
+
+def _node_solve(dim: int, nodes: np.ndarray, delta: RegularizedDelta,
+                k0: float) -> SolutionProfile:
+    """The profile of `_convolve` at the nodes, accepted by Gauss-order doubling.
+
+    Passes run at 8, 16 and, if needed, 32 Gauss points per panel; the 16 or 32 pass
+    is accepted once it differs from the pass before by <= 1e-10 of its own maximum.
+    The profile takes that pass's values and derivatives, its order as `order` and
+    that last change as `doubling_delta`, and must vanish on the boundary.
+    """
+    convolve = _convolve(dim, nodes, delta, k0)
+    coarse, _ = convolve(8)
+    for order in (16, 32):
+        vals, derivs = convolve(order)
+        diff = float(np.max(np.abs(vals - coarse)))
+        if diff <= 1e-10 * max(float(np.max(np.abs(vals))), 1e-300):
+            profile = SolutionProfile(nodes=nodes, values=vals, derivs=derivs, dim=dim,
+                                      order=order, doubling_delta=diff)
+            profile.check_boundary()
+            return profile
+        coarse = vals
+    raise QuadratureError(f"{dim}D convolution quadrature failed the order-doubling check")
+
+
+def solve_regularized_1d(problem: Helmholtz1D,
+                         nodes: np.ndarray | None = None) -> SolutionProfile:
+    """Regularized point-source solve by Green's-function convolution on nodes in [-1, 1],
+    4001 equispaced ones by default; `_node_solve` with the sines of greens_function_1d.
+    """
+    if nodes is None:
+        nodes = np.linspace(-1.0, 1.0, 4001)
+    return _node_solve(1, _point_args_1d(nodes, problem.k0), problem.kernel, problem.k0)
 
 
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
@@ -359,35 +336,17 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
     Watson, Treatise on Bessel Functions, 11.3), so u_H and u_H' are 1D integrals;
     the source sign makes exact_point_solution_2d_radial the small-support limit.
     Without `nodes` the profile is on the mesh nodes r = h .. 1, h = 1 / n_cells; with
-    them, on those ascending radii in (0, 1]. Both are one node solve,
-    `_convolve_radial` with Bessel factors memoized by value in `_greens_factors`, and
-    leave out r = 0, where b and the point solution that u_H is compared against are
-    singular. `_accept_by_doubling` runs the passes from 8 Gauss points per panel up.
+    them, on those ascending radii in (0, 1]. Both are one `_node_solve` and leave out
+    r = 0, where b and the point solution that u_H is compared against are singular.
     """
-    k0, delta = problem.k0, problem.kernel
-    if nodes is None:
-        nodes, grid = radial_grid(problem.n_cells)[1:], dict(n_cells=problem.n_cells)
-    else:
-        nodes, grid = _radial_point_args(nodes, k0)[0], {}
-    vals, derivs, check = _accept_by_doubling(_convolve_radial(nodes, delta, k0), dim=2)
-    profile = SolutionProfile(
-        nodes=nodes, values=vals, derivs=derivs,
-        metadata=dict(dim=2, k0=k0, H=delta.half_width, kernel=delta.name,
-                      **grid, **check),
-    )
-    profile.check_boundary()
-    return profile
+    nodes = (radial_grid(problem.n_cells)[1:] if nodes is None else
+             _radial_point_args(nodes, problem.k0)[0])
+    return _node_solve(2, nodes, problem.kernel, problem.k0)
 
 
 # ---------------------------------------------------------------------------
 # error measures
 # ---------------------------------------------------------------------------
-
-def _common_mask(u_exact: SolutionProfile, u_reg: SolutionProfile):
-    if u_exact.nodes.shape != u_reg.nodes.shape or np.max(
-            np.abs(u_exact.nodes - u_reg.nodes)) > 1e-12:
-        raise ValueError("profiles must share a common evaluation grid")
-
 
 # the fewest grid points outside the cutoff that a sup error is taken over
 _MIN_POINTS = 2000
@@ -395,7 +354,9 @@ _MIN_POINTS = 2000
 
 def pointwise_error(u_exact: SolutionProfile, u_reg: SolutionProfile, cutoff: float) -> float:
     """Sup of |u - u_H| over grid points with |x| > cutoff (sharp exclusion)."""
-    _common_mask(u_exact, u_reg)
+    if u_exact.nodes.shape != u_reg.nodes.shape or np.max(
+            np.abs(u_exact.nodes - u_reg.nodes)) > 1e-12:
+        raise ValueError("profiles must share a common evaluation grid")
     outside = np.abs(u_exact.nodes) > cutoff
     n_out = int(np.count_nonzero(outside))
     if n_out == 0:
@@ -436,8 +397,7 @@ def weighted_sobolev_error(problem: RadialHelmholtz2D,
     q values to 1e-10 relative; otherwise QuadratureError is raised.
     """
     edges = _sobolev_edges(problem.kernel)
-    rules = [gauss_legendre(order).mapped(edges[:-1, None], edges[1:, None])
-             for order in (_SOBOLEV_ORDER, 2 * _SOBOLEV_ORDER)]
+    rules = [_panels(edges, gauss_legendre(q)) for q in (_SOBOLEV_ORDER, 2 * _SOBOLEV_ORDER)]
     radii, where = np.unique(np.concatenate([r.ravel() for r, _ in rules]),
                              return_inverse=True)
     u_reg = solve_regularized_2d_radial(problem, nodes=radii)

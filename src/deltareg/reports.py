@@ -330,33 +330,29 @@ def _helmholtz(opts: dict, dim: int):
     if rate_max is not None and rate_min is None:
         raise ConfigError("rate_max needs rate_min")
 
+    # one kernel's solve, and the exact profile on its grid, built on the first call and
+    # shared; the units call it after their solves, so a resonant k0 or a bad grid fails
+    # there, as one error row per kernel
     if dim == 1:
         nodes = np.linspace(-1.0, 1.0, int(opts["grid_points"]))
-        u_exact = elliptic.exact_profile_1d(nodes, k0)
+        exact = cache(lambda: elliptic.exact_profile_1d(nodes, k0))
 
-        def errors(make):
-            def one(H):
-                problem = elliptic.Helmholtz1D(kernel=make(H), k0=k0)
-                u_reg = elliptic.solve_regularized_1d(problem, nodes)
-                return elliptic.pointwise_error(u_exact, u_reg, cutoff)
-
-            return _map_rows(one, Hs)
+        def solve(delta):
+            return elliptic.solve_regularized_1d(elliptic.Helmholtz1D(kernel=delta, k0=k0), nodes)
     else:
         n_cells = int(opts["nodes"])
-        # the exact profile on the solve's grid r = h .. 1, built on the first call and
-        # shared; the units call it after their solves, so an invalid mesh fails there
         exact = cache(lambda: elliptic.exact_profile_2d(elliptic.radial_grid(n_cells)[1:], k0))
 
-        def errors(make):
-            profiles = [elliptic.solve_regularized_2d_radial(
-                elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0, n_cells=n_cells)) for H in Hs]
-            return [elliptic.pointwise_error(exact(), u_reg, cutoff) for u_reg in profiles]
+        def solve(delta):
+            return elliptic.solve_regularized_2d_radial(
+                elliptic.RadialHelmholtz2D(kernel=delta, k0=k0, n_cells=n_cells))
 
     def kernel_rows(idx, name):
         make, entry, kernel_dim = _resolve_kernel(name)
         if kernel_dim != dim:
             raise ConfigError(f"{name} is not a {dim}D kernel")
-        Es = errors(make)
+        profiles = [solve(make(H)) for H in Hs]
+        Es = [elliptic.pointwise_error(exact(), u_reg, cutoff) for u_reg in profiles]
         ratios = _ratios(convergence_slope(Hs, Es))
         final = ratios[-1]
         if expected_R is not None:

@@ -134,7 +134,7 @@ def _convolve_one_node(x, delta, order):
 
 
 def _check_against_oracle(xs, delta):
-    values, derivs = elliptic._convolve_greens(xs, delta, K0)(16)
+    values, derivs = elliptic._convolve(1, xs, delta, K0)(16)
     ref = np.array([_convolve_one_node(x, delta, 16) for x in xs])
     assert np.max(np.abs(values - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref[:, 0]))
     assert np.max(np.abs(derivs - ref[:, 1])) <= 1e-14 * np.max(np.abs(ref[:, 1]))
@@ -178,29 +178,29 @@ def test_convolution_with_few_nodes_inside_the_support(name, inner):
 def test_1d_solve_reports_accepted_order_and_doubling_delta():
     problem = Helmholtz1D(kernel=catalog_lookup("eta_2_3_1d")(1 / 32), k0=K0)
     profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 4001))
-    assert profile.metadata["order"] in (16, 32)
-    assert profile.metadata["doubling_delta"] <= 1e-10 * np.max(np.abs(profile.values))
+    assert profile.order in (16, 32)
+    assert profile.doubling_delta <= 1e-10 * np.max(np.abs(profile.values))
 
 
 def _fake_convolution(factor):
     """A convolution whose values are (1 - x^2) * factor(order) and whose derivatives
     are the order itself, so a profile shows which pass its derivatives came from."""
-    return lambda xs, delta, k0: lambda order: ((1.0 - xs**2) * factor(order),
+    return lambda dim, xs, delta, k0: lambda order: ((1.0 - xs**2) * factor(order),
                                                 np.full_like(xs, float(order)))
 
 
 def test_1d_solve_accepts_the_third_order(monkeypatch):
-    monkeypatch.setattr(elliptic, "_convolve_greens",
+    monkeypatch.setattr(elliptic, "_convolve",
                         _fake_convolution(lambda order: 2.0 if order == 8 else 1.0))
     problem = Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0)
     profile = solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 41))
-    assert profile.metadata["order"] == 32
-    assert profile.metadata["doubling_delta"] == 0.0
+    assert profile.order == 32
+    assert profile.doubling_delta == 0.0
     assert np.all(profile.derivs == 32.0)
 
 
 def test_1d_solve_raises_when_order_doubling_fails(monkeypatch):
-    monkeypatch.setattr(elliptic, "_convolve_greens", _fake_convolution(float))
+    monkeypatch.setattr(elliptic, "_convolve", _fake_convolution(float))
     problem = Helmholtz1D(kernel=catalog_lookup("eta_1_2_1d")(0.25), k0=K0)
     with pytest.raises(QuadratureError, match="order-doubling"):
         solve_regularized_1d(problem, np.linspace(-1.0, 1.0, 41))
@@ -270,7 +270,7 @@ def _ring_kernel_oracle(delta, rr, k0=K0):
 
 def _check_ring_oracle(delta, radii):
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
-    assert profile.nodes[0] == 1.0 / profile.metadata["n_cells"]  # r = 0 is not returned
+    assert profile.nodes[0] == 1.0 / len(profile.nodes)  # r = 0 is not returned
     for rr in radii:
         i = int(np.argmin(np.abs(profile.nodes - rr)))
         assert profile.values[i] == pytest.approx(
@@ -318,7 +318,7 @@ def test_2d_derivative_inside_the_support_matches_centred_differences(name):
     # agrees with their extrapolation to h^4 (~1e-17 u^(5)) and rounding (~eps u / h)
     H = 0.125
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)))
-    h, u, du = 1.0 / profile.metadata["n_cells"], profile.values, profile.derivs
+    h, u, du = 1.0 / len(profile.nodes), profile.values, profile.derivs
     j = np.arange(2, int(0.9 * H / h))
     e1 = (u[j + 1] - u[j - 1]) / (2 * h) - du[j]
     e2 = (u[j + 2] - u[j - 2]) / (4 * h) - du[j]
@@ -335,7 +335,7 @@ def test_2d_node_solve_outside_the_support_is_the_weak_star_error(name, H):
     delta = catalog_lookup(name)(H)
     radii = np.unique(np.concatenate([np.geomspace(1e-6, H, 20), np.linspace(H, 1.0, 41)]))
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta), nodes=radii)
-    assert np.array_equal(profile.nodes, radii) and "n_cells" not in profile.metadata
+    assert np.array_equal(profile.nodes, radii)
     outside = radii >= H
     du = exact_point_solution_2d_radial_deriv(radii[outside], K0)
     expected = -_ring_factor_derivs(radii[outside])[1] * (1.0 - _source_moment(delta)) / 4.0
@@ -358,7 +358,7 @@ def test_2d_mesh_solve_is_the_node_solve_at_the_mesh_radii(name, H):
     assert np.array_equal(mesh.values, nodes.values)
     assert np.array_equal(mesh.derivs, nodes.derivs)
     for key in ("order", "doubling_delta"):
-        assert mesh.metadata[key] == nodes.metadata[key]
+        assert getattr(mesh, key) == getattr(nodes, key)
     assert nodes.values[-1] == 0.0
 
 
@@ -372,10 +372,9 @@ def test_2d_node_solve_rejects_radii_outside_the_disk():
 def test_2d_solve_reports_mesh_order_and_doubling_delta():
     delta = catalog_lookup("eta_2_3_2d")(0.125)
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
-    meta = profile.metadata
-    assert meta["n_cells"] == 20480 and meta["H"] == 0.125
-    assert meta["order"] in (16, 32)
-    assert meta["doubling_delta"] <= 1e-10 * np.max(np.abs(profile.values))
+    assert len(profile.nodes) == 20480 and profile.dim == 2
+    assert profile.order in (16, 32)
+    assert profile.doubling_delta <= 1e-10 * np.max(np.abs(profile.values))
 
 
 # the cosine profile needs 32 points on the one panel [0, H] of the first cell
@@ -387,21 +386,21 @@ def test_2d_support_inside_the_first_cell(name, order):
     profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
     expected = _source_moment(delta) * exact_point_solution_2d_radial(profile.nodes, K0)
     assert np.max(np.abs(profile.values - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert profile.metadata["order"] == order
+    assert profile.order == order
 
 
 def test_2d_solve_accepts_the_third_order(monkeypatch):
-    monkeypatch.setattr(elliptic, "_convolve_radial",
+    monkeypatch.setattr(elliptic, "_convolve",
                         _fake_convolution(lambda order: 2.0 if order == 8 else 1.0))
     profile = solve_regularized_2d_radial(
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)))
-    assert profile.metadata["order"] == 32
-    assert profile.metadata["doubling_delta"] == 0.0
+    assert profile.order == 32
+    assert profile.doubling_delta == 0.0
     assert np.all(profile.derivs == 32.0)
 
 
 def test_2d_solve_raises_when_order_doubling_fails(monkeypatch, capsys):
-    monkeypatch.setattr(elliptic, "_convolve_radial", _fake_convolution(float))
+    monkeypatch.setattr(elliptic, "_convolve", _fake_convolution(float))
     problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
     with pytest.raises(QuadratureError, match="order-doubling"):
         solve_regularized_2d_radial(problem)
@@ -689,7 +688,7 @@ def test_sobolev_errors_for_several_alphas_match_one_at_a_time():
                                         (2, [0.5, 0.75, 1.0])])
 def test_profile_with_a_nonzero_boundary_value_is_rejected(dim, nodes):
     profile = SolutionProfile(nodes=np.array(nodes), values=np.array([0.0, 1.0, 1e-9]),
-                              derivs=np.zeros(3), metadata=dict(dim=dim))
+                              derivs=np.zeros(3), dim=dim)
     with pytest.raises(ValueError, match="boundary value 1.00e-09 at 1"):
         profile.check_boundary()
 

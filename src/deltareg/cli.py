@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import math
 import sys
 
 from . import spectral
@@ -20,18 +19,16 @@ from .moments import (
     solve_moment_problem,
 )
 from .quadrature import QuadratureError
-from .reports import (STUDIES, ConfigError, _parse_number, emit, kdv_source_kernel,
-                      parse_config_text, parse_h_schedule, run_study)
+from .reports import (STUDIES, ConfigError, _csv_list, advect_runs, emit, kdv_runs,
+                      parse_config_text, run_study)
 
-_TABLE_IDS = (
-    "helm1d",
-    "helm2d",
-    "helm2d-sobolev",
-    "weakstar-1d",
-    "weakstar-2d",
-    "advect-dispersion",
-    "kdv-impulse",
-)
+_CONFIGS = importlib.resources.files("deltareg") / "configs"
+
+
+def _table_ids() -> list[str]:
+    """The tables `reproduce` rebuilds: one per shipped config."""
+    return sorted(p.name.removesuffix(".cfg") for p in _CONFIGS.iterdir()
+                  if p.name.endswith(".cfg"))
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -44,8 +41,7 @@ def _write_output(data: bytes, out: str | None) -> None:
 
 # per-study subcommand flags that steer the command rather than its study; every
 # other flag is a config key of the study and reaches it through parse_config_text
-_COMMAND_FLAGS = {"command", "fn", "dims", "detail", "sigma", "normalized_gaussian",
-                  "snapshots"}
+_COMMAND_FLAGS = {"command", "fn", "detail", "snapshots"}
 
 
 def _flag_config(args):
@@ -87,14 +83,12 @@ def _cmd_kernel(args) -> int:
         return 0
     if args.action == "solve":
         basis_kind = BasisKind.COSINE if args.basis == "cosine" else BasisKind.SHIFTED_LEGENDRE
-        norm = (Normalization.PAPER_TABLE1_2D if args.normalization == "paper_table1_2d"
-                else Normalization.SURFACE_MEASURE)
         spec = MomentProblemSpec(
             dim=args.dim, moments=args.m, degree=args.p,
             basis=BasisFamily(basis_kind, args.p),
             boundary_smoothness=args.boundary_smoothness,
             origin_smoothness=args.origin_smoothness,
-            normalization=norm,
+            normalization=Normalization(args.normalization),
         )
         kernel = solve_moment_problem(spec, name=args.name or "")
         _write_output((kernel.to_json() + "\n").encode(), args.out)
@@ -103,74 +97,42 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_study_flags(args) -> int:
-    return _emit_study(_flag_config(args))
-
-
-def _cmd_weakstar(args) -> int:
-    if args.dims:
-        dims = {int(d) for d in args.dims.split(",")}
-        names = []
-        for name in args.kernels.split(","):
-            name = name.strip()
-            entry_dim = 2 if name.startswith("tensor:") else catalog_lookup(name).entry.dim
-            if entry_dim in dims:
-                names.append(name)
-        args.kernels = ",".join(names)
-    return _cmd_study_flags(args)
-
-
-def _detail_width(command: str, what: str, text: str) -> float:
-    """The one width a --detail run takes from a schedule; a longer list is an error."""
-    widths = parse_h_schedule(text)
-    if len(widths) > 1:
-        raise ConfigError(f"{command} --detail emits the profile of one run; "
-                          f"give one {what}, not {len(widths)}")
-    return widths[0]
-
-
-def _cmd_advect(args) -> int:
     config = _flag_config(args)
-    if not args.detail:
-        return _emit_study(config)
+    if getattr(args, "detail", False):
+        return _DETAIL[config.study](config, args)
+    return _emit_study(config)
+
+
+def _one(command: str, what: str, values: list):
+    """The one value a --detail run takes from a list; a longer list is an error."""
+    if len(values) > 1:
+        raise ConfigError(f"{command} --detail emits the profile of one run; "
+                          f"give one {what}, not {len(values)}")
+    return values[0]
+
+
+def _advect_detail(config, args) -> int:
     opts = config.options
-    H = _detail_width("advect", "H", opts["H"])
-    builder = catalog_lookup(opts["kernels"])
-    grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
-    run = spectral.AdvectionRun(grid=grid, kernel=builder(H),
-                                t_final=_parse_number(opts["T"]))
-    errs, result = spectral.pointwise_error_after_periods(run)
+    Hs, run = advect_runs(opts)
+    errs, result = run(_one("advect", "kernel", _csv_list(opts["kernels"])),
+                       _one("advect", "H", Hs))
     lines = ["x,E"]
-    for x, e in zip(grid.nodes, errs):
+    for x, e in zip(result.grid.nodes, errs):
         lines.append(f"{x:.12g},{e:.12g}")
     _write_output(("\n".join(lines) + "\n").encode(), config.out)
-    meta = dict(result.metadata, n_steps=result.n_steps, dt=result.dt, N=grid.n)
+    meta = dict(result.metadata, n_steps=result.n_steps, dt=result.dt, N=result.grid.n)
     sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_kdv(args) -> int:
-    config = _flag_config(args)
-    if not args.detail:
-        return _emit_study(config)
-    opts = config.options
-    grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
+def _kdv_detail(config, args) -> int:
+    Hs, run = kdv_runs(config.options)
     snapshots = tuple(float(t) for t in args.snapshots.split(",")) if args.snapshots else ()
-    builder = kdv_source_kernel(opts["source"])
-    if builder is not None:
-        H = _detail_width("kdv", "H", args.H) if args.H else parse_h_schedule(opts["H"])[0]
-        source = dict(kernel=builder(H))
-    elif args.H:
-        raise ConfigError("kdv --detail --source gaussian takes its width from --sigma, "
-                          "not --H")
-    else:
-        source = dict(gaussian_sigma=_detail_width("kdv", "sigma", args.sigma),
-                      gaussian_normalized=args.normalized_gaussian)
-    run = spectral.KdVRun(grid=grid, dt=float(opts["dt"]), t_final=_parse_number(opts["T"]),
-                          snapshots=snapshots, **source)
     if not config.out:
         raise ConfigError("kdv --detail writes a snapshot CSV and a .spectra.csv beside it; "
                           "name the snapshot file with --out")
-    result = spectral.kdv_solve(run)
+    result = run(_one("kdv", "H", Hs), snapshots)
+    grid = result.grid
     lines = ["x," + ",".join(f"u(t={t:g})" for t in result.times)]
     for i, x in enumerate(grid.nodes):
         lines.append(f"{x:.12g}," + ",".join(f"{u[i]:.12g}" for u in result.snapshots))
@@ -185,12 +147,13 @@ def _cmd_kdv(args) -> int:
     return 0
 
 
+_DETAIL = {"advect": _advect_detail, "kdv": _kdv_detail}
+
+
 def _cmd_reproduce(args) -> int:
-    table = args.table
-    if table not in _TABLE_IDS:
-        raise ConfigError(f"unknown table '{table}'; known: {', '.join(_TABLE_IDS)}")
-    resource = importlib.resources.files("deltareg") / "configs" / f"{table}.cfg"
-    return _emit_study(parse_config_text(resource.read_text(),
+    if args.table not in _table_ids():
+        raise ConfigError(f"unknown table '{args.table}'; known: {', '.join(_table_ids())}")
+    return _emit_study(parse_config_text((_CONFIGS / f"{args.table}.cfg").read_text(),
                                          {"out": args.out, "format": args.format}))
 
 
@@ -233,76 +196,33 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--basis", choices=("legendre", "cosine"), default="legendre")
     pk.add_argument("--boundary-smoothness", type=int, default=0)
     pk.add_argument("--origin-smoothness", type=int, default=0)
-    pk.add_argument("--normalization", choices=("surface_measure", "paper_table1_2d"),
-                    default="surface_measure")
+    pk.add_argument("--normalization", choices=[n.value for n in Normalization],
+                    default=Normalization.SURFACE_MEASURE.value)
     _add_common(pk)
     pk.set_defaults(fn=_cmd_kernel)
 
-    # the per-study flags default to None, so the study's table supplies every default
-    def study_parser(name, help):
-        return sub.add_parser(name, help=help, epilog=_study_keys_help(name),
-                              formatter_class=argparse.RawDescriptionHelpFormatter)
-
-    pw = study_parser("weakstar", "weak-star convergence rates")
-    pw.add_argument("--kernels", required=True)
-    pw.add_argument("--dims", help="filter kernels by dimension, e.g. 1,2")
-    pw.add_argument("--H")
-    _add_common(pw)
-    pw.set_defaults(fn=_cmd_weakstar)
-
-    p1 = study_parser("helmholtz1d", "1D pointwise deleted-neighborhood rates")
-    p1.add_argument("--kernels", required=True)
-    p1.add_argument("--H")
-    p1.add_argument("--k0", type=float)
-    p1.add_argument("--cutoff")
-    p1.add_argument("--grid-points", dest="grid_points")
-    _add_common(p1)
-    p1.set_defaults(fn=_cmd_study_flags)
-
-    p2 = study_parser("helmholtz2d", "2D radial pointwise rates")
-    p2.add_argument("--kernels", required=True)
-    p2.add_argument("--H")
-    p2.add_argument("--k0", type=float)
-    p2.add_argument("--cutoff")
-    p2.add_argument("--nodes")
-    _add_common(p2)
-    p2.set_defaults(fn=_cmd_study_flags)
-
-    ps = study_parser("helmholtz2d-sobolev", "2D weighted-Sobolev rates")
-    ps.add_argument("--kernels", required=True)
-    ps.add_argument("--H")
-    ps.add_argument("--alpha")
-    ps.add_argument("--k0", type=float)
-    _add_common(ps)
-    ps.set_defaults(fn=_cmd_study_flags)
-
-    pa = study_parser("advect", "leapfrog dispersion study")
-    pa.add_argument("--kernel", dest="kernels", metavar="KERNEL", required=True)
-    pa.add_argument("--H")
-    pa.add_argument("--N", type=int)
-    pa.add_argument("--T")
-    pa.add_argument("--detail", action="store_true",
-                    help="emit the E(x) profile CSV of a single run (one H)")
-    _add_common(pa)
-    pa.set_defaults(fn=_cmd_advect)
-
-    pkdv = study_parser("kdv", "KdV impulse evolution")
-    pkdv.add_argument("--source", help="kernel:<name> or 'gaussian'")
-    pkdv.add_argument("--H")
-    pkdv.add_argument("--sigma", default="pi/64", help="--detail gaussian width")
-    pkdv.add_argument("--normalized-gaussian", action="store_true")
-    pkdv.add_argument("--N", type=int)
-    pkdv.add_argument("--T")
-    pkdv.add_argument("--dt", type=float)
-    pkdv.add_argument("--snapshots")
-    pkdv.add_argument("--detail", action="store_true",
-                      help="emit snapshot and spectra CSVs for a single run at one H "
-                           "(default: the largest of the study's) and T (needs --out)")
-    _add_common(pkdv)
-    pkdv.set_defaults(fn=_cmd_kdv)
+    # one flag per config key of each study, default None, so the study's table
+    # supplies every default
+    studies = {}
+    for study, spec in STUDIES.items():
+        name = study.replace("_", "-")
+        p = studies[study] = sub.add_parser(
+            name, help=spec.help, epilog=_study_keys_help(name),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        for key in spec.defaults:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
+        _add_common(p)
+        p.set_defaults(fn=_cmd_study_flags)
+    studies["advect"].add_argument(
+        "--detail", action="store_true",
+        help="emit the E(x) profile CSV of one run of the study (one kernel, one H)")
+    studies["kdv"].add_argument(
+        "--detail", action="store_true",
+        help="emit snapshot and spectra CSVs of one run of the study (one H; needs --out)")
+    studies["kdv"].add_argument("--snapshots", help="--detail snapshot times, e.g. 0.01,0.02")
 
     pr = sub.add_parser("reproduce", help="rebuild a published table from a shipped config")
-    pr.add_argument("--table", required=True, help=", ".join(_TABLE_IDS))
+    pr.add_argument("--table", required=True, help=", ".join(_table_ids()))
     _add_common(pr)
     pr.set_defaults(fn=_cmd_reproduce)
 

@@ -10,12 +10,15 @@ function returns, or, when the function raises, one error
 row that names the unit's key columns and the exception's type and text, so
 one failed kernel never hides the others and a gate whose input failed reports
 an error instead of vanishing.  A config fault (a gate naming a kernel that is
-not listed, a per-kernel list of the wrong length) raises ConfigError before
-any unit runs.
+not listed or not in its 'a:b' or 'a > b' form, a per-kernel list of the wrong
+length, a format other than csv or json) raises ConfigError before any unit runs.
 
 `STUDIES` is the one table of every study's config keys and their defaults:
-`parse_config_text` rejects keys outside it and fills in the rest, and the
-CLI's per-study flags are overrides that go through it too.
+`parse_config_text` rejects keys outside it and fills in the rest.  The CLI
+generates each study's subcommand from it, one flag per key, and the flags are
+overrides that go through `parse_config_text` too.  The spectral studies build
+their runs through `advect_runs` and `kdv_runs`, which the CLI's `--detail`
+calls as well, so a detail run is a run of the study.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ __all__ = [
     "emit",
     "parse_h_schedule",
     "parse_config_text",
-    "kdv_source_kernel",
+    "advect_runs",
+    "kdv_runs",
 ]
 
 
@@ -146,6 +150,8 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
                      if value is ... or (defaults[key] is ... and not _csv_list(value)))
     if missing:
         raise ConfigError(f"config for {study} needs {missing}")
+    if options["format"] not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, not '{options['format']}'")
     return ExperimentConfig(study=study, options=options)
 
 
@@ -223,15 +229,6 @@ def _resolve_kernel(spec_str: str):
     return builder, builder.entry, builder.entry.dim
 
 
-def kdv_source_kernel(source: str):
-    """The catalog builder a KdV `source` names as 'kernel:<name>', or None for 'gaussian'."""
-    name = source.split(":", 1)[1] if source.startswith("kernel:") else None
-    if source != "gaussian" and name not in catalog_names():
-        raise ConfigError(f"kdv source must be 'gaussian' or 'kernel:<catalog name>', "
-                          f"not '{source}'")
-    return None if name is None else catalog_lookup(name)
-
-
 def _csv_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
@@ -248,6 +245,14 @@ def _per_kernel(opts: dict, key: str, names: list[str]) -> list[float] | None:
     if len(values) != len(names):
         raise ConfigError(f"{key} must list one value per kernel")
     return values
+
+
+def _gate_pair(key: str, spec: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """The two kernel names of a gate spec 'a<sep>b'; any other form is a ConfigError."""
+    names = [t.strip() for t in spec.split(sep.strip(), maxsplit)]
+    if len(names) != 2 or not all(names):
+        raise ConfigError(f"{key} must name two kernels as 'a{sep}b', not '{spec}'")
+    return names
 
 
 def _require_listed(names: list[str], gate_names, key: str) -> None:
@@ -287,7 +292,9 @@ def _weakstar(opts: dict):
     names = _csv_list(opts["kernels"])
     Hs = parse_h_schedule(opts["H"])
     tol = float(opts["parity_tolerance"])
-    pairs = [pair.split(":", 1) for pair in _csv_list(opts["parity_pairs"] or "")]
+    # a tensor kernel's name holds a ':' too, so a pair splits at its first
+    pairs = [_gate_pair("parity_pairs", pair, ":", 1)
+             for pair in _csv_list(opts["parity_pairs"] or "")]
     _require_listed(names, [name for pair in pairs for name in pair], "parity_pairs")
     slopes: dict[str, float] = {}
 
@@ -397,25 +404,38 @@ def _sobolev(opts: dict):
         yield {"kernel": name}, partial(kernel_rows, name)
 
 
+def advect_runs(opts: dict):
+    """The advect study's H schedule, and run(kernel, H) -> (E(x), AdvectionResult).
+
+    All runs share one grid, so runs with one step count share its memoized
+    leapfrog march.
+    """
+    t_final = _parse_number(opts["T"])
+    grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
+
+    def run(name, H):
+        make, entry, dim = _resolve_kernel(name)
+        return spectral.pointwise_error_after_periods(
+            spectral.AdvectionRun(grid=grid, kernel=make(H), t_final=t_final))
+
+    return parse_h_schedule(opts["H"]), run
+
+
 def _advect(opts: dict):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts["H"])
-    t_final = _parse_number(opts["T"])
+    Hs, run = advect_runs(opts)
     amp_tol = float(opts["amp_tolerance"])
     phase_tol = float(opts["phase_tolerance"])
-    grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
     if opts["ordering"]:
-        hi_name, lo_name = (t.strip() for t in opts["ordering"].split(">"))
+        hi_name, lo_name = _gate_pair("ordering", opts["ordering"], " > ")
         _require_listed(names, (hi_name, lo_name), "ordering")
     maxima: dict[tuple, float] = {}  # (kernel, H) -> max |u(x, 0) - u(x, T)|
 
     def run_rows(name, H):
-        make, entry, dim = _resolve_kernel(name)
-        run = spectral.AdvectionRun(grid=grid, kernel=make(H), t_final=t_final)
-        errs, result = spectral.pointwise_error_after_periods(run)
+        errs, result = run(name, H)
         amp = float(np.max(np.abs(np.abs(result.spectrum_final)
                                   - np.abs(result.spectrum_initial))))
-        rho = spectral.leapfrog_phase_factors(grid, result.dt)
+        rho = spectral.leapfrog_phase_factors(result.grid, result.dt)
         dev = float(np.max(np.abs(result.spectrum_final
                                   - result.spectrum_initial * rho**result.n_steps)))
         maxima[name, H] = float(np.max(errs))
@@ -435,31 +455,46 @@ def _advect(opts: dict):
                partial(ordering_rows, hi_name, lo_name))
 
 
-def _kdv(opts: dict):
+def kdv_runs(opts: dict):
+    """The kdv study's H schedule, and run(H, snapshots=()) -> KdVResult.
+
+    The source is 'kernel:<catalog name>' at width H, or 'gaussian', the
+    Gaussian of `spectral.gaussian_source` with sigma = H.
+    """
     source = opts["source"]
-    Hs = parse_h_schedule(opts["H"])
+    name = source.split(":", 1)[1] if source.startswith("kernel:") else None
+    if source != "gaussian" and name not in catalog_names():
+        raise ConfigError(f"kdv source must be 'gaussian' or 'kernel:<catalog name>', "
+                          f"not '{source}'")
     t_final = _parse_number(opts["T"])
     dt = float(opts["dt"])
-    mass_tol = float(opts["mass_tolerance"])
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
-    builder = kdv_source_kernel(source)
+
+    def run(H, snapshots=()):
+        initial = dict(gaussian_sigma=H) if name is None else dict(kernel=catalog_lookup(name)(H))
+        return spectral.kdv_solve(spectral.KdVRun(grid=grid, dt=dt, t_final=t_final,
+                                                  snapshots=snapshots, **initial))
+
+    return parse_h_schedule(opts["H"]), run
+
+
+def _kdv(opts: dict):
+    Hs, run = kdv_runs(opts)
+    mass_tol = float(opts["mass_tolerance"])
 
     def run_rows(H):
-        if builder is not None:
-            run = spectral.KdVRun(grid=grid, kernel=builder(H), dt=dt, t_final=t_final)
-        else:
-            run = spectral.KdVRun(grid=grid, gaussian_sigma=H, dt=dt, t_final=t_final)
-        result = spectral.kdv_solve(run)
+        result = run(H)
         com = spectral.com_displacement(result)
         drift = abs(result.mass[-1] - result.mass[0])
         return [dict(max_u=float(np.max(np.abs(result.snapshots[-1]))), mass_drift=drift,
                      com_displacement=com, status=_status(drift <= mass_tol and com > 0))]
 
     for H in Hs:
-        yield {"source": source, "H": H}, partial(run_rows, H)
+        yield {"source": opts["source"], "H": H}, partial(run_rows, H)
 
 
 class _Study(NamedTuple):
+    help: str  # one line for the study's CLI subcommand
     units: Callable  # options -> iterator of (key columns, function returning rows)
     columns: tuple  # before the status and message columns every table ends with
     defaults: dict  # config key -> default text; ... is required, None leaves a gate off
@@ -471,29 +506,32 @@ _HELMHOLTZ_GATES = {"expected_R": None, "tolerance": "0.05", "rate_min": None,
 
 STUDIES = {
     "weakstar": _Study(
-        _weakstar,
+        "weak-star convergence rates", _weakstar,
         ("kernel", "dim", "H", "E_weak", "ratio", "slope", "slope_min", "slope_max"),
         # an unset slope band is the kernel's own: weak order + 1 +- 0.1
         {"kernels": ..., "H": "2^-2..2^-6", "slope_min": None, "slope_max": None,
          "parity_pairs": None, "parity_tolerance": "0.15"}),
     "helmholtz1d": _Study(
-        partial(_helmholtz, dim=1), _HELMHOLTZ_COLUMNS,
+        "1D pointwise deleted-neighborhood rates", partial(_helmholtz, dim=1),
+        _HELMHOLTZ_COLUMNS,
         {"kernels": ..., "H": "2^-2..2^-5", "k0": "10", "cutoff": "0.25",
          "grid_points": "4001", **_HELMHOLTZ_GATES}),
     "helmholtz2d": _Study(
-        partial(_helmholtz, dim=2), _HELMHOLTZ_COLUMNS,
+        "2D radial pointwise rates", partial(_helmholtz, dim=2), _HELMHOLTZ_COLUMNS,
         {"kernels": ..., "H": "2^-2..2^-6", "k0": "10", "cutoff": "0.25",
          "nodes": "20480", **_HELMHOLTZ_GATES}),
     "helmholtz2d_sobolev": _Study(
-        _sobolev, ("alpha", "kernel", "H", "E", "R", "target_R"),
+        "2D weighted-Sobolev rates", _sobolev, ("alpha", "kernel", "H", "E", "R", "target_R"),
         {"kernels": ..., "H": "2^-2..2^-8", "k0": "10", "alpha": "0.25,0.5,0.9",
          "tolerance": "0.05"}),
     "advect": _Study(
-        _advect, ("kernel", "H", "max_error", "amp_drift", "phase_dev"),
+        "leapfrog dispersion study", _advect,
+        ("kernel", "H", "max_error", "amp_drift", "phase_dev"),
         {"kernels": ..., "H": "0.5", "N": "1024", "T": "36pi", "amp_tolerance": "1e-9",
          "phase_tolerance": "1e-8", "ordering": None}),
     "kdv": _Study(
-        _kdv, ("source", "H", "max_u", "mass_drift", "com_displacement"),
+        "KdV impulse evolution", _kdv,
+        ("source", "H", "max_u", "mass_drift", "com_displacement"),
         {"source": "kernel:eta_2_5_1d", "H": "pi,pi/2,pi/4", "N": "512", "T": "0.05",
          "dt": "1e-4", "mass_tolerance": "1e-10"}),
 }

@@ -211,18 +211,17 @@ def pointwise_error_after_periods(run: AdvectionRun) -> tuple[np.ndarray, Advect
 # KdV
 # ---------------------------------------------------------------------------
 
-def gaussian_source(x, sigma: float, normalized: bool = False):
+def gaussian_source(x, sigma: float):
     """Reference bump (2 pi sigma^2)^(-1/2) exp(-(x - 0.5)^2 / sigma^2).
 
-    As printed the exponent carries sigma^2 (not 2 sigma^2), so the total mass
-    is 1/sqrt(2); normalized=True switches to the unit-mass variant.
+    The KdV study's 'gaussian' source, with sigma its width H.  As printed the
+    exponent carries sigma^2 (not 2 sigma^2), so the total mass is 1/sqrt(2).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(x, dtype=float)
     amp = 1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
-    denom = 2.0 * sigma * sigma if normalized else sigma * sigma
-    return amp * np.exp(-((x - 0.5) ** 2) / denom)
+    return amp * np.exp(-((x - 0.5) ** 2) / (sigma * sigma))
 
 
 def conserved_quantities(u: np.ndarray, grid: PeriodicGrid1D) -> tuple[float, float]:
@@ -237,7 +236,6 @@ class KdVRun:
     kernel: RegularizedDelta | None = None
     initial: np.ndarray | None = None
     gaussian_sigma: float | None = None
-    gaussian_normalized: bool = False
     dt: float = 1e-4
     t_final: float = 0.05
     snapshots: tuple = ()
@@ -255,8 +253,7 @@ class KdVRun:
             return np.asarray(self.initial, dtype=float)
         if self.kernel is not None:
             return self.kernel.eval(self.grid.nodes)
-        return gaussian_source(self.grid.nodes, self.gaussian_sigma,
-                               normalized=self.gaussian_normalized)
+        return gaussian_source(self.grid.nodes, self.gaussian_sigma)
 
 
 @dataclass(frozen=True)

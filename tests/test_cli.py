@@ -1,4 +1,5 @@
 import csv
+import importlib.resources
 import json
 import math
 
@@ -28,6 +29,12 @@ def tables(tmp_path_factory):
         with open(out, newline="") as fh:
             results[table] = (code, list(csv.DictReader(fh)))
     return results
+
+
+def test_every_shipped_config_is_a_gated_table():
+    configs = importlib.resources.files("deltareg") / "configs"
+    shipped = {p.name.removesuffix(".cfg") for p in configs.iterdir() if p.name.endswith(".cfg")}
+    assert shipped == set(GATED_TABLES)
 
 
 @pytest.mark.parametrize("table", sorted(GATED_TABLES))
@@ -103,7 +110,8 @@ def test_kdv_detail_without_out_is_an_error(capsys):
 
 def test_kdv_detail_writes_snapshots_and_spectra(tmp_path):
     out = tmp_path / "u.csv"
-    assert main(["kdv", "--detail", "--N", "64", "--T", "0.001", "--out", str(out)]) == 0
+    assert main(["kdv", "--detail", "--H", "pi", "--N", "64", "--T", "0.001",
+                 "--out", str(out)]) == 0
     snapshots = out.read_text().splitlines()
     spectra = (tmp_path / "u.csv.spectra.csv").read_text().splitlines()
     assert snapshots[0].startswith("x,u(t=0)")
@@ -111,27 +119,6 @@ def test_kdv_detail_writes_snapshots_and_spectra(tmp_path):
     assert len(snapshots) == len(spectra) == 65
     # fft layout: the Nyquist wavenumber N/2 * 2 pi / L is carried negative
     assert [float(line.split(",")[0]) for line in spectra[33:35]] == [-4.0, -3.875]
-
-
-def test_kdv_detail_gaussian_rejects_H(tmp_path, capsys):
-    # the Gaussian's width is --sigma; an --H that changed nothing used to exit 0
-    out = tmp_path / "u.csv"
-    assert main(["kdv", "--detail", "--source", "gaussian", "--H", "0.5", "--N", "64",
-                 "--T", "0.001", "--out", str(out)]) == 1
-    stdout, err = capsys.readouterr()
-    assert stdout == ""
-    assert err.startswith("error: ") and "--sigma" in err and "--H" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_kdv_detail_gaussian_width_is_sigma(tmp_path):
-    snapshots = []
-    for sigma in ("0.5", "0.05"):
-        out = tmp_path / f"u{sigma}.csv"
-        assert main(["kdv", "--detail", "--source", "gaussian", "--sigma", sigma, "--N", "64",
-                     "--T", "0.001", "--out", str(out)]) == 0
-        snapshots.append(out.read_text())
-    assert snapshots[0] != snapshots[1]
 
 
 # a KdV source is 'gaussian' or 'kernel:<catalog name>'; a typo must not run a Gaussian
@@ -210,27 +197,27 @@ def test_blank_kernel_list_is_an_error(tmp_path, capsys):
     assert "needs ['kernels']" in err
 
 
-def test_dims_filter_that_keeps_no_kernel_is_an_error(capsys):
-    assert main(["weakstar", "--kernels", "eta_1_1_2d", "--dims", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "needs ['kernels']" in err
-
-
-# a gate that names a kernel the study does not list is a config error, not a
-# silently missing row
-@pytest.mark.parametrize("lines", [
-    "study = weakstar\nkernels = eta_1_1_2d, tensor:eta_1_1_1d\n"
-    "parity_pairs = eta_1_1_2d:tensor:eta_1_1_1x",
-    "study = advect\nkernels = eta_1_1_1d\nordering = eta_2_3_1d > eta_1_1_1d",
-], ids=["parity", "ordering"])
-def test_gate_naming_an_unlisted_kernel_is_an_error(tmp_path, capsys, lines):
+# a gate that names a kernel the study does not list, or is not of its form, is a
+# config error before any unit runs, not a silently missing row or a late traceback
+@pytest.mark.parametrize("lines, message", [
+    ("study = weakstar\nkernels = eta_1_1_2d, tensor:eta_1_1_1d\n"
+     "parity_pairs = eta_1_1_2d:tensor:eta_1_1_1x", "does not list"),
+    ("study = advect\nkernels = eta_1_1_1d\nordering = eta_2_3_1d > eta_1_1_1d",
+     "does not list"),
+    ("study = weakstar\nkernels = eta_1_1_1d\nparity_pairs = eta_1_1_1d",
+     "parity_pairs must name two kernels as 'a:b'"),
+    ("study = advect\nkernels = eta_1_1_1d, eta_2_3_1d\nordering = eta_2_3_1d, eta_1_1_1d",
+     "ordering must name two kernels as 'a > b'"),
+    ("study = advect\nkernels = eta_1_1_1d, eta_2_3_1d\n"
+     "ordering = eta_2_3_1d > eta_1_1_1d > eta_2_3_1d", "ordering must name two kernels"),
+], ids=["parity", "ordering", "parity-form", "ordering-form", "ordering-two-gt"])
+def test_gate_naming_an_unlisted_kernel_is_an_error(tmp_path, capsys, lines, message):
     config = tmp_path / "study.cfg"
     config.write_text(lines + "\n")
     assert main(["study", str(config)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "does not list" in err
+    assert message in err
 
 
 # a listed kernel whose unit errored turns its gate into an error row
@@ -283,9 +270,8 @@ STUDY_FLAGS = {
 
 
 def _flags(command, keys):
-    kernels_flag = "--kernel" if command == "advect" else "--kernels"
     return [arg for key, value in STUDY_FLAGS[command].items() if key in keys
-            for arg in (kernels_flag if key == "kernels" else f"--{key}", value)]
+            for arg in (f"--{key}", value)]
 
 
 @pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
@@ -301,12 +287,16 @@ def test_subcommand_matches_study_config(tmp_path, command):
 
 @pytest.mark.parametrize("command", sorted(STUDY_FLAGS))
 def test_every_subcommand_flag_is_a_key_of_its_study(command):
-    args = vars(build_parser().parse_args([command, *_flags(command, {"kernels"})]))
-    keys = set(STUDIES[command.replace("-", "_")].defaults) | {"out", "format"}
+    keys = set(STUDIES[command.replace("-", "_")].defaults)
+    args = vars(build_parser().parse_args([command]))
     study_flags = set(args) - _COMMAND_FLAGS
-    assert study_flags <= keys
+    assert study_flags == keys | {"out", "format"}
     # no flag carries a default of its own
-    assert all(args[k] is None for k in study_flags - {"kernels"})
+    assert all(args[k] is None for k in study_flags)
+    # and each key's flag is --<key>, with '-' for '_'
+    args = vars(build_parser().parse_args(
+        [command, *(arg for key in keys for arg in (f"--{key.replace('_', '-')}", key))]))
+    assert all(args[key] == key for key in keys)
 
 
 def test_advect_detail_reads_its_config(tmp_path):
@@ -329,13 +319,14 @@ def test_advect_detail_with_several_H_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
-# a --detail run emits one profile; a list of T, H or sigma values would run one of them
+# a --detail run emits one profile; a list of kernels, T or H values would run one of them
 @pytest.mark.parametrize("argv", [
     ["advect", "--kernel", "eta_1_1_1d", "--N", "64", "--T", "2pi,4pi"],
+    ["advect", "--kernels", "eta_1_1_1d,eta_2_3_1d", "--N", "64", "--T", "2pi"],
     ["kdv", "--source", "kernel:eta_2_5_1d", "--H", "pi,pi/2", "--N", "64", "--T", "0.001"],
     ["kdv", "--N", "64", "--T", "0.001,0.002"],
-    ["kdv", "--source", "gaussian", "--sigma", "pi/64,pi/32", "--N", "64", "--T", "0.001"],
-], ids=["advect-T", "kdv-H", "kdv-T", "kdv-sigma"])
+    ["kdv", "--source", "gaussian", "--N", "64", "--T", "0.001"],
+], ids=["advect-T", "advect-kernels", "kdv-H", "kdv-T", "kdv-gaussian-default-H"])
 def test_detail_with_a_list_is_an_error(tmp_path, capsys, argv):
     out = tmp_path / "detail.csv"
     assert main(argv + ["--detail", "--out", str(out)]) == 1
@@ -343,6 +334,28 @@ def test_detail_with_a_list_is_an_error(tmp_path, capsys, argv):
     assert stdout == ""
     assert err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+# --detail runs the study's own run: its profile peaks at the table's cell
+def test_advect_detail_is_a_run_of_the_study(tmp_path, capsys):
+    flags = ["--kernels", "eta_2_3_1d", "--H", "0.5", "--N", "64", "--T", "2pi"]
+    assert main(["advect", *flags, "--detail", "--out", str(tmp_path / "E.csv")]) == 0
+    assert main(["advect", *flags]) == 0
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    with open(tmp_path / "E.csv", newline="") as fh:
+        E = max(float(line["E"]) for line in csv.DictReader(fh))
+    assert f"{E:.12g}" == row["max_error"]
+
+
+@pytest.mark.parametrize("source", ["kernel:eta_2_5_1d", "gaussian"])
+def test_kdv_detail_is_a_run_of_the_study(tmp_path, capsys, source):
+    flags = ["--source", source, "--H", "pi/2", "--N", "64", "--T", "0.001"]
+    assert main(["kdv", *flags, "--detail", "--out", str(tmp_path / "u.csv")]) == 0
+    assert main(["kdv", *flags]) == 0
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    with open(tmp_path / "u.csv", newline="") as fh:
+        u_final = max(abs(float(line[-1])) for line in list(csv.reader(fh))[1:])
+    assert f"{u_final:.12g}" == row["max_u"]
 
 
 def test_advect_dispersion_table_cells(tables):

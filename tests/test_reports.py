@@ -65,6 +65,12 @@ def test_missing_required_key_is_a_config_error():
         parse_config_text("study = weakstar")
 
 
+def test_unknown_format_is_a_config_error():
+    # raised while parsing, so no unit runs before emit would reject it
+    with pytest.raises(reports.ConfigError, match="format must be csv or json, not 'xml'"):
+        parse_config_text("study = weakstar\nkernels = eta_1_1_1d\nformat = xml")
+
+
 def test_advect_ordering_must_hold_at_every_H(monkeypatch):
     # the richer kernel ends with the larger error at the last H only
     maxima = {("eta_2_3_1d", 0.5): 1.0, ("eta_1_1_1d", 0.5): 2.0,

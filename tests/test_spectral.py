@@ -386,8 +386,6 @@ def test_gaussian_mass_is_one_over_sqrt_two():
     xs = np.linspace(0.5 - 40 * sigma, 0.5 + 40 * sigma, 200001)
     mass = np.trapezoid(gaussian_source(xs, sigma), xs)
     assert mass == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-9)
-    mass_normalized = np.trapezoid(gaussian_source(xs, sigma, normalized=True), xs)
-    assert mass_normalized == pytest.approx(1.0, rel=1e-9)
 
 
 def test_gaussian_concentrates_as_sigma_shrinks():

@@ -57,6 +57,9 @@ def _emit_study(config) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    written = {"eval": "csv", "moments": "csv", "solve": "json"}.get(args.action, args.format)
+    if args.format not in (None, written):
+        raise ConfigError(f"kernel {args.action} writes {written} only, not {args.format}")
     if args.action == "list":
         if args.format == "json":
             _write_output(catalog_json().encode() + b"\n", args.out)
@@ -99,6 +102,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_study_flags(args) -> int:
     config = _flag_config(args)
     if getattr(args, "detail", False):
+        if args.format not in (None, "csv"):
+            raise ConfigError(f"{args.command} --detail writes csv only, not {args.format}")
         return _DETAIL[config.study](config, args)
     return _emit_study(config)
 

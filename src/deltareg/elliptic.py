@@ -3,12 +3,11 @@ deleted-neighborhood sup error, and weighted-Sobolev error.
 
 Both geometries share one node solve: G = -scale a(min) b(max) convolved with the
 kernel in separable form, exact to quadrature at any nodes, with sines for a and b in
-1D and J0/Y0 ring factors in 2D. The 1D and 2D solves only choose their nodes; the
-radial 2D solve on a mesh (the pointwise error's grid) is the node solve at the mesh
-radii, and the weighted-Sobolev norm solves at its own Gauss radii and interpolates no
-profile. The Green's-function factors depend on the geometry alone, never on the
-kernel: the solves memoize them by (dim, k0, nodes) and (dim, k0, Gauss order, panel
-edges), so doubling passes and kernels on one geometry share them.
+1D and J0/Y0 ring factors in 2D. The pointwise error solves at `exterior_nodes`, and
+the weighted-Sobolev norm solves at its own Gauss radii and interpolates no profile.
+The Green's-function factors depend on the geometry alone, never on the kernel: the
+solves memoize them by (dim, k0, nodes) and (dim, k0, Gauss order, panel edges), so
+doubling passes and kernels on one geometry share them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ __all__ = [
     "solve_regularized_2d_radial",
     "exact_profile_1d",
     "exact_profile_2d",
-    "radial_grid",
+    "exterior_nodes",
     "pointwise_error",
     "weighted_sobolev_error",
 ]
@@ -91,7 +90,6 @@ class Helmholtz1D:
 class RadialHelmholtz2D:
     kernel: RegularizedDelta
     k0: float = 10.0
-    n_cells: int = 20480  # cells of the mesh solve, which returns r = h .. 1, h = 1 / n_cells
 
     def __post_init__(self):
         if abs(bessel.j0(self.k0)) < 1e-8:
@@ -100,12 +98,6 @@ class RadialHelmholtz2D:
             raise ValueError("RadialHelmholtz2D needs a radial 2D kernel")
         if self.kernel.support_radius >= 1.0:
             raise ValueError("kernel support must lie inside the unit disk")
-        # the solve is exact to quadrature on any mesh, but the mesh is also the grid
-        # on which the pointwise table takes the sup of |u - u_H|; near a maximum that
-        # grid sup is short of the true sup by up to (k0 h)^2 / 8 relative, 3e-8 at
-        # 2e4 cells and k0 = 10. The weighted-Sobolev norm does not use the mesh.
-        if self.n_cells < 2 * 10**4:
-            raise ValueError("radial mesh needs at least 2e4 cells")
 
 
 @dataclass(frozen=True)
@@ -205,16 +197,11 @@ def exact_profile_2d(nodes: np.ndarray, k0: float = 10.0) -> SolutionProfile:
     )
 
 
-def radial_grid(n_cells: int) -> np.ndarray:
-    """Nodes r_j = j h, h = 1 / n_cells, of the radial mesh on [0, 1]; the 2D solve
-    returns its profile on r_1 .. r_n."""
-    return np.arange(n_cells + 1) * (1.0 / n_cells)
-
-
 def _ring_factors(r, k0: float):
-    """a = J0(k0 r) and b = Y0(k0 r) - (Y0(k0) / J0(k0)) J0(k0 r), so that b(1) = 0."""
-    a = bessel.j0(k0 * r)
-    return a, bessel.y0(k0 * r) - (bessel.y0(k0) / bessel.j0(k0)) * a
+    """a = J0(k0 r) and b = Y0(k0 r) - (Y0(k0) / J0(k0)) J0(k0 r), so that b(1) = 0, and
+    a' = -k0 J1(k0 r) and b' = k0 ((Y0(k0) / J0(k0)) J1(k0 r) - Y1(k0 r))."""
+    ratio, a, j1 = bessel.y0(k0) / bessel.j0(k0), bessel.j0(k0 * r), bessel.j1(k0 * r)
+    return a, bessel.y0(k0 * r) - ratio * a, -k0 * j1, k0 * (ratio * j1 - bessel.y1(k0 * r))
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +216,20 @@ def _greens_factors(dim: int, k0: float, order: int, points: bytes) -> tuple:
     set exactly and also the point solution's u'. Otherwise that order's Gauss points y
     on the panels with edges `points` and the weighted factors there, shape (2, panels,
     order): w sin(k0 (1 +- y) / 2) in 1D, 2 pi y w times a and b in 2D. A pass of the
-    helm2d and helm2d-sobolev tables fills 32 entries (11 mesh, 21 Sobolev) and helm1d
-    17, so 64 keep a repeated pass from cycling the memo.
+    helm2d and helm2d-sobolev tables fills 32 entries (11 pointwise, 21 Sobolev) and
+    helm1d 17, so 64 keep a repeated pass from cycling the memo.
     """
     x, half = np.frombuffer(points), 0.5 * k0
     if order:
         y, w = _panels(x, gauss_legendre(order))
-        factors = [y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0)) if dim == 2 else
+        factors = [y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0)[:2]) if dim == 2 else
                    w * np.sin([half * (1.0 + y), half * (1.0 - y)])]
     elif dim == 1:
         factors = [np.sin(half * (1.0 + x)), np.sin(half * (1.0 - x)),
                    half * np.cos(half * (1.0 + x)), -half * np.cos(half * (1.0 - x))]
     else:
-        (a, b), j1 = _ring_factors(x, k0), bessel.j1(k0 * x)
-        b[x == 1.0] = 0.0
-        factors = [a, b, -k0 * j1, k0 * (bessel.y0(k0) / bessel.j0(k0) * j1 - bessel.y1(k0 * x)),
-                   exact_point_solution_2d_radial_deriv(x, k0)]
+        factors = [*_ring_factors(x, k0), exact_point_solution_2d_radial_deriv(x, k0)]
+        factors[1][x == 1.0] = 0.0
     for f in factors:
         f.setflags(write=False)
     return tuple(factors)
@@ -316,18 +301,14 @@ def _node_solve(dim: int, nodes: np.ndarray, delta: RegularizedDelta,
     raise QuadratureError(f"{dim}D convolution quadrature failed the order-doubling check")
 
 
-def solve_regularized_1d(problem: Helmholtz1D,
-                         nodes: np.ndarray | None = None) -> SolutionProfile:
-    """Regularized point-source solve by Green's-function convolution on nodes in [-1, 1],
-    4001 equispaced ones by default; `_node_solve` with the sines of greens_function_1d.
-    """
-    if nodes is None:
-        nodes = np.linspace(-1.0, 1.0, 4001)
+def solve_regularized_1d(problem: Helmholtz1D, nodes: np.ndarray) -> SolutionProfile:
+    """Regularized point-source solve by Green's-function convolution at the ascending
+    nodes in [-1, 1]; `_node_solve` with the sines of greens_function_1d."""
     return _node_solve(1, _point_args_1d(nodes, problem.k0), problem.kernel, problem.k0)
 
 
 def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
-                                nodes: np.ndarray | None = None) -> SolutionProfile:
+                                nodes: np.ndarray) -> SolutionProfile:
     """Regularized radial point-source solve by separable ring-kernel convolution.
 
     The angular mean of the unit disk's Dirichlet Green's function is
@@ -335,35 +316,56 @@ def solve_regularized_2d_radial(problem: RadialHelmholtz2D,
     b = Y0(k0 .) - (Y0(k0) / J0(k0)) J0(k0 .) (Graf's addition theorem, DLMF 10.23.8;
     Watson, Treatise on Bessel Functions, 11.3), so u_H and u_H' are 1D integrals;
     the source sign makes exact_point_solution_2d_radial the small-support limit.
-    Without `nodes` the profile is on the mesh nodes r = h .. 1, h = 1 / n_cells; with
-    them, on those ascending radii in (0, 1]. Both are one `_node_solve` and leave out
-    r = 0, where b and the point solution that u_H is compared against are singular.
-    """
-    nodes = (radial_grid(problem.n_cells)[1:] if nodes is None else
-             _radial_point_args(nodes, problem.k0)[0])
-    return _node_solve(2, nodes, problem.kernel, problem.k0)
+    The profile is one `_node_solve` at the ascending radii `nodes` in (0, 1], which
+    leave out r = 0, where b and the point solution u_H is compared against are singular."""
+    return _node_solve(2, _radial_point_args(nodes, problem.k0)[0], problem.kernel, problem.k0)
 
 
 # ---------------------------------------------------------------------------
 # error measures
 # ---------------------------------------------------------------------------
 
-# the fewest grid points outside the cutoff that a sup error is taken over
-_MIN_POINTS = 2000
+def exterior_nodes(dim: int, k0: float, cutoff: float) -> np.ndarray:
+    """Ascending nodes of the closed exterior cutoff <= |x| <= 1, mirrored in 1D: a grid
+    of spacing at most 1 / (4 k0) and the stationary points of the outer Green's factor
+    b, at which u - u_H, a multiple of b beyond the kernel's support, peaks. They are
+    1 - (2n + 1) pi / k0 in 1D and in 2D the zeros of b', by Newton steps with
+    b'' = -b' / r - k0^2 b from each grid cell where b' changes sign."""
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError("cutoff must lie in (0, 1)")
+    grid = np.linspace(cutoff, 1.0, math.ceil(4.0 * k0 * (1.0 - cutoff)) + 1)
+    if dim == 1:
+        odd = np.arange(1, math.floor(k0 * (1.0 - cutoff) / math.pi) + 1, 2)
+        nodes = np.union1d(grid, 1.0 - odd * math.pi / k0)
+        return np.concatenate([-nodes[::-1], nodes])
+    d = _ring_factors(_radial_point_args(grid, k0)[0], k0)[3]
+    r = 0.5 * (grid[:-1] + grid[1:])[d[:-1] * d[1:] < 0.0]
+    for _ in range(6):  # quadratic convergence from at most 1/8 radian off
+        _, b, _, d = _ring_factors(r, k0)
+        r = r - d / (-d / r - k0 * k0 * b)
+    return np.union1d(grid, r)
 
 
 def pointwise_error(u_exact: SolutionProfile, u_reg: SolutionProfile, cutoff: float) -> float:
-    """Sup of |u - u_H| over grid points with |x| > cutoff (sharp exclusion)."""
-    if u_exact.nodes.shape != u_reg.nodes.shape or np.max(
-            np.abs(u_exact.nodes - u_reg.nodes)) > 1e-12:
+    """Sup of |e| = |u - u_H| over the closed exterior cutoff <= |x| <= 1: the largest |e|
+    at the profiles' nodes there, if e' vanishes there to 1e-6 of max |e'| or it is at
+    |x| = cutoff and does not rise into the exterior (e vanishes at |x| = 1). Otherwise
+    the nodes missed the sup, and QuadratureError is raised."""
+    if not np.array_equal(u_exact.nodes, u_reg.nodes):
         raise ValueError("profiles must share a common evaluation grid")
-    outside = np.abs(u_exact.nodes) > cutoff
-    n_out = int(np.count_nonzero(outside))
-    if n_out == 0:
+    outside = np.abs(u_exact.nodes) >= cutoff
+    if not np.any(outside):
         raise ValueError("empty exterior region")
-    if n_out < _MIN_POINTS:
-        raise ValueError(f"only {n_out} grid points outside the cutoff; need {_MIN_POINTS}")
-    return float(np.max(np.abs(u_exact.values[outside] - u_reg.values[outside])))
+    x, e, de = (v[outside] for v in (u_exact.nodes, u_exact.values - u_reg.values,
+                                     u_exact.derivs - u_reg.derivs))
+    j = int(np.argmax(np.abs(e)))
+    # near a peak of width 1 / kappa, |e''| ~ kappa^2 E and max |e'| ~ kappa E, so a
+    # node with |e'| <= 1e-6 max |e'| is short of the peak by about 5e-13 E
+    tol, rise = 1e-6 * float(np.max(np.abs(de))), np.sign(e[j] * x[j]) * de[j]  # d|e|/d|x|
+    if abs(de[j]) > tol and not (abs(x[j]) == cutoff and rise <= tol):
+        raise QuadratureError(f"the largest |u - u_H| outside the cutoff, at |x| = "
+                              f"{abs(x[j]):.6g}, is not stationary: the nodes miss the sup")
+    return float(abs(e[j]))
 
 
 # the norm's panels: Gauss rules of this order and twice it, geometric levels graded

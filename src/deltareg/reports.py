@@ -337,29 +337,21 @@ def _helmholtz(opts: dict, dim: int):
     if rate_max is not None and rate_min is None:
         raise ConfigError("rate_max needs rate_min")
 
-    # one kernel's solve, and the exact profile on its grid, built on the first call and
-    # shared; the units call it after their solves, so a resonant k0 or a bad grid fails
-    # there, as one error row per kernel
-    if dim == 1:
-        nodes = np.linspace(-1.0, 1.0, int(opts["grid_points"]))
-        exact = cache(lambda: elliptic.exact_profile_1d(nodes, k0))
-
-        def solve(delta):
-            return elliptic.solve_regularized_1d(elliptic.Helmholtz1D(kernel=delta, k0=k0), nodes)
-    else:
-        n_cells = int(opts["nodes"])
-        exact = cache(lambda: elliptic.exact_profile_2d(elliptic.radial_grid(n_cells)[1:], k0))
-
-        def solve(delta):
-            return elliptic.solve_regularized_2d_radial(
-                elliptic.RadialHelmholtz2D(kernel=delta, k0=k0, n_cells=n_cells))
+    # the exact profile at the exterior's nodes, built on the first call and shared; a
+    # resonant k0 or a bad cutoff fails there, as one error row per kernel
+    problem, solve, exact_profile = (
+        (elliptic.Helmholtz1D, elliptic.solve_regularized_1d, elliptic.exact_profile_1d)
+        if dim == 1 else (elliptic.RadialHelmholtz2D, elliptic.solve_regularized_2d_radial,
+                          elliptic.exact_profile_2d))
+    exact = cache(lambda: exact_profile(elliptic.exterior_nodes(dim, k0, cutoff), k0))
 
     def kernel_rows(idx, name):
         make, entry, kernel_dim = _resolve_kernel(name)
         if kernel_dim != dim:
             raise ConfigError(f"{name} is not a {dim}D kernel")
-        profiles = [solve(make(H)) for H in Hs]
-        Es = [elliptic.pointwise_error(exact(), u_reg, cutoff) for u_reg in profiles]
+        u = exact()
+        profiles = [solve(problem(kernel=make(H), k0=k0), u.nodes) for H in Hs]
+        Es = [elliptic.pointwise_error(u, u_reg, cutoff) for u_reg in profiles]
         ratios = _ratios(convergence_slope(Hs, Es))
         final = ratios[-1]
         if expected_R is not None:
@@ -514,12 +506,10 @@ STUDIES = {
     "helmholtz1d": _Study(
         "1D pointwise deleted-neighborhood rates", partial(_helmholtz, dim=1),
         _HELMHOLTZ_COLUMNS,
-        {"kernels": ..., "H": "2^-2..2^-5", "k0": "10", "cutoff": "0.25",
-         "grid_points": "4001", **_HELMHOLTZ_GATES}),
+        {"kernels": ..., "H": "2^-2..2^-5", "k0": "10", "cutoff": "0.25", **_HELMHOLTZ_GATES}),
     "helmholtz2d": _Study(
         "2D radial pointwise rates", partial(_helmholtz, dim=2), _HELMHOLTZ_COLUMNS,
-        {"kernels": ..., "H": "2^-2..2^-6", "k0": "10", "cutoff": "0.25",
-         "nodes": "20480", **_HELMHOLTZ_GATES}),
+        {"kernels": ..., "H": "2^-2..2^-6", "k0": "10", "cutoff": "0.25", **_HELMHOLTZ_GATES}),
     "helmholtz2d_sobolev": _Study(
         "2D weighted-Sobolev rates", _sobolev, ("alpha", "kernel", "H", "E", "R", "target_R"),
         {"kernels": ..., "H": "2^-2..2^-8", "k0": "10", "alpha": "0.25,0.5,0.9",

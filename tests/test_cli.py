@@ -1,11 +1,12 @@
 import csv
+import functools
 import importlib.resources
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from deltareg.cli import _COMMAND_FLAGS, build_parser, main
 from deltareg.kernels import catalog_lookup
@@ -143,6 +144,17 @@ def test_unknown_table_is_an_error(capsys):
 def test_study_rejects_removed_config_keys(tmp_path, capsys, line):
     config = tmp_path / "study.cfg"
     config.write_text(f"study = weakstar\nkernels = eta_1_1_1d\n{line}\n")
+    assert main(["study", str(config)]) == 1
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+# the pointwise tables take their nodes from k0 and the cutoff; the grid keys are gone
+@pytest.mark.parametrize("study, line", [("helmholtz1d", "grid_points = 4001"),
+                                         ("helmholtz2d", "nodes = 20480")])
+def test_helmholtz_studies_reject_the_removed_grid_keys(tmp_path, capsys, study, line):
+    config = tmp_path / "study.cfg"
+    config.write_text(f"study = {study}\nkernels = eta_0_1_{study[-2:]}\nH = 2^-2..2^-3\n"
+                      f"{line}\n")
     assert main(["study", str(config)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
 
@@ -336,6 +348,24 @@ def test_detail_with_a_list_is_an_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# a --format the command cannot write is an error, not ignored: the detail runs and
+# kernel eval and moments write CSV, kernel solve JSON
+@pytest.mark.parametrize("argv", [
+    ["advect", "--kernels", "eta_1_1_1d", "--N", "64", "--T", "2pi", "--detail",
+     "--format", "json"],
+    ["kdv", "--H", "pi", "--N", "64", "--T", "0.001", "--detail", "--format", "json"],
+    ["kernel", "eval", "--name", "eta_1_1_1d", "--H", "0.5", "--at", "0.1", "--format", "json"],
+    ["kernel", "moments", "--name", "eta_1_1_1d", "--format", "json"],
+    ["kernel", "solve", "--m", "1", "--p", "1", "--format", "csv"],
+], ids=["advect-detail", "kdv-detail", "kernel-eval", "kernel-moments", "kernel-solve"])
+def test_a_format_the_command_cannot_write_is_an_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and "only, not" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --detail runs the study's own run: its profile peaks at the table's cell
 def test_advect_detail_is_a_run_of_the_study(tmp_path, capsys):
     flags = ["--kernels", "eta_2_3_1d", "--H", "0.5", "--N", "64", "--T", "2pi"]
@@ -370,51 +400,66 @@ def test_advect_dispersion_table_cells(tables):
 def test_helm1d_table_cells(tables):
     _, rows = tables["helm1d"]
     assert [row["E"] for row in rows] == [
-        "0.0217886963802", "0.00566363148237", "0.00142979464136", "0.000358322276462",
-        "0.0122883574944", "0.00334750125549", "0.000854683548372", "0.000214793382132",
-        "0.000725076918042", "4.73381026532e-05", "2.9909508906e-06", "1.87442372956e-07",
-        "0.061209492534", "0.0172767354211", "0.00445349296945", "0.00112194805945",
-        "0.0056283281709", "0.000395240582937", "2.54335007821e-05", "1.60122746443e-06"]
+        "0.0217887032888", "0.00566363327813", "0.0014297950947", "0.000358322390075",
+        "0.0122883613906", "0.00334750231687", "0.000854683819365", "0.000214793450236",
+        "0.00072507714794", "4.73381176621e-05", "2.99095183842e-06", "1.8744243177e-07",
+        "0.0612095119416", "0.017276740899", "0.00445349438151", "0.00112194841519",
+        "0.00562832995546", "0.000395240708255", "2.54335088461e-05", "1.60122797205e-06"]
     assert [row["R"] for row in rows] == [
         "", "1.94378058125", "1.98591944571", "1.99647830833",
         "", "1.87613559109", "1.96962233901", "1.9924408085",
-        "", "3.93706026004", "3.98432575525", "3.996085194",
+        "", "3.93706026005", "3.98432575548", "3.99608519851",
         "", "1.82492477297", "1.95582141272", "1.98893142855",
-        "", "3.83190345601", "3.95792912924", "3.98947988334"]
+        "", "3.83190345601", "3.95792912924", "3.98947988341"]
 
 
-# closed-form oracles of the Helmholtz tables; k0, cutoff and grids are those of the
-# shipped helm1d, helm2d and helm2d-sobolev configs
+# closed-form oracles of the Helmholtz tables: the sup of |u - u_H| over the closed
+# exterior beyond the support, max(cutoff, support radius) <= |x| <= 1; k0 and the
+# cutoff are those of the shipped helm1d, helm2d and helm2d-sobolev configs
 K0, CUTOFF = 10.0, 0.25
 
 
-def _helm1d_oracle(name, H, grid_points=4001):
+def _helm1d_oracle(name, H):
     """E of a helm1d cell: beyond the support, u - u_H = -b(x) (a(0) - <delta_H, a>) / D,
     a(t) = sin(k0 (1 + t) / 2), b(t) = sin(k0 (1 - |t|) / 2), D = k0 sin k0. The even
     kernel of mass 1 sees a(0) - (a(y) + a(-y)) / 2 = 2 sin(k0 / 2) sin^2(k0 y / 4)
-    inside the integrand; a(0) - <delta_H, a> itself would cancel to 1e-8."""
+    inside the integrand; a(0) - <delta_H, a> itself would cancel to 1e-8. |b| reaches
+    1 at |x| = 1 - pi / k0, which lies beyond the cutoff and every support."""
     delta = catalog_lookup(name)(H)
     gap = 2.0 * integrate_panels(
         lambda y: delta.eval(y) * 2.0 * math.sin(K0 / 2) * np.sin(K0 * y / 4) ** 2,
         delta.breakpoints_physical(), gauss_legendre(40))
-    x = np.abs(np.linspace(-1.0, 1.0, grid_points))
-    x = x[(x > CUTOFF) & (x >= delta.support_radius)]
-    return abs(gap) * np.max(np.abs(np.sin(K0 * (1.0 - x) / 2))) / abs(K0 * math.sin(K0))
+    assert max(CUTOFF, delta.support_radius) <= 1.0 - math.pi / K0
+    return abs(gap) / abs(K0 * math.sin(K0))
 
 
-def _helm2d_oracle(name, H, n_cells=20480):
+def _outer_factor(r):
+    """b = Y0(k0 r) - (Y0(k0) / J0(k0)) J0(k0 r) and b'."""
+    c = special.y0(K0) / special.j0(K0)
+    return (special.y0(K0 * r) - c * special.j0(K0 * r),
+            K0 * (c * special.j1(K0 * r) - special.y1(K0 * r)))
+
+
+@functools.cache
+def _outer_factor_sup(lo):
+    """max |b| on [lo, 1], over the endpoints and the zeros of b' bracketed on a scan."""
+    scan = np.linspace(lo, 1.0, 1001)
+    db = _outer_factor(scan)[1]
+    zeros = [optimize.brentq(lambda r: _outer_factor(r)[1], scan[i], scan[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(db[:-1] * db[1:] < 0)]
+    return float(np.max(np.abs(_outer_factor(np.array([lo, 1.0, *zeros]))[0])))
+
+
+def _helm2d_oracle(name, H):
     """E of a helm2d cell: beyond the support, u - u_H = -b(r) (1 - m_H) / 4, with
-    m_H = <delta_H, J0(k0 .)> and b = Y0(k0 .) - (Y0(k0) / J0(k0)) J0(k0 .). 1 - m_H
-    keeps the kernel's mass deficit, which the solve sees too: eta_2_3_2d has mass
-    1 - 2.4e-14 at every Gauss order, 2e-8 of 1 - m_H at H = 2^-6."""
+    m_H = <delta_H, J0(k0 .)>. 1 - m_H keeps the kernel's mass deficit, which the solve
+    sees too: eta_2_3_2d has mass 1 - 2.4e-14 at every Gauss order, 2e-8 of 1 - m_H at
+    H = 2^-6."""
     delta = catalog_lookup(name)(H)
     m_H = integrate_panels(
         lambda s: delta.eval_radial(s) * special.j0(K0 * s) * 2.0 * np.pi * s,
         delta.breakpoints_physical(), gauss_legendre(40))
-    r = np.arange(1, n_cells + 1) / n_cells
-    r = r[(r > CUTOFF) & (r >= delta.support_radius)]
-    b = special.y0(K0 * r) - special.y0(K0) / special.j0(K0) * special.j0(K0 * r)
-    return abs(1.0 - m_H) * np.max(np.abs(b)) / 4.0
+    return abs(1.0 - m_H) * _outer_factor_sup(max(CUTOFF, delta.support_radius)) / 4.0
 
 
 def _check_cells(rows, oracle, rel, key=("kernel",)):

@@ -21,6 +21,7 @@ from deltareg.elliptic import (
     exact_point_solution_2d_radial,
     exact_point_solution_2d_radial_deriv,
     exact_profile_1d,
+    exact_profile_2d,
     greens_function_1d,
     pointwise_error,
     solve_regularized_1d,
@@ -34,6 +35,9 @@ from deltareg.reports import emit, parse_config_text, run_study
 from test_bessel import j0_series, y0_series
 
 K0 = 10.0
+# a uniform radial grid r = h .. 1, h = 1 / 20480, for the 2D solves that need fine
+# spacing or many nodes inside the support
+MESH = np.arange(1, 20481) / 20480
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,7 @@ def test_exact_2d_rejects_origin():
 def test_exact_2d_rejects_radii_outside_the_disk(fn):
     with pytest.raises(ValueError, match="outside"):
         fn(1.5, K0)
-    fn(elliptic.radial_grid(20480)[1:], K0)  # the mesh's last node, r = 1, is inside
+    fn(elliptic.exterior_nodes(2, K0, 0.25), K0)  # the last node, r = 1, is inside
 
 
 def test_exact_2d_value_from_series_oracle():
@@ -269,12 +273,10 @@ def _ring_kernel_oracle(delta, rr, k0=K0):
 
 
 def _check_ring_oracle(delta, radii):
-    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
-    assert profile.nodes[0] == 1.0 / len(profile.nodes)  # r = 0 is not returned
-    for rr in radii:
-        i = int(np.argmin(np.abs(profile.nodes - rr)))
-        assert profile.values[i] == pytest.approx(
-            _ring_kernel_oracle(delta, profile.nodes[i]), abs=1e-12)
+    nodes = np.unique(np.append(radii, 1.0))
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta), nodes)
+    for rr, value in zip(nodes, profile.values):
+        assert value == pytest.approx(_ring_kernel_oracle(delta, rr), abs=1e-12)
 
 
 @pytest.mark.parametrize("name, H", [(name, H)
@@ -286,8 +288,7 @@ def test_2d_solver_matches_ring_kernel_oracle(name, H):
 
 
 def test_2d_breakpoint_between_mesh_nodes_is_solved():
-    # the support edge r = 1/3 falls inside a cell of the 20480-cell mesh
-    assert (20480 / 3) % 1 > 0.1
+    # the support edge r = 1/3 falls between two nodes
     _check_ring_oracle(catalog_lookup("eta_2_3_2d")(1 / 3),
                        (0.1, 1 / 3 - 1e-4, 1 / 3 + 1e-4, 0.5, 0.9))
 
@@ -304,7 +305,7 @@ def _source_moment(delta, k0=K0):
 def test_2d_derivative_outside_the_support_is_the_scaled_point_derivative(name, H):
     # for r > H, u_H = m_H u and so u_H' = m_H u'
     delta = catalog_lookup(name)(H)
-    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta), MESH)
     outside = profile.nodes > H
     expected = _source_moment(delta) * exact_point_solution_2d_radial_deriv(
         profile.nodes[outside], K0)
@@ -317,8 +318,8 @@ def test_2d_derivative_inside_the_support_matches_centred_differences(name):
     # that of step 2h by four times as much, so a correct u' sees the ratio 4 and
     # agrees with their extrapolation to h^4 (~1e-17 u^(5)) and rounding (~eps u / h)
     H = 0.125
-    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)))
-    h, u, du = 1.0 / len(profile.nodes), profile.values, profile.derivs
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup(name)(H)), MESH)
+    h, u, du = MESH[0], profile.values, profile.derivs
     j = np.arange(2, int(0.9 * H / h))
     e1 = (u[j + 1] - u[j - 1]) / (2 * h) - du[j]
     e2 = (u[j + 2] - u[j - 2]) / (4 * h) - du[j]
@@ -343,25 +344,6 @@ def test_2d_node_solve_outside_the_support_is_the_weak_star_error(name, H):
     assert np.max(error) <= 1e-12 * np.max(np.abs(expected)) + 2e-14 * np.max(np.abs(du))
 
 
-# every cell of the helm2d table, a support edge inside a cell, the cosine profile and
-# a support inside the first cell
-@pytest.mark.parametrize("name, H", [(name, 2.0**-k)
-                                     for name in ("eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d")
-                                     for k in range(2, 7)]
-                         + [("eta_0_1_2d", 1 / 3), ("eta_2_cos_2d", 2.0**-8),
-                            ("eta_1_2_2d", 1e-5)])
-def test_2d_mesh_solve_is_the_node_solve_at_the_mesh_radii(name, H):
-    problem = RadialHelmholtz2D(kernel=catalog_lookup(name)(H))
-    mesh = solve_regularized_2d_radial(problem)
-    nodes = solve_regularized_2d_radial(problem, nodes=elliptic.radial_grid(20480)[1:])
-    assert np.array_equal(mesh.nodes, nodes.nodes)
-    assert np.array_equal(mesh.values, nodes.values)
-    assert np.array_equal(mesh.derivs, nodes.derivs)
-    for key in ("order", "doubling_delta"):
-        assert getattr(mesh, key) == getattr(nodes, key)
-    assert nodes.values[-1] == 0.0
-
-
 def test_2d_node_solve_rejects_radii_outside_the_disk():
     problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
     for radii in ([0.0, 0.5], [0.5, 1.5]):
@@ -371,7 +353,7 @@ def test_2d_node_solve_rejects_radii_outside_the_disk():
 
 def test_2d_solve_reports_mesh_order_and_doubling_delta():
     delta = catalog_lookup("eta_2_3_2d")(0.125)
-    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta), MESH)
     assert len(profile.nodes) == 20480 and profile.dim == 2
     assert profile.order in (16, 32)
     assert profile.doubling_delta <= 1e-10 * np.max(np.abs(profile.values))
@@ -383,7 +365,7 @@ def test_2d_solve_reports_mesh_order_and_doubling_delta():
 def test_2d_support_inside_the_first_cell(name, order):
     # H < h: every returned node lies outside the support, so u_H = m_H u there
     delta = catalog_lookup(name)(1e-5)
-    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta))
+    profile = solve_regularized_2d_radial(RadialHelmholtz2D(kernel=delta), MESH)
     expected = _source_moment(delta) * exact_point_solution_2d_radial(profile.nodes, K0)
     assert np.max(np.abs(profile.values - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert profile.order == order
@@ -393,7 +375,7 @@ def test_2d_solve_accepts_the_third_order(monkeypatch):
     monkeypatch.setattr(elliptic, "_convolve",
                         _fake_convolution(lambda order: 2.0 if order == 8 else 1.0))
     profile = solve_regularized_2d_radial(
-        RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)))
+        RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)), MESH)
     assert profile.order == 32
     assert profile.doubling_delta == 0.0
     assert np.all(profile.derivs == 32.0)
@@ -403,7 +385,7 @@ def test_2d_solve_raises_when_order_doubling_fails(monkeypatch, capsys):
     monkeypatch.setattr(elliptic, "_convolve", _fake_convolution(float))
     problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125))
     with pytest.raises(QuadratureError, match="order-doubling"):
-        solve_regularized_2d_radial(problem)
+        solve_regularized_2d_radial(problem, MESH)
     # a study turns the solver error into an error row and exits 1
     assert main(["helmholtz2d", "--kernels", "eta_2_3_2d", "--H", "2^-2..2^-3"]) == 1
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
@@ -415,13 +397,13 @@ def test_2d_solves_in_threads_that_grow_the_tables_match_serial_solves():
     problems = [RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(2.0**-k))
                 for k in (5, 4, 3, 2)]
     elliptic._greens_factors.cache_clear()
-    serial = [solve_regularized_2d_radial(p).values for p in problems]
+    serial = [solve_regularized_2d_radial(p, MESH).values for p in problems]
     elliptic._greens_factors.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(solve_regularized_2d_radial, p) for p in problems * 2]
+            futures = [pool.submit(solve_regularized_2d_radial, p, MESH) for p in problems * 2]
             threaded = [f.result(timeout=60).values for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -430,13 +412,8 @@ def test_2d_solves_in_threads_that_grow_the_tables_match_serial_solves():
 
 def test_2d_boundary_value_is_zero():
     profile = solve_regularized_2d_radial(
-        RadialHelmholtz2D(kernel=catalog_lookup("eta_0_1_2d")(0.25)))
+        RadialHelmholtz2D(kernel=catalog_lookup("eta_0_1_2d")(0.25)), MESH)
     assert profile.values[-1] == 0.0
-
-
-def test_2d_requires_enough_cells():
-    with pytest.raises(ValueError):
-        RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125), n_cells=1024)
 
 
 def test_2d_resonance_guard():
@@ -572,8 +549,64 @@ def test_pointwise_error_requires_common_grid():
         pointwise_error(a, b, 0.25)
 
 
-def test_1d_two_moment_ratio_saturates_near_four():
+def test_pointwise_error_takes_the_cutoff_itself():
+    # in 2D |u| peaks at r = cutoff, so |u - 0.9 u| does too, and r = 1/4 belongs to
+    # the closed exterior
+    nodes = np.linspace(0.25, 1.0, 3001)
+    u = exact_profile_2d(nodes, K0)
+    scaled = SolutionProfile(nodes=nodes, values=0.9 * u.values, derivs=0.9 * u.derivs, dim=2)
+    assert pointwise_error(u, scaled, 0.25) == abs(u.values[0] - scaled.values[0])
+
+
+# every kernel of the helm1d and helm2d tables; the 1D errors peak inside the exterior,
+# at |x| = 1 - pi / k0, between the nodes of any grid that does not place one there
+@pytest.mark.parametrize("dim, name", [
+    (1, name) for name in ("eta_0_1_1d", "eta_1_2_1d", "eta_2_3_1d", "eta_cos", "eta_cubic")
+] + [(2, name) for name in ("eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d")])
+def test_pointwise_error_at_the_study_nodes_is_the_sup_of_a_fine_solve(dim, name):
+    if dim == 1:
+        geometry, solve, exact = Helmholtz1D, solve_regularized_1d, exact_profile_1d
+        fine = np.linspace(-1.0, 1.0, 200001)
+    else:
+        geometry, solve, exact = RadialHelmholtz2D, solve_regularized_2d_radial, exact_profile_2d
+        fine = np.linspace(0.25, 1.0, 150001)
+    problem = geometry(kernel=catalog_lookup(name)(1 / 32), k0=K0)
+    nodes = elliptic.exterior_nodes(dim, K0, 0.25)
+    E = pointwise_error(exact(nodes, K0), solve(problem, nodes), 0.25)
+    error = np.abs(exact(fine, K0).values - solve(problem, fine).values)
+    error[np.abs(fine) < 0.25] = 0.0
+    elliptic._greens_factors.cache_clear()  # the fine grid's tables are large
+    if dim == 1:
+        assert 0.25 < abs(fine[np.argmax(error)]) < 1.0
+    assert E == pytest.approx(np.max(error), rel=1e-10)
+
+
+def test_pointwise_error_raises_where_the_largest_node_error_is_not_stationary():
+    problem = Helmholtz1D(kernel=catalog_lookup("eta_2_3_1d")(1 / 32), k0=K0)
     nodes = np.linspace(-1.0, 1.0, 4001)
+    with pytest.raises(QuadratureError, match="not stationary"):
+        pointwise_error(exact_profile_1d(nodes, K0), solve_regularized_1d(problem, nodes), 0.25)
+
+
+@pytest.mark.parametrize("k0", [K0, 23.7])
+def test_exterior_nodes_hold_the_edges_and_every_stationary_point_of_b(k0):
+    one, two = (elliptic.exterior_nodes(dim, k0, 0.25) for dim in (1, 2))
+    half = one[one > 0]
+    assert np.array_equal(one, np.concatenate([-half[::-1], half]))
+    # b' vanishes where cos(k0 (1 - x) / 2) does in 1D
+    fine = np.linspace(0.25, 1.0, 100001)
+    for x, db in ((half, lambda r: np.cos(k0 * (1.0 - r) / 2)),
+                  (two, lambda r: _ring_factor_derivs(r, k0)[1] / k0)):
+        assert x[0] == 0.25 and x[-1] == 1.0 and np.max(np.diff(x)) <= (1.0 + 1e-12) / (4.0 * k0)
+        d = db(fine)
+        zeros = fine[np.flatnonzero(d[:-1] * d[1:] < 0)]
+        nearest = x[np.argmin(np.abs(x[:, None] - zeros), axis=0)]
+        assert len(zeros) > 0 and np.max(np.abs(nearest - zeros)) <= 1e-5
+        assert np.max(np.abs(db(nearest))) <= 1e-13
+
+
+def test_1d_two_moment_ratio_saturates_near_four():
+    nodes = elliptic.exterior_nodes(1, K0, 0.25)
     u_exact = exact_profile_1d(nodes, K0)
     builder = catalog_lookup("eta_2_3_1d")
     errs = []
@@ -584,7 +617,7 @@ def test_1d_two_moment_ratio_saturates_near_four():
 
 
 def test_1d_one_moment_ratio_saturates_near_two():
-    nodes = np.linspace(-1.0, 1.0, 4001)
+    nodes = elliptic.exterior_nodes(1, K0, 0.25)
     u_exact = exact_profile_1d(nodes, K0)
     builder = catalog_lookup("eta_1_2_1d")
     errs = []

@@ -30,7 +30,8 @@ def masked_eval(profile, r):
 
 @pytest.fixture(scope="module")
 def mesh_gauss_points():
-    """Every point, in profile units, at which a helm2d mesh solve at H = 2^-2 evaluates."""
+    """Every point, in profile units, at which a 2D solve at H = 2^-2 on the uniform
+    radii r = h .. 1, h = 1 / 20480, evaluates."""
     seen = []
     original = RadialProfile.eval
 
@@ -40,7 +41,8 @@ def mesh_gauss_points():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RadialProfile, "eval", recording)
-        solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)))
+        solve_regularized_2d_radial(RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)),
+                                    np.arange(1, 20481) / 20480)
     assert seen and all(r.ndim == 2 for r in seen)
     return seen
 

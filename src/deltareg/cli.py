@@ -19,8 +19,8 @@ from .moments import (
     solve_moment_problem,
 )
 from .quadrature import QuadratureError
-from .reports import (STUDIES, ConfigError, _csv_list, advect_runs, emit, kdv_runs,
-                      parse_config_text, run_study)
+from .reports import (STUDIES, ConfigError, _csv_list, _parse_number, advect_runs, emit,
+                      kdv_runs, parse_config_text, run_study)
 
 _CONFIGS = importlib.resources.files("deltareg") / "configs"
 
@@ -119,13 +119,14 @@ def _one(command: str, what: str, values: list):
 def _advect_detail(config, args) -> int:
     opts = config.options
     Hs, run = advect_runs(opts)
-    errs, result = run(_one("advect", "kernel", _csv_list(opts["kernels"])),
-                       _one("advect", "H", Hs))
+    name, H = _one("advect", "kernel", _csv_list(opts["kernels"])), _one("advect", "H", Hs)
+    errs, result = run(name, H)
     lines = ["x,E"]
     for x, e in zip(result.grid.nodes, errs):
         lines.append(f"{x:.12g},{e:.12g}")
     _write_output(("\n".join(lines) + "\n").encode(), config.out)
-    meta = dict(result.metadata, n_steps=result.n_steps, dt=result.dt, N=result.grid.n)
+    meta = dict(kernel=catalog_lookup(name).entry.name, H=H, t_final=_parse_number(opts["T"]),
+                kmax_dt=result.kmax_dt, n_steps=result.n_steps, dt=result.dt, N=result.grid.n)
     sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
     return 0
 
@@ -136,7 +137,8 @@ def _kdv_detail(config, args) -> int:
     if not config.out:
         raise ConfigError("kdv --detail writes a snapshot CSV and a .spectra.csv beside it; "
                           "name the snapshot file with --out")
-    result = run(_one("kdv", "H", Hs), snapshots)
+    H = _one("kdv", "H", Hs)
+    result = run(H, snapshots)
     grid = result.grid
     lines = ["x," + ",".join(f"u(t={t:g})" for t in result.times)]
     for i, x in enumerate(grid.nodes):
@@ -148,7 +150,9 @@ def _kdv_detail(config, args) -> int:
         spec_lines.append(f"{k[i]:.12g}," + ",".join(f"{s[i]:.12g}" for s in result.spectra))
     with open(config.out + ".spectra.csv", "wb") as fh:
         fh.write(("\n".join(spec_lines) + "\n").encode())
-    sys.stderr.write(json.dumps(result.metadata, sort_keys=True) + "\n")
+    name = config.options["source"].removeprefix("kernel:")  # kdv_runs checked the source
+    kernel = None if name == "gaussian" else catalog_lookup(name).entry.name
+    sys.stderr.write(json.dumps(dict(result.metadata, kernel=kernel, H=H), sort_keys=True) + "\n")
     return 0
 
 

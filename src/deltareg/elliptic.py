@@ -331,6 +331,8 @@ def exterior_nodes(dim: int, k0: float, cutoff: float) -> np.ndarray:
     b, at which u - u_H, a multiple of b beyond the kernel's support, peaks. They are
     1 - (2n + 1) pi / k0 in 1D and in 2D the zeros of b', by Newton steps with
     b'' = -b' / r - k0^2 b from each grid cell where b' changes sign."""
+    if not k0 > 0.0:
+        raise ValueError("k0 must be positive")
     if not 0.0 < cutoff < 1.0:
         raise ValueError("cutoff must lie in (0, 1)")
     grid = np.linspace(cutoff, 1.0, math.ceil(4.0 * k0 * (1.0 - cutoff)) + 1)

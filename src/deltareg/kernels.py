@@ -27,7 +27,8 @@ __all__ = [
 
 
 class UnknownKernelError(KeyError):
-    pass
+    def __str__(self) -> str:
+        return self.args[0]  # a KeyError's str is its argument's repr, in quotes
 
 
 @dataclass(frozen=True)

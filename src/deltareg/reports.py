@@ -17,8 +17,9 @@ length, a format other than csv or json) raises ConfigError before any unit runs
 `parse_config_text` rejects keys outside it and fills in the rest.  The CLI
 generates each study's subcommand from it, one flag per key, and the flags are
 overrides that go through `parse_config_text` too.  The spectral studies build
-their runs through `advect_runs` and `kdv_runs`, which the CLI's `--detail`
-calls as well, so a detail run is a run of the study.
+their runs through `advect_runs` and `kdv_runs`, which sample each run's source
+on the run's grid and which the CLI's `--detail` calls as well, so a detail run
+is a run of the study.
 """
 
 from __future__ import annotations
@@ -218,15 +219,16 @@ def emit(report: ConvergenceReport, fmt: str = "csv") -> bytes:
 # helpers shared by the studies
 # ---------------------------------------------------------------------------
 
-def _resolve_kernel(spec_str: str):
-    """'name' for a catalog radial kernel, or 'tensor:name1d' for a 2D square product."""
+def _resolve_kernel(spec_str: str, dim: int | None = None):
+    """'name' for a catalog radial kernel, or 'tensor:name1d' for a 2D square product;
+    with `dim` given, a kernel of another dimension is a ConfigError."""
     spec_str = spec_str.strip()
-    if spec_str.startswith("tensor:"):
-        base = spec_str.split(":", 1)[1]
-        builder = catalog_lookup(base)
-        return partial(tensor_product, builder), builder.entry, 2
-    builder = catalog_lookup(spec_str)
-    return builder, builder.entry, builder.entry.dim
+    tensor = spec_str.startswith("tensor:")
+    builder = catalog_lookup(spec_str.removeprefix("tensor:"))
+    kernel_dim = 2 if tensor else builder.entry.dim
+    if dim not in (None, kernel_dim):
+        raise ConfigError(f"{spec_str} is not a {dim}D kernel")
+    return (partial(tensor_product, builder) if tensor else builder), builder.entry, kernel_dim
 
 
 def _csv_list(text: str) -> list[str]:
@@ -346,9 +348,7 @@ def _helmholtz(opts: dict, dim: int):
     exact = cache(lambda: exact_profile(elliptic.exterior_nodes(dim, k0, cutoff), k0))
 
     def kernel_rows(idx, name):
-        make, entry, kernel_dim = _resolve_kernel(name)
-        if kernel_dim != dim:
-            raise ConfigError(f"{name} is not a {dim}D kernel")
+        make, entry, _ = _resolve_kernel(name, dim)
         u = exact()
         profiles = [solve(problem(kernel=make(H), k0=k0), u.nodes) for H in Hs]
         Es = [elliptic.pointwise_error(u, u_reg, cutoff) for u_reg in profiles]
@@ -399,16 +399,16 @@ def _sobolev(opts: dict):
 def advect_runs(opts: dict):
     """The advect study's H schedule, and run(kernel, H) -> (E(x), AdvectionResult).
 
-    All runs share one grid, so runs with one step count share its memoized
-    leapfrog march.
+    A run marches the 1D kernel at width H sampled at the grid's nodes.  All runs
+    share one grid, so runs with one step count share its memoized leapfrog march.
     """
     t_final = _parse_number(opts["T"])
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
 
     def run(name, H):
-        make, entry, dim = _resolve_kernel(name)
+        initial = _resolve_kernel(name, 1)[0](H).eval(grid.nodes)
         return spectral.pointwise_error_after_periods(
-            spectral.AdvectionRun(grid=grid, kernel=make(H), t_final=t_final))
+            spectral.AdvectionRun(grid=grid, initial=initial, t_final=t_final))
 
     return parse_h_schedule(opts["H"]), run
 
@@ -450,8 +450,9 @@ def _advect(opts: dict):
 def kdv_runs(opts: dict):
     """The kdv study's H schedule, and run(H, snapshots=()) -> KdVResult.
 
-    The source is 'kernel:<catalog name>' at width H, or 'gaussian', the
-    Gaussian of `spectral.gaussian_source` with sigma = H.
+    The source is 'kernel:<catalog name>', a 1D kernel at width H, or 'gaussian',
+    the Gaussian of `spectral.gaussian_source` with sigma = H.  A run marches the
+    source sampled at the grid's nodes.
     """
     source = opts["source"]
     name = source.split(":", 1)[1] if source.startswith("kernel:") else None
@@ -463,9 +464,10 @@ def kdv_runs(opts: dict):
     grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
 
     def run(H, snapshots=()):
-        initial = dict(gaussian_sigma=H) if name is None else dict(kernel=catalog_lookup(name)(H))
-        return spectral.kdv_solve(spectral.KdVRun(grid=grid, dt=dt, t_final=t_final,
-                                                  snapshots=snapshots, **initial))
+        initial = (spectral.gaussian_source(grid.nodes, H) if name is None
+                   else _resolve_kernel(name, 1)[0](H).eval(grid.nodes))
+        return spectral.kdv_solve(spectral.KdVRun(grid=grid, initial=initial, dt=dt,
+                                                  t_final=t_final, snapshots=snapshots))
 
     return parse_h_schedule(opts["H"]), run
 

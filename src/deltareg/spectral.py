@@ -1,5 +1,10 @@
 """Fourier pseudospectral experiments: leapfrog advection dispersion and
-integrating-factor RK4 for the KdV equation, with spectral diagnostics."""
+integrating-factor RK4 for the KdV equation, with spectral diagnostics.
+
+A run marches grid data: its initial values sampled at the grid's nodes.  The
+study that builds a run owns its source (a regularized kernel, or the reference
+Gaussian `gaussian_source`) and samples it there.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .kernels import RegularizedDelta
 
 __all__ = [
     "PeriodicGrid1D",
@@ -81,36 +84,29 @@ class PeriodicGrid1D:
         return np.fft.fftfreq(self.n, d=1.0 / self.n) * (2.0 * math.pi / self.length)
 
 
-def _check_times(dt, t_final):
-    if dt is not None and not dt > 0:
-        raise ValueError(f"time step dt = {dt} must be positive")
-    if not t_final > 0:
-        raise ValueError(f"final time t_final = {t_final} must be positive")
+def _check_run(run) -> None:
+    if np.shape(run.initial) != (run.grid.n,):
+        raise ValueError(f"initial data of shape {np.shape(run.initial)} does not sample "
+                         f"the {run.grid.n}-point grid")
+    if run.dt is not None and not run.dt > 0:
+        raise ValueError(f"time step dt = {run.dt} must be positive")
+    if not run.t_final > 0:
+        raise ValueError(f"final time t_final = {run.t_final} must be positive")
 
 
 @dataclass(frozen=True)
 class AdvectionRun:
     grid: PeriodicGrid1D
-    kernel: RegularizedDelta | None = None
-    initial: np.ndarray | None = None
+    initial: np.ndarray  # u(x, 0) at grid.nodes
     dt: float | None = None  # default dx / 8
     t_final: float = 36.0 * math.pi
 
     def __post_init__(self):
-        if (self.kernel is None) == (self.initial is None):
-            raise ValueError("provide exactly one of kernel or initial data")
-        if self.kernel is not None and self.kernel.dim != 1:
-            raise ValueError("advection needs a 1D kernel")
-        _check_times(self.dt, self.t_final)
+        _check_run(self)
 
     @property
     def time_step(self) -> float:
         return self.dt if self.dt is not None else self.grid.dx / 8.0
-
-    def initial_values(self) -> np.ndarray:
-        if self.initial is not None:
-            return np.asarray(self.initial, dtype=float)
-        return self.kernel.eval(self.grid.nodes)
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,8 @@ class AdvectionResult:
     spectrum_initial: np.ndarray  # complex rfft coefficients at t = 0
     spectrum_final: np.ndarray
     n_steps: int
-    dt: float
-    metadata: dict = field(default_factory=dict)
+    dt: float  # the marched step
+    kmax_dt: float  # the CFL number, at most 1
 
 
 def leapfrog_phase_factors(grid: PeriodicGrid1D, dt: float) -> np.ndarray:
@@ -180,21 +176,14 @@ def advect_leapfrog(run: AdvectionRun) -> AdvectionResult:
     kmax_dt = grid.wavenumbers[-1] * dt
     if kmax_dt > 1.0:
         raise CFLError(f"k_max dt = {kmax_dt:.3f} > 1; leapfrog unstable")
-    u0 = run.initial_values()
+    u0 = np.asarray(run.initial, dtype=float)
     c0 = np.fft.rfft(u0)
     cT = c0 * leapfrog_multiplier(grid, dt, n_steps)
     uT = np.fft.irfft(cT, n=grid.n)
     return AdvectionResult(
         grid=grid, u_initial=u0, u_final=uT,
         spectrum_initial=c0, spectrum_final=cT,
-        n_steps=n_steps, dt=dt,
-        metadata=dict(
-            kernel=getattr(run.kernel, "name", "custom"),
-            H=run.kernel.half_width if run.kernel is not None else None,
-            t_final=run.t_final,
-            n_steps=n_steps,
-            kmax_dt=kmax_dt,
-        ),
+        n_steps=n_steps, dt=dt, kmax_dt=kmax_dt,
     )
 
 
@@ -232,28 +221,14 @@ def conserved_quantities(u: np.ndarray, grid: PeriodicGrid1D) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class KdVRun:
-    grid: PeriodicGrid1D = field(default_factory=lambda: PeriodicGrid1D(n=512, length=16.0 * math.pi))
-    kernel: RegularizedDelta | None = None
-    initial: np.ndarray | None = None
-    gaussian_sigma: float | None = None
-    dt: float = 1e-4
+    grid: PeriodicGrid1D
+    initial: np.ndarray  # u(x, 0) at grid.nodes
+    dt: float = 1e-4  # marched as t_final / round(t_final / dt)
     t_final: float = 0.05
-    snapshots: tuple = ()
+    snapshots: tuple = ()  # times recorded besides 0 and t_final
 
     def __post_init__(self):
-        given = sum(x is not None for x in (self.kernel, self.initial, self.gaussian_sigma))
-        if given != 1:
-            raise ValueError("provide exactly one of kernel, initial data, or gaussian_sigma")
-        if self.kernel is not None and self.kernel.dim != 1:
-            raise ValueError("KdV needs a 1D kernel")
-        _check_times(self.dt, self.t_final)
-
-    def initial_values(self) -> np.ndarray:
-        if self.initial is not None:
-            return np.asarray(self.initial, dtype=float)
-        if self.kernel is not None:
-            return self.kernel.eval(self.grid.nodes)
-        return gaussian_source(self.grid.nodes, self.gaussian_sigma)
+        _check_run(self)
 
 
 @dataclass(frozen=True)
@@ -301,7 +276,7 @@ def kdv_solve(run: KdVRun) -> KdVResult:
         # spectrum of -3 (u^2)_x for the field with spectrum w
         return gm * np.fft.rfft(np.fft.irfft(w, grid.n) ** 2)
 
-    v = np.fft.rfft(run.initial_values())
+    v = np.fft.rfft(np.asarray(run.initial, dtype=float))
     outputs, out_times = [], []
     mass, momentum = [], []
 
@@ -335,12 +310,8 @@ def kdv_solve(run: KdVRun) -> KdVResult:
     return KdVResult(
         grid=grid, times=np.asarray(out_times), snapshots=snaps, spectra=spectra,
         mass=np.asarray(mass), momentum=np.asarray(momentum),
-        metadata=dict(
-            kernel=getattr(run.kernel, "name", None),
-            H=run.kernel.half_width if run.kernel is not None else None,
-            dt=dt, n_steps=n_steps, t_final=run.t_final,
-            n=grid.n, length=grid.length,
-        ),
+        metadata=dict(dt=dt, n_steps=n_steps, t_final=run.t_final,
+                      n=grid.n, length=grid.length),
     )
 
 

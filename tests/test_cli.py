@@ -388,6 +388,55 @@ def test_kdv_detail_is_a_run_of_the_study(tmp_path, capsys, source):
     assert f"{u_final:.12g}" == row["max_u"]
 
 
+# the stderr JSON of a --detail run: its kernel is the catalog entry, not an alias
+@pytest.mark.parametrize("argv, expected", [
+    (["advect", "--kernels", "eta_0_1_1d", "--N", "64", "--T", "2pi"],
+     {"H": 0.5, "N": 64, "dt": 0.01227184630308513, "kernel": "eta_1_1_1d",
+      "kmax_dt": 0.39269908169872414, "n_steps": 512, "t_final": 6.283185307179586}),
+    (["kdv", "--source", "kernel:eta_2_5_1d", "--H", "pi", "--N", "64", "--T", "0.001"],
+     {"H": 3.141592653589793, "dt": 0.0001, "kernel": "eta_2_5_1d",
+      "length": 50.26548245743669, "n": 64, "n_steps": 10, "t_final": 0.001}),
+    (["kdv", "--source", "gaussian", "--H", "0.5", "--N", "64", "--T", "0.001"],
+     {"H": 0.5, "dt": 0.0001, "kernel": None, "length": 50.26548245743669, "n": 64,
+      "n_steps": 10, "t_final": 0.001}),
+], ids=["advect", "kdv-kernel", "kdv-gaussian"])
+def test_detail_reports_its_run_on_stderr(tmp_path, capsys, argv, expected):
+    assert main(argv + ["--detail", "--out", str(tmp_path / "detail.csv")]) == 0
+    assert json.loads(capsys.readouterr().err) == expected
+
+
+# the spectral studies march a 1D source; a 2D kernel is an error row that says so
+@pytest.mark.parametrize("argv", [
+    ["advect", "--kernels", "eta_1_1_2d", "--N", "64", "--T", "2pi"],
+    ["kdv", "--source", "kernel:eta_1_1_2d", "--H", "pi", "--N", "64", "--T", "0.001"],
+], ids=["advect", "kdv"])
+def test_a_spectral_study_of_a_2d_kernel_is_an_error_row(capsys, argv):
+    assert main(argv) == 1
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["status"] == "error"
+    assert row["message"] == "ConfigError: eta_1_1_2d is not a 1D kernel"
+
+
+@pytest.mark.parametrize("command, kernel", [("helmholtz1d", "eta_0_1_1d"),
+                                             ("helmholtz2d", "eta_0_1_2d")])
+def test_a_wavenumber_that_is_not_positive_is_a_clear_error_row(capsys, command, kernel):
+    assert main([command, "--kernels", kernel, "--H", "2^-2..2^-3", "--k0", "-10"]) == 1
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["status"] == "error"
+    assert row["message"] == "ValueError: k0 must be positive"
+
+
+# an unknown kernel's message prints as written, not as the repr a KeyError gives
+def test_an_unknown_kernel_message_is_not_quoted(capsys):
+    assert main(["kernel", "eval", "--name", "nosuch"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown kernel 'nosuch'; available: ")
+    assert main(["weakstar", "--kernels", "nosuch"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].startswith('nosuch,,,,,,,,error,"UnknownKernelError: unknown ')
+    [row] = csv.DictReader(out.splitlines())
+    assert row["message"].startswith("UnknownKernelError: unknown kernel 'nosuch'; available: ")
+
+
 def test_advect_dispersion_table_cells(tables):
     _, rows = tables["advect-dispersion"]
     assert [row["max_error"] for row in rows] == ["0.0651291422461", "2.3755569413",

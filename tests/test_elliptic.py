@@ -605,6 +605,14 @@ def test_exterior_nodes_hold_the_edges_and_every_stationary_point_of_b(k0):
         assert np.max(np.abs(db(nearest))) <= 1e-13
 
 
+# a grid of ceil(4 k0 (1 - cutoff)) + 1 nodes has no meaning for k0 <= 0
+@pytest.mark.parametrize("k0", [-10.0, 0.0, math.nan])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exterior_nodes_reject_a_wavenumber_that_is_not_positive(dim, k0):
+    with pytest.raises(ValueError, match="^k0 must be positive$"):
+        elliptic.exterior_nodes(dim, k0, 0.25)
+
+
 def test_1d_two_moment_ratio_saturates_near_four():
     nodes = elliptic.exterior_nodes(1, K0, 0.25)
     u_exact = exact_profile_1d(nodes, K0)

@@ -2,21 +2,24 @@
 
 A deleted function that an `__all__` still lists, or that `bench/layertrace.py`
 still wraps, fails here instead of in a later import or traced bench run; so does
-a study that stops calling a wrapped solve once per (kernel, H), which the traced
-run checks against the counts its configs imply.
+a result that drops a field the tracer reads, and a study that stops calling a
+wrapped solve once per (kernel, H), which the traced run checks against the counts
+its configs imply.  The module layering is checked here too.
 """
 
 import ast
 import importlib
+import math
 import pkgutil
 import types
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deltareg
-from deltareg import elliptic, reports
+from deltareg import elliptic, reports, spectral
 
 _PACKAGE = Path(deltareg.__file__).resolve().parent
 _LAYERTRACE = _PACKAGE.parent.parent / "bench" / "layertrace.py"
@@ -41,17 +44,57 @@ def test_package_reexports_only_public_names_that_exist():
         assert getattr(deltareg, name) is getattr(module, name)
 
 
-@pytest.mark.skipif(not _LAYERTRACE.is_file(), reason="no bench/ beside src/")
-def test_every_name_the_traced_bench_wraps_is_an_attribute_of_its_owner():
-    # the tracer swaps vars(owner)[attr]; a name only inherited or gone breaks it.
-    # The source is run, not imported, so no bytecode is written beside it.
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, and every name it imports from one."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package is an import from deltareg
+            parts = ["deltareg"] * bool(node.level) + [node.module] * bool(node.module)
+            module = ".".join(parts)
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_spectral_does_not_import_kernels():
+    # a run marches grid samples; the study that builds the run owns its source
+    assert "deltareg.kernels.catalog_lookup" in _imported_modules(_PACKAGE / "reports.py")
+    imported = _imported_modules(_PACKAGE / "spectral.py")
+    assert [m for m in imported if m.split(".")[:2] == ["deltareg", "kernels"]] == []
+
+
+def _layertrace() -> types.ModuleType:
+    # the source is run, not imported, so no bytecode is written beside it
     layertrace = types.ModuleType("layertrace")
     exec(compile(_LAYERTRACE.read_text(), str(_LAYERTRACE), "exec"), vars(layertrace))
-    targets = [(owner, attr) for _, owner, attr, _ in layertrace._targets()]
+    return layertrace
+
+
+@pytest.mark.skipif(not _LAYERTRACE.is_file(), reason="no bench/ beside src/")
+def test_every_name_the_traced_bench_wraps_is_an_attribute_of_its_owner():
+    # the tracer swaps vars(owner)[attr]; a name only inherited or gone breaks it
+    targets = [(owner, attr) for _, owner, attr, _ in _layertrace()._targets()]
     targets.append((reports, "_map_rows"))
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in targets
                if attr not in vars(owner)]
     assert missing == []
+
+
+@pytest.mark.skipif(not _LAYERTRACE.is_file(), reason="no bench/ beside src/")
+def test_the_traced_bench_counts_the_steps_of_each_spectral_run():
+    # the tracer reads a march's step count off its result (AdvectionResult.n_steps,
+    # KdVResult.metadata["t_final"] / ["dt"]); a result that drops one fails here
+    grid = spectral.PeriodicGrid1D(n=16)
+    runs = {"advect_leapfrog": spectral.AdvectionRun(grid=grid, initial=np.cos(grid.nodes),
+                                                     t_final=2 * math.pi),
+            "kdv_solve": spectral.KdVRun(grid=grid, initial=np.zeros(grid.n), dt=1e-3,
+                                         t_final=5e-3)}
+    steps = {attr: counter((runs[attr],), {}, getattr(spectral, attr)(runs[attr]))
+             for _, owner, attr, counter in _layertrace()._targets() if owner is spectral}
+    assert steps == {"advect_leapfrog": 128, "kdv_solve": 5}
 
 
 @pytest.mark.parametrize("config, solve", [

@@ -76,12 +76,12 @@ def test_cfl_checked_on_the_marched_time_step():
         advect_leapfrog(run)
 
 
-def test_advection_metadata_records_marched_steps_and_cfl_number():
+def test_advection_result_records_marched_steps_and_cfl_number():
     grid = PeriodicGrid1D(n=64)
     result = advect_leapfrog(AdvectionRun(grid=grid, initial=np.cos(grid.nodes),
                                           t_final=2 * math.pi))
-    assert result.metadata["n_steps"] == result.n_steps == 512
-    assert result.metadata["kmax_dt"] == grid.wavenumbers[-1] * result.dt
+    assert result.n_steps == 512
+    assert result.kmax_dt == grid.wavenumbers[-1] * result.dt
 
 
 @pytest.mark.parametrize("run_type", [AdvectionRun, KdVRun])
@@ -93,6 +93,19 @@ def test_runs_reject_non_positive_times(run_type, times):
         run_type(grid=grid, initial=np.cos(grid.nodes), **times)
 
 
+# a run marches samples of the grid; any other length would be broadcast or truncated
+def test_advection_rejects_initial_data_of_another_length():
+    grid = PeriodicGrid1D(n=64)
+    with pytest.raises(ValueError, match="64-point grid"):
+        AdvectionRun(grid=grid, initial=np.array([1.0]), t_final=2 * math.pi)
+
+
+def test_kdv_rejects_initial_data_of_another_length():
+    grid = PeriodicGrid1D(n=64, length=16 * math.pi)
+    with pytest.raises(ValueError, match="64-point grid"):
+        KdVRun(grid=grid, initial=np.zeros(32))
+
+
 def _inline_leapfrog(grid, dt, n_steps, c0):
     prev = c0
     cur = leapfrog_phase_factors(grid, dt) * prev
@@ -102,7 +115,7 @@ def _inline_leapfrog(grid, dt, n_steps, c0):
 
 
 def _eta_2_3_run(grid):
-    return AdvectionRun(grid=grid, kernel=catalog_lookup("eta_2_3_1d")(0.5),
+    return AdvectionRun(grid=grid, initial=catalog_lookup("eta_2_3_1d")(0.5).eval(grid.nodes),
                         t_final=2 * math.pi)
 
 
@@ -111,7 +124,7 @@ def test_leapfrog_matches_inline_recursion_exactly():
     grid = PeriodicGrid1D(n=64)
     run = _eta_2_3_run(grid)
     result = advect_leapfrog(run)
-    c0 = np.fft.rfft(run.initial_values())
+    c0 = np.fft.rfft(run.initial)
     unit = _inline_leapfrog(grid, result.dt, result.n_steps, np.ones(c0.shape, dtype=complex))
     assert np.max(np.abs(result.spectrum_final - c0 * unit)) == 0.0
     assert np.max(np.abs(result.spectrum_initial - c0)) == 0.0
@@ -121,7 +134,7 @@ def test_leapfrog_multiplier_is_the_per_data_recursion_to_rounding():
     grid = PeriodicGrid1D(n=64)
     run = _eta_2_3_run(grid)
     result = advect_leapfrog(run)
-    c0 = np.fft.rfft(run.initial_values())
+    c0 = np.fft.rfft(run.initial)
     per_data = _inline_leapfrog(grid, result.dt, result.n_steps, c0)
     assert np.max(np.abs(result.spectrum_final - per_data)) <= 1e-13 * np.max(np.abs(c0))
 
@@ -136,7 +149,8 @@ def test_leapfrog_marches_once_per_grid(monkeypatch):
     monkeypatch.setattr(spectral, "leapfrog_phase_factors", counted)
     grid = PeriodicGrid1D(n=64)
     first = advect_leapfrog(_eta_2_3_run(grid))
-    advect_leapfrog(AdvectionRun(grid=grid, kernel=catalog_lookup("eta_1_1_1d")(0.5),
+    advect_leapfrog(AdvectionRun(grid=grid,
+                                 initial=catalog_lookup("eta_1_1_1d")(0.5).eval(grid.nodes),
                                  t_final=2 * math.pi))
     assert len(marches) == 1
     # an equal grid is a new study: it marches again, to the same multiplier
@@ -193,7 +207,7 @@ def test_dispersion_error_ordering_short_run():
     grid = PeriodicGrid1D(n=512)
     errs = {}
     for name in ("eta_1_1_1d", "eta_2_3_1d"):
-        run = AdvectionRun(grid=grid, kernel=catalog_lookup(name)(0.5),
+        run = AdvectionRun(grid=grid, initial=catalog_lookup(name)(0.5).eval(grid.nodes),
                            t_final=4 * math.pi)
         e, _ = pointwise_error_after_periods(run)
         errs[name] = e.max()
@@ -276,7 +290,7 @@ def test_soliton_speed_tracking(c):
 
 def test_mass_is_exactly_conserved_for_impulse():
     grid = _kdv_grid()
-    run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 2),
+    run = KdVRun(grid=grid, initial=catalog_lookup("eta_2_5_1d")(math.pi / 2).eval(grid.nodes),
                  dt=1e-4, t_final=0.02)
     result = kdv_solve(run)
     assert abs(result.mass[-1] - result.mass[0]) <= 1e-12
@@ -319,12 +333,12 @@ def _kdv_reference(u0, grid, dt, n_steps, snap_steps):
 
 def test_kdv_matches_time_anchored_integrating_factor_reference():
     grid = _kdv_grid()
-    run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 2),
+    run = KdVRun(grid=grid, initial=catalog_lookup("eta_2_5_1d")(math.pi / 2).eval(grid.nodes),
                  dt=1e-4, t_final=5e-3, snapshots=(2e-3,))
     result = kdv_solve(run)
     assert result.metadata["n_steps"] == 50
     np.testing.assert_allclose(result.times, [0.0, 2e-3, 5e-3], rtol=0, atol=1e-15)
-    expected = _kdv_reference(run.initial_values(), grid, 1e-4, 50, {20, 50})
+    expected = _kdv_reference(run.initial, grid, 1e-4, 50, {20, 50})
     assert np.max(np.abs(result.snapshots - expected)) <= 1e-12
 
 
@@ -345,7 +359,7 @@ def test_kdv_rejects_snapshot_outside_run(t):
 
 def test_dealias_keeps_rough_run_high_modes_and_spectra_keep_full_fft_layout():
     grid = _kdv_grid()
-    run = KdVRun(grid=grid, kernel=catalog_lookup("eta_2_5_1d")(math.pi / 4),
+    run = KdVRun(grid=grid, initial=catalog_lookup("eta_2_5_1d")(math.pi / 4).eval(grid.nodes),
                  dt=1e-4, t_final=0.02)
     result = kdv_solve(run)
     assert result.spectra.shape == (2, grid.n)
@@ -357,14 +371,6 @@ def test_dealias_keeps_rough_run_high_modes_and_spectra_keep_full_fft_layout():
     high = (k > (2.0 / 3.0) * k[-1]) & (k < k[-1])
     first, last = np.abs(np.fft.rfft(result.snapshots, axis=1))
     assert np.max(np.abs(last[high] - first[high])) <= 1e-12 * np.max(first)
-
-
-def test_kdv_run_validation():
-    grid = _kdv_grid()
-    with pytest.raises(ValueError):
-        KdVRun(grid=grid)  # no source at all
-    with pytest.raises(ValueError):
-        KdVRun(grid=grid, initial=np.zeros(grid.n), gaussian_sigma=0.1)
 
 
 # ---------------------------------------------------------------------------

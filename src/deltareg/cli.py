@@ -19,7 +19,7 @@ from .moments import (
     solve_moment_problem,
 )
 from .quadrature import QuadratureError
-from .reports import (STUDIES, ConfigError, _csv_list, _parse_number, advect_runs, emit,
+from .reports import (STUDIES, ConfigError, _csv_list, _number, _numbers, advect_runs, emit,
                       kdv_runs, parse_config_text, run_study)
 
 _CONFIGS = importlib.resources.files("deltareg") / "configs"
@@ -72,11 +72,8 @@ def _cmd_kernel(args) -> int:
             _write_output(("\n".join(lines) + "\n").encode(), args.out)
         return 0
     if args.action == "eval":
-        builder = catalog_lookup(args.name)
-        delta = builder(args.H)
-        point = [float(t) for t in args.at.split(",")]
-        value = eval_delta(delta, point)
-        _write_output(f"{value:.12g}\n".encode(), args.out)
+        delta = catalog_lookup(args.name)(_number(vars(args), "H"))
+        _write_output(f"{eval_delta(delta, _numbers('at', args.at)):.12g}\n".encode(), args.out)
         return 0
     if args.action == "moments":
         builder = catalog_lookup(args.name)
@@ -125,7 +122,7 @@ def _advect_detail(config, args) -> int:
     for x, e in zip(result.grid.nodes, errs):
         lines.append(f"{x:.12g},{e:.12g}")
     _write_output(("\n".join(lines) + "\n").encode(), config.out)
-    meta = dict(kernel=catalog_lookup(name).entry.name, H=H, t_final=_parse_number(opts["T"]),
+    meta = dict(kernel=catalog_lookup(name).entry.name, H=H, t_final=_number(opts, "T"),
                 kmax_dt=result.kmax_dt, n_steps=result.n_steps, dt=result.dt, N=result.grid.n)
     sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
     return 0
@@ -133,7 +130,7 @@ def _advect_detail(config, args) -> int:
 
 def _kdv_detail(config, args) -> int:
     Hs, run = kdv_runs(config.options)
-    snapshots = tuple(float(t) for t in args.snapshots.split(",")) if args.snapshots else ()
+    snapshots = tuple(_numbers("snapshots", args.snapshots or ""))
     if not config.out:
         raise ConfigError("kdv --detail writes a snapshot CSV and a .spectra.csv beside it; "
                           "name the snapshot file with --out")
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kernel", help="catalog inspection and moment-problem solves")
     pk.add_argument("action", choices=("list", "eval", "moments", "solve"))
     pk.add_argument("--name", default=None)
-    pk.add_argument("--H", type=float, default=1.0)
+    pk.add_argument("--H", default="1.0")
     pk.add_argument("--at", default="0.0", help="evaluation point, e.g. '0.1' or '0.1,0.2'")
     pk.add_argument("--upto", type=int, default=2)
     pk.add_argument("--dim", type=int, default=1)

@@ -26,7 +26,7 @@ class RadialProfile:
     Either a list of monomial-polynomial pieces or a single cosine series
     sum_k c_k cos(k pi r / support) over the whole support.  Polynomial pieces
     are integrated exactly by `numpy.polynomial.polynomial` (`moment`).
-    `_weak_star` holds its `quadrature._weak_star_table`s: weakstar-1d and -2d fill 28 in 12.
+    `_weak_star` holds its `quadrature._weak_star_table`s: weakstar-1d and -2d fill 24 in 12.
     """
 
     pieces: tuple = ()

@@ -75,33 +75,29 @@ def _panel_sum(w, fx) -> float:
     return total
 
 
-def _default_test_function(dim: int):
-    # squared exponential, value 1 at the origin
-    if dim == 1:
-        return lambda x: np.exp(-(x**2))
-    return lambda x, y: np.exp(-(x**2) - (y**2))
+def _gaussian(x, *rest):
+    """The default test function exp(-|x|^2), in any dimension: exactly 1 at the origin."""
+    return np.exp(-sum((c**2 for c in rest), x**2))
 
 
-def _weak_star_table(delta, order: int) -> tuple:
-    """Read-only nodes, weights, eta (times rho^(n-1)) and directions: neither H nor phi."""
-    prof, key = delta.profile, (delta.dim, delta.is_radial, order)
-    table = prof._weak_star.get(key)
+_BASE_ORDER = 24  # the Gauss order weak_star_error starts from before it doubles
+
+
+def _weak_star_table(prof, dim: int, order: int) -> tuple:
+    """The dim-D radial rule's read-only nodes, weights, eta (times rho^(n-1)) and
+    directions: neither H nor phi, and the tensor square's axes read the 1D one."""
+    table = prof._weak_star.get((dim, order))
     if table is None:
-        bps = prof.breakpoints  # the tensor square mirrors them onto both half-axes
-        x, w = _panels(bps if delta.is_radial else [-b for b in bps[::-1]] + list(bps[1:]),
-                       gauss_legendre(order))
-        if delta.is_radial:
-            # angles 0 and pi give the 1D directions +1 and -1
-            n_dir = 2 if delta.dim == 1 else order
-            theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
-            rho = x.ravel()
-            table = (rho, w, prof.eval(rho) * rho ** (delta.dim - 1),
-                     *(np.cos(theta), np.sin(theta))[: delta.dim], np.full(n_dir, 1.0 / n_dir))
-        else:
-            table = (x, w, prof.eval(np.abs(x)))
+        x, w = _panels(prof.breakpoints, gauss_legendre(order))
+        # angles 0 and pi give the 1D directions +1 and -1
+        n_dir = 2 if dim == 1 else order
+        theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
+        rho = x.ravel()
+        table = (rho, w, prof.eval(rho) * rho ** (dim - 1),
+                 *(np.cos(theta), np.sin(theta))[:dim], np.full(n_dir, 1.0 / n_dir))
         for a in table:
             a.setflags(write=False)
-        prof._weak_star[key] = table
+        prof._weak_star[(dim, order)] = table
     return table
 
 
@@ -111,48 +107,46 @@ def _weak_star_once(delta, phi, order: int) -> float:
     Radial kernels use a polar product rule: Gauss in rho on the breakpoint
     panels, weighted by nu(n) rho^(n-1), times the mean of phi over the unit
     directions, {+1, -1} in 1D and `order` equispaced angles in 2D (the periodic
-    trapezoid rule).  The tensor square uses the same Gauss panels on both axes.
-    A call evaluates only phi(h x); the rest is `_weak_star_table`, kept per (dim,
-    is_radial, order) in the profile's `_weak_star` for every H and later call, not
-    in a process-wide cache: a profile from a list of pieces is unhashable.
+    trapezoid rule).  The tensor square takes that 1D rule on each axis: nodes
+    h rho_i s, s = +-1 in i-major order, each weighing w_i eta(rho_i), so the
+    integral is wx . (Phi wx) with Phi_kl = phi(x_k, x_l).  A call evaluates only
+    phi(h x); the rest is `_weak_star_table`, kept per (dim, order) in the
+    profile's `_weak_star` for every H and later call, not in a process-wide
+    cache: a profile from a list of pieces is unhashable.  A constant phi may
+    return a scalar: the sum is then phi times the mass, (sum wx)^2 for the square.
     """
-    table, h = _weak_star_table(delta, order), delta.half_width
+    h = delta.half_width
     if delta.is_radial:
-        rho, w, eta, *dirs, mean_w = table
+        rho, w, eta, *dirs, mean_w = _weak_star_table(delta.profile, delta.dim, order)
         vals = phi(*(h * rho[:, None] * d for d in dirs))
-        mean_phi = vals @ mean_w if np.ndim(vals) else vals  # a constant phi may be scalar
+        mean_phi = vals @ mean_w if np.ndim(vals) else vals
         nu = 2.0 if delta.dim == 1 else 2.0 * np.pi  # the measure of the unit sphere
         return nu * _panel_sum(w, np.reshape(eta * mean_phi, w.shape))
-    # the square: the same panels on both axes, summed one panel pair at a time
-    total = 0.0
-    for xn, xw, fx in zip(*table):
-        for yn, yw, fy in zip(*table):
-            vals = phi(h * xn[:, None], h * yn[None, :])
-            total += float(xw @ (vals * fx[:, None] * fy[None, :]) @ yw)
-    return total
+    rho, w, eta, signs, _ = _weak_star_table(delta.profile, 1, order)
+    x = (h * rho[:, None] * signs).ravel()
+    wx = np.repeat(w.ravel() * eta, signs.size)
+    vals = phi(x[:, None], x[None, :])
+    return float(wx @ (vals @ wx)) if np.ndim(vals) else float(vals) * float(wx.sum()) ** 2
 
 
-def weak_star_error(delta, phi=None, order: int = 24) -> float:
+def weak_star_error(delta, phi=None) -> float:
     """|integral of delta_H against the test function - value at 0|.
 
-    Integration runs in the rescaled variable over the kernel support, with
-    panel edges on every kernel breakpoint; radial kernels integrate phi over
-    the directions of every radius, so phi need not be radial.  The result is
-    accepted only once doubling the Gauss order (radial nodes and, in 2D,
-    angles alike) moves it by <= 1e-12.  Each order's H-free table is built once
-    per profile and geometry and shared by every H (`_weak_star_once`).
+    The test function defaults to exp(-|x|^2).  Integration runs in the rescaled
+    variable over the kernel support, with panel edges on every kernel
+    breakpoint; radial kernels integrate phi over the directions of every
+    radius, so phi need not be radial.  The result is accepted only once
+    doubling the Gauss order from 24 (radial nodes and, in 2D, angles alike)
+    moves it by <= 1e-12.  Each order's H-free table is built once per profile
+    and dimension and shared by every H and by the tensor square's axes
+    (`_weak_star_once`).
     """
-    if phi is None:
-        phi = _default_test_function(delta.dim)
-        phi0 = 1.0
-    else:
-        phi0 = float(phi(0.0) if delta.dim == 1 else phi(0.0, 0.0))
-    val = _weak_star_once(delta, phi, order)
-    for _ in range(3):
-        val2 = _weak_star_once(delta, phi, 2 * order)
-        if abs(val2 - val) <= 1e-12:
-            return abs(val2 - phi0)
-        order, val = 2 * order, val2
+    phi = _gaussian if phi is None else phi
+    val = _weak_star_once(delta, phi, _BASE_ORDER)
+    for order in (2 * _BASE_ORDER, 4 * _BASE_ORDER, 8 * _BASE_ORDER):
+        val, prev = _weak_star_once(delta, phi, order), val
+        if abs(val - prev) <= 1e-12:
+            return abs(val - float(phi(*(0.0,) * delta.dim)))
     raise QuadratureError("weak-star quadrature failed to converge under order doubling")
 
 

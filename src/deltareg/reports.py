@@ -11,7 +11,8 @@ row that names the unit's key columns and the exception's type and text, so
 one failed kernel never hides the others and a gate whose input failed reports
 an error instead of vanishing.  A config fault (a gate naming a kernel that is
 not listed or not in its 'a:b' or 'a > b' form, a per-kernel list of the wrong
-length, a format other than csv or json) raises ConfigError before any unit runs.
+length, a number key outside the grammar of `_parse_number`, a format other than
+csv or json) raises ConfigError before any unit runs; a number key's error names it.
 
 `STUDIES` is the one table of every study's config keys and their defaults:
 `parse_config_text` rejects keys outside it and fills in the rest.  The CLI
@@ -56,25 +57,42 @@ class ConfigError(ValueError):
     pass
 
 
-_NUMBER_TOKENS = {"pi": math.pi}
-
-
 def _parse_number(token: str) -> float:
+    """A decimal, 'pi', '<a>pi', 'a/b' or 'a^b'; anything else is a ConfigError."""
     token = token.strip().lower()
-    if token in _NUMBER_TOKENS:
-        return _NUMBER_TOKENS[token]
     try:
         if "^" in token:
             base, exp = token.split("^", 1)
-            return math.pow(float(base), float(exp))  # a complex power raises
+            return math.pow(float(base), float(exp))
         if "/" in token:
             num, den = token.split("/", 1)
             return _parse_number(num) / _parse_number(den)
+        if token.endswith("pi"):
+            return float(token[:-2] or "1") * math.pi
+        return float(token)
+    except ConfigError:
+        raise
     except ArithmeticError as exc:  # overflow, division by zero
         raise ConfigError(f"cannot evaluate '{token}': {exc}") from None
-    if token.endswith("pi"):
-        return float(token[:-2] or "1") * math.pi
-    return float(token)
+    except ValueError:  # outside the grammar, or a complex power
+        raise ConfigError(f"'{token}' is not a real number") from None
+
+
+def _numbers(key: str, text: str) -> list[float]:
+    """The comma list of numbers `text` gives for `key`; an error names the key."""
+    try:
+        return [_parse_number(t) for t in text.split(",") if t.strip()]
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _number(opts: dict, key: str, integral: bool = False):
+    """The one number, an integer if `integral`, a config key gives; an error names the key."""
+    values = _numbers(key, opts[key])
+    if len(values) != 1 or integral and not values[0].is_integer():
+        raise ConfigError(f"{key} takes one {'integer' if integral else 'number'}, "
+                          f"not '{opts[key]}'")
+    return int(values[0]) if integral else values[0]
 
 
 def parse_h_schedule(text: str) -> list[float]:
@@ -235,15 +253,11 @@ def _csv_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [_parse_number(t) for t in text.split(",") if t.strip()]
-
-
 def _per_kernel(opts: dict, key: str, names: list[str]) -> list[float] | None:
     """A per-kernel gate list, or None when the key is unset."""
     if opts[key] is None:
         return None
-    values = _float_list(opts[key])
+    values = _numbers(key, opts[key])
     if len(values) != len(names):
         raise ConfigError(f"{key} must list one value per kernel")
     return values
@@ -293,7 +307,9 @@ def _map_rows(fn, items):
 def _weakstar(opts: dict):
     names = _csv_list(opts["kernels"])
     Hs = parse_h_schedule(opts["H"])
-    tol = float(opts["parity_tolerance"])
+    tol = _number(opts, "parity_tolerance")
+    band = [None if opts[key] is None else _number(opts, key)
+            for key in ("slope_min", "slope_max")]
     # a tensor kernel's name holds a ':' too, so a pair splits at its first
     pairs = [_gate_pair("parity_pairs", pair, ":", 1)
              for pair in _csv_list(opts["parity_pairs"] or "")]
@@ -306,12 +322,9 @@ def _weakstar(opts: dict):
         fit = convergence_slope(Hs, Es)
         slopes[name] = fit.slope
         expected = entry.weak_order + 1
-        if entry.source == "cubic_literature":
-            lo, hi = 3.9, expected + 0.35
-        else:
-            lo, hi = expected - 0.1, expected + 0.1
-        lo = lo if opts["slope_min"] is None else float(opts["slope_min"])
-        hi = hi if opts["slope_max"] is None else float(opts["slope_max"])
+        own = ((3.9, expected + 0.35) if entry.source == "cubic_literature"
+               else (expected - 0.1, expected + 0.1))
+        lo, hi = (o if b is None else b for o, b in zip(own, band))  # unset is the kernel's
         status = _status(lo <= fit.slope <= hi)
         return [dict(dim=dim, H=H, E_weak=E, ratio=R, slope=fit.slope, slope_min=lo,
                      slope_max=hi, status=status)
@@ -330,9 +343,7 @@ def _weakstar(opts: dict):
 def _helmholtz(opts: dict, dim: int):
     names = _csv_list(opts["kernels"])
     Hs = parse_h_schedule(opts["H"])
-    k0 = float(opts["k0"])
-    cutoff = _parse_number(opts["cutoff"])
-    tol = float(opts["tolerance"])
+    k0, cutoff, tol = (_number(opts, key) for key in ("k0", "cutoff", "tolerance"))
     expected_R, rate_min, rate_max, expected_rate = (
         _per_kernel(opts, key, names)
         for key in ("expected_R", "rate_min", "rate_max", "expected_rate"))
@@ -375,13 +386,12 @@ def _helmholtz(opts: dict, dim: int):
 def _sobolev(opts: dict):
     names = _csv_list(opts["kernels"])
     Hs = parse_h_schedule(opts["H"])
-    alphas = _float_list(opts["alpha"])
-    k0 = float(opts["k0"])
-    tol = float(opts["tolerance"])
+    alphas = _numbers("alpha", opts["alpha"])
+    k0, tol = _number(opts, "k0"), _number(opts, "tolerance")
     wspecs = [elliptic.WeightedNormSpec(alpha=alpha) for alpha in alphas]
 
     def kernel_rows(name):
-        make, entry, dim = _resolve_kernel(name)
+        make = _resolve_kernel(name, 2)[0]
         per_H = [elliptic.weighted_sobolev_error(
             elliptic.RadialHelmholtz2D(kernel=make(H), k0=k0), wspecs) for H in Hs]
         rows = []
@@ -402,8 +412,8 @@ def advect_runs(opts: dict):
     A run marches the 1D kernel at width H sampled at the grid's nodes.  All runs
     share one grid, so runs with one step count share its memoized leapfrog march.
     """
-    t_final = _parse_number(opts["T"])
-    grid = spectral.PeriodicGrid1D(n=int(opts["N"]))
+    t_final = _number(opts, "T")
+    grid = spectral.PeriodicGrid1D(n=_number(opts, "N", integral=True))
 
     def run(name, H):
         initial = _resolve_kernel(name, 1)[0](H).eval(grid.nodes)
@@ -416,8 +426,7 @@ def advect_runs(opts: dict):
 def _advect(opts: dict):
     names = _csv_list(opts["kernels"])
     Hs, run = advect_runs(opts)
-    amp_tol = float(opts["amp_tolerance"])
-    phase_tol = float(opts["phase_tolerance"])
+    amp_tol, phase_tol = _number(opts, "amp_tolerance"), _number(opts, "phase_tolerance")
     if opts["ordering"]:
         hi_name, lo_name = _gate_pair("ordering", opts["ordering"], " > ")
         _require_listed(names, (hi_name, lo_name), "ordering")
@@ -459,9 +468,8 @@ def kdv_runs(opts: dict):
     if source != "gaussian" and name not in catalog_names():
         raise ConfigError(f"kdv source must be 'gaussian' or 'kernel:<catalog name>', "
                           f"not '{source}'")
-    t_final = _parse_number(opts["T"])
-    dt = float(opts["dt"])
-    grid = spectral.PeriodicGrid1D(n=int(opts["N"]), length=16.0 * math.pi)
+    t_final, dt = _number(opts, "T"), _number(opts, "dt")
+    grid = spectral.PeriodicGrid1D(n=_number(opts, "N", integral=True), length=16.0 * math.pi)
 
     def run(H, snapshots=()):
         initial = (spectral.gaussian_source(grid.nodes, H) if name is None
@@ -474,7 +482,7 @@ def kdv_runs(opts: dict):
 
 def _kdv(opts: dict):
     Hs, run = kdv_runs(opts)
-    mass_tol = float(opts["mass_tolerance"])
+    mass_tol = _number(opts, "mass_tolerance")
 
     def run_rows(H):
         result = run(H)

@@ -191,6 +191,38 @@ def test_number_whose_arithmetic_fails_is_an_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+# the number flags of `kernel eval` and `kdv --detail` take the studies' grammar
+def test_kernel_eval_width_takes_the_number_grammar(capsys):
+    assert main(["kernel", "eval", "--name", "eta_1_1_1d", "--H", "pi/4", "--at", "0.1"]) == 0
+    h = math.pi / 4
+    assert float(capsys.readouterr().out) == pytest.approx((1.0 - 0.1 / h) / h, rel=1e-11)
+
+
+def test_kernel_eval_point_takes_the_number_grammar(capsys):
+    assert main(["kernel", "eval", "--name", "eta_1_1_1d", "--H", "1", "--at", "pi/16"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(1.0 - math.pi / 16, rel=1e-11)
+
+
+def test_kdv_detail_snapshots_take_the_number_grammar(tmp_path):
+    out = tmp_path / "u.csv"
+    assert main(["kdv", "--detail", "--H", "pi", "--N", "64", "--T", "0.001",
+                 "--snapshots", "1/2000", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "x,u(t=0),u(t=0.0005),u(t=0.001)"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("H", ["kernel", "eval", "--name", "eta_1_1_1d", "--H", "pi/x", "--at", "0.1"]),
+    ("at", ["kernel", "eval", "--name", "eta_1_1_1d", "--at", "0.1,y"]),
+    ("snapshots", ["kdv", "--detail", "--H", "pi", "--N", "64", "--T", "0.001",
+                   "--snapshots", "1/z"]),
+])
+def test_a_malformed_number_flag_is_an_error_naming_it(capsys, flag, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
 @pytest.mark.parametrize("H", ["nan", "inf", "0"])
 def test_kernel_eval_rejects_a_width_that_is_not_positive_and_finite(capsys, H):
     assert main(["kernel", "eval", "--name", "eta_1_1_1d", "--H", H, "--at", "0.1"]) == 1
@@ -405,16 +437,21 @@ def test_detail_reports_its_run_on_stderr(tmp_path, capsys, argv, expected):
     assert json.loads(capsys.readouterr().err) == expected
 
 
-# the spectral studies march a 1D source; a 2D kernel is an error row that says so
-@pytest.mark.parametrize("argv", [
-    ["advect", "--kernels", "eta_1_1_2d", "--N", "64", "--T", "2pi"],
-    ["kdv", "--source", "kernel:eta_1_1_2d", "--H", "pi", "--N", "64", "--T", "0.001"],
-], ids=["advect", "kdv"])
-def test_a_spectral_study_of_a_2d_kernel_is_an_error_row(capsys, argv):
+# the spectral studies march a 1D source and the weighted-Sobolev study solves in 2D;
+# a kernel of the other dimension is an error row that says so
+@pytest.mark.parametrize("argv, message", [
+    (["advect", "--kernels", "eta_1_1_2d", "--N", "64", "--T", "2pi"],
+     "eta_1_1_2d is not a 1D kernel"),
+    (["kdv", "--source", "kernel:eta_1_1_2d", "--H", "pi", "--N", "64", "--T", "0.001"],
+     "eta_1_1_2d is not a 1D kernel"),
+    (["helmholtz2d-sobolev", "--kernels", "eta_1_1_1d", "--H", "2^-2..2^-3"],
+     "eta_1_1_1d is not a 2D kernel"),
+], ids=["advect", "kdv", "helmholtz2d-sobolev"])
+def test_a_spectral_study_of_a_2d_kernel_is_an_error_row(capsys, argv, message):
     assert main(argv) == 1
     [row] = csv.DictReader(capsys.readouterr().out.splitlines())
     assert row["status"] == "error"
-    assert row["message"] == "ConfigError: eta_1_1_2d is not a 1D kernel"
+    assert row["message"] == f"ConfigError: {message}"
 
 
 @pytest.mark.parametrize("command, kernel", [("helmholtz1d", "eta_0_1_1d"),

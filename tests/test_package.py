@@ -11,6 +11,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import sys
 import types
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,7 @@ from deltareg import elliptic, reports, spectral
 
 _PACKAGE = Path(deltareg.__file__).resolve().parent
 _LAYERTRACE = _PACKAGE.parent.parent / "bench" / "layertrace.py"
+_WORKLOADS = _LAYERTRACE.with_name("workloads.py")
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(deltareg.__path__))
 
 
@@ -117,3 +119,18 @@ def test_each_helmholtz_study_solves_once_per_kernel_and_width(monkeypatch, conf
     assert all(row["status"] != "error" for row in report.rows)
     kernels = reports._csv_list(parsed.options["kernels"])
     assert sorted(calls) == sorted([0.25, 0.125] * len(kernels))
+
+
+@pytest.mark.skipif(not _WORKLOADS.is_file(), reason="no bench/ beside src/")
+def test_the_untraced_bench_loads_every_workload_and_checks_every_catalog_solve(monkeypatch):
+    # the bench builds moment specs and checks solves through the package's own names
+    # (BasisKind, BasisFamily, solve_moment_problem(spec, name=), builder_spec); a
+    # change that breaks one fails here, not only in a benchmark run
+    workloads = types.ModuleType("workloads")
+    workloads.__file__ = str(_WORKLOADS)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    exec(compile(_WORKLOADS.read_text(), str(_WORKLOADS), "exec"), vars(workloads))
+    loaded = {name: workloads.load(name, 1) for name in workloads.NAMES}
+    assert all(workload.configs for workload in loaded.values())
+    result = workloads.run_pass(loaded["kernels"])
+    assert (result.solves, result.failed, result.errors) == (16, 0, [])

@@ -11,7 +11,7 @@ from deltareg.kernels import RegularizedDelta, catalog_lookup, catalog_names, te
 from deltareg.profiles import PolyPiece, RadialProfile, poly_profile
 from deltareg.quadrature import (
     QuadratureError,
-    _default_test_function,
+    _gaussian,
     _weak_star_once,
     convergence_slope,
     gauss_legendre,
@@ -188,11 +188,10 @@ def test_weak_star_covers_a_support_wider_than_two():
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_weak_star_order_doubling_floor(name):
-    # doubling the base order moves the result by <= 1e-12 at H >= 1/64
-    builder = catalog_lookup(name)
-    delta = builder(1 / 64)
-    a = weak_star_error(delta, order=12)
-    b = weak_star_error(delta, order=24)
+    # doubling the base order 24 moves the sum by <= 1e-12 at H >= 1/64
+    delta = catalog_lookup(name)(1 / 64)
+    a = _weak_star_once(delta, _gaussian, 24)
+    b = _weak_star_once(delta, _gaussian, 48)
     assert abs(a - b) <= 1e-12
 
 
@@ -214,19 +213,14 @@ def _per_call_weak_star_once(delta, phi, order: int) -> float:
             return prof.eval(rho) * rho ** (delta.dim - 1) * mean_phi
 
         return nu * integrate_panels(integrand, prof.breakpoints, rule)
-    # the square: the same panels on both axes, summed one panel pair at a time
+    # the square: the 1D rule on each axis, nodes h rho_i s (s = +-1, i-major)
+    # weighing w_i eta(rho_i)
     bps = prof.breakpoints
-    edges = [-b for b in bps[::-1]] + list(bps[1:])
-    total = 0.0
-    for xlo, xhi in zip(edges[:-1], edges[1:]):
-        xn, xw = rule.mapped(xlo, xhi)
-        fx = prof.eval(np.abs(xn))
-        for ylo, yhi in zip(edges[:-1], edges[1:]):
-            yn, yw = rule.mapped(ylo, yhi)
-            fy = prof.eval(np.abs(yn))
-            vals = phi(h * xn[:, None], h * yn[None, :])
-            total += float(xw @ (vals * fx[:, None] * fy[None, :]) @ yw)
-    return total
+    rho, w = (np.concatenate(a) for a in zip(*(rule.mapped(lo, hi)
+                                               for lo, hi in zip(bps[:-1], bps[1:]))))
+    x = np.stack([h * rho, -(h * rho)], axis=1).ravel()
+    wx = np.repeat(w * prof.eval(rho), 2)
+    return float(wx @ (phi(x[:, None], x[None, :]) @ wx))
 
 
 def _make_kernel(spec: str, H: float) -> RegularizedDelta:
@@ -240,7 +234,7 @@ def test_weak_star_table_matches_the_per_call_sum_exactly(spec):
     # the table must change no bit: warm (built by an earlier H) and cold alike
     for H in (2.0**-k for k in range(2, 7)):
         delta = _make_kernel(spec, H)
-        phi = _default_test_function(delta.dim)
+        phi = _gaussian
         for order in (24, 48):
             expected = _per_call_weak_star_once(delta, phi, order)
             assert _weak_star_once(delta, phi, order) == expected
@@ -271,7 +265,7 @@ def test_weak_star_table_holds_no_test_function():
     delta.profile._weak_star.clear()
     lorentzian = weak_star_error(delta, phi=lambda x: 1.0 / (1.0 + ((x - 0.125) / 0.05) ** 2))
     assert lorentzian == pytest.approx(0.0710773122544052, abs=1e-14)
-    keys = [(1, True, n) for n in (24, 48, 96, 192)]
+    keys = [(1, n) for n in (24, 48, 96, 192)]
     assert sorted(delta.profile._weak_star) == keys
     # oracle: order-64 Gauss on the hat (1 - |x| / H) / H against exp(-x^2)
     hat = integrate_panels(lambda x: (1.0 - np.abs(x) / 0.5) / 0.5 * np.exp(-(x**2)),
@@ -284,7 +278,24 @@ def test_weak_star_table_holds_no_test_function():
     radial_2d.profile._weak_star.clear()
     val = weak_star_error(radial_2d, phi=lambda x, y: np.exp(-(x**2) - 4 * y**2))
     assert val == pytest.approx(0.1104040125256, abs=1e-12)
-    assert sorted(radial_2d.profile._weak_star) == [(2, True, 24), (2, True, 48)]
+    assert sorted(radial_2d.profile._weak_star) == [(2, 24), (2, 48)]
+
+
+def test_tensor_weak_star_takes_the_1d_tables():
+    # the square has no table of its own: it reads its 1D profile's radial rule
+    tensor = tensor_product("eta_2_3_1d", 0.25)
+    tensor.profile._weak_star.clear()
+    weak_star_error(tensor)
+    assert sorted(tensor.profile._weak_star) == [(1, 24), (1, 48)]
+
+
+@pytest.mark.parametrize("spec", ["tensor:eta_2_3_1d", "tensor:eta_cubic", "eta_2_3_2d"])
+def test_weak_star_scalar_constant_test_function_is_mass(spec):
+    # a constant phi may return a scalar; the sum is then the kernel's mass
+    delta = _make_kernel(spec, 0.25)
+    for order in (24, 48):
+        assert _weak_star_once(delta, lambda x, y: 2.0, order) == pytest.approx(2.0, abs=1e-13)
+    assert weak_star_error(delta, phi=lambda x, y: 1.0) <= 1e-13
 
 
 def test_weak_star_tables_hold_one_entry_per_geometry_and_order():
@@ -293,18 +304,19 @@ def test_weak_star_tables_hold_one_entry_per_geometry_and_order():
     profiles = {id(p): p for p in (catalog_lookup(n).profile() for n in catalog_names())}
     for prof in profiles.values():
         prof._weak_star.clear()
-    used = {}  # profile id -> (dim, is_radial) geometries the tables use it in
+    used = {}  # profile id -> the dimensions of the rules the tables use it in
     for table in ("weakstar-1d", "weakstar-2d"):
         text = (importlib.resources.files("deltareg") / "configs" / f"{table}.cfg").read_text()
         config = parse_config_text(text)
         assert run_study(config).exit_code == 0
         for spec in config.options["kernels"].split(","):
             delta = _make_kernel(spec.strip(), 0.25)
-            used.setdefault(id(delta.profile), set()).add((delta.dim, delta.is_radial))
+            # a tensor square reads its profile's 1D rule on each axis
+            used.setdefault(id(delta.profile), set()).add(delta.dim if delta.is_radial else 1)
     for key, prof in profiles.items():
-        allowed = {(*geometry, order) for geometry in used.get(key, ()) for order in (24, 48)}
+        allowed = {(dim, order) for dim in used.get(key, ()) for order in (24, 48)}
         assert set(prof._weak_star) <= allowed
-    assert sum(len(p._weak_star) for p in profiles.values()) == 28
+    assert sum(len(p._weak_star) for p in profiles.values()) == 24
 
 
 def test_slope_exact_power_laws():

@@ -90,3 +90,40 @@ def test_advect_ordering_must_hold_at_every_H(monkeypatch):
     assert ordering["status"] == "fail"
     assert ordering["max_error"] == -1.0
     assert report.exit_code == 2
+
+
+# every number key of a study takes the grammar of H and cutoff, and a malformed one
+# is a config error that names its key, raised before any unit runs
+_NUMBER_KEYS = {
+    "weakstar": ("kernels = eta_1_1_1d", ["slope_min", "slope_max", "parity_tolerance"]),
+    "helmholtz1d": ("kernels = eta_0_1_1d", ["k0", "tolerance"]),
+    "helmholtz2d": ("kernels = eta_0_1_2d", ["k0", "tolerance"]),
+    "helmholtz2d_sobolev": ("kernels = eta_0_1_2d", ["k0", "tolerance"]),
+    "advect": ("kernels = eta_1_1_1d", ["amp_tolerance", "phase_tolerance", "N"]),
+    "kdv": ("", ["dt", "mass_tolerance", "N"]),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "1,2"])
+@pytest.mark.parametrize("study, key", [(study, key) for study, (_, keys) in _NUMBER_KEYS.items()
+                                        for key in keys])
+def test_a_malformed_number_key_is_a_config_error_naming_it(study, key, value):
+    config = parse_config_text(f"study = {study}\n{_NUMBER_KEYS[study][0]}\n{key} = {value}")
+    with pytest.raises(reports.ConfigError, match=f"^{key}"):
+        run_study(config)
+
+
+def test_number_keys_take_the_study_grammar():
+    report = run_study(parse_config_text(
+        "study = weakstar\nkernels = eta_1_1_1d\nH = 2^-2..2^-3\n"
+        "slope_min = 1/2\nslope_max = 2^2\nparity_tolerance = pi/20"))
+    assert [(row["slope_min"], row["slope_max"], row["status"]) for row in report.rows] == [
+        (0.5, 4.0, "ok")] * 2
+    report = run_study(parse_config_text(
+        "study = helmholtz1d\nkernels = eta_0_1_1d\nH = 2^-2..2^-3\nk0 = 7pi/2"))
+    assert report.exit_code == 0
+    # N takes the grammar too, and must come out a whole number
+    advect = "study = advect\nkernels = eta_1_1_1d\nT = 2pi\nN = "
+    assert run_study(parse_config_text(advect + "2^6")).exit_code == 0
+    with pytest.raises(reports.ConfigError, match="^N takes one integer, not '2.5'$"):
+        run_study(parse_config_text(advect + "2.5"))

@@ -199,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--dim", type=int, default=1)
     pk.add_argument("--m", type=int, default=0)
     pk.add_argument("--p", type=int, default=0)
-    pk.add_argument("--basis", choices=("legendre", "cosine"), default="legendre")
+    pk.add_argument("--basis", choices=("legendre", "cosine"), default="legendre",
+                    help="legendre: the polynomials of degree p, solved exactly on the "
+                         "monomials; cosine: cos(k pi r) for k <= p")
     pk.add_argument("--boundary-smoothness", type=int, default=0)
     pk.add_argument("--origin-smoothness", type=int, default=0)
     pk.add_argument("--normalization", choices=[n.value for n in Normalization],

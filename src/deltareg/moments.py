@@ -1,12 +1,13 @@
 """Assembly and solution of the continuous finite moment problem on [0, 1].
 
-The basis (orthonormal shifted Legendre from `numpy.polynomial.legendre`, or
-cos(k pi r)) is tabulated by one helper: at Gauss nodes its values give every
-moment row in one weighted matrix product, and its derivatives at r = 0 and
-r = 1 give the smoothness rows.  The square system is solved by LAPACK gesv
-through `numpy.linalg.solve`, after a pivot check on Python floats; a Legendre
-solution also carries its monomial coefficients, through a Legendre-to-monomial
-matrix cached per degree.
+A polynomial spec (`BasisKind.SHIFTED_LEGENDRE`: the polynomials of degree p)
+is posed on the monomials r^j, with exact `fractions.Fraction` rows in closed
+form.  A cosine spec (cos(k pi r)) takes its moment rows from a Gauss rule and
+its derivative rows at r = 0 and r = 1 from `_basis_values`.  Both systems have
+the right-hand side e_0 and go through one solver, `solve_dense`: partial
+pivoting on equilibrated rows with a pivot check, exact on Fractions.  nu(n)
+divides the solution once, in floats, so a 1D polynomial kernel's coefficients
+are its printed ones bit for bit.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
 
 from .profiles import RadialProfile, cosine_profile, poly_profile
 from .quadrature import gauss_legendre
@@ -49,6 +48,7 @@ class SingularSystemError(RuntimeError):
 
 
 class BasisKind(Enum):
+    # the polynomials of degree p, posed and solved exactly on the monomials r^j
     SHIFTED_LEGENDRE = "shifted_legendre"
     COSINE = "cosine"
 
@@ -132,139 +132,127 @@ class MomentProblemSpec:
 
 @dataclass(frozen=True)
 class DenseLinearSystem:
-    matrix: np.ndarray
+    matrix: np.ndarray  # floats, or `Fraction`s (an object array) for an exact system
     rhs: np.ndarray
     row_labels: tuple = field(default=())
 
     @property
     def condition_estimate(self) -> float:  # 1-norm: an explicit inverse, so only when read
-        return float(np.linalg.cond(self.matrix, 1))
+        return float(np.linalg.cond(np.asarray(self.matrix, dtype=float), 1))
 
 
 def _basis_values(basis: BasisFamily, r, order: int = 0) -> np.ndarray:
-    """d^order psi_k/dr^order at the points r: one row per point, one column per k.
-
-    Legendre: psi_k(r) = sqrt(2k+1) P_k(2r - 1), orthonormal on (0, 1), from
-    `numpy.polynomial.legendre` (each r-derivative brings a factor 2).
-    Cosine: psi_k(r) = cos(k pi r).
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    k = np.arange(basis.size)
-    if basis.kind is BasisKind.COSINE:
-        w = k * np.pi
-        return w**order * np.cos(np.outer(r, w) + order * np.pi / 2)
-    values = legval(2.0 * r - 1.0, legder(np.eye(basis.size), order)).T
-    return np.sqrt(2.0 * k + 1.0) * 2.0**order * values
-
-
-@lru_cache(maxsize=None)
-def _legendre_to_monomial(degree: int) -> np.ndarray:
-    """Column k: ascending monomial coefficients in r of psi_k, its Taylor series at r = 0."""
-    basis = BasisFamily(BasisKind.SHIFTED_LEGENDRE, degree)
-    mat = np.array([_basis_values(basis, 0.0, j)[0] / math.factorial(j)
-                    for j in range(degree + 1)])
-    mat.setflags(write=False)
-    return mat
+    """d^order psi_k/dr^order of the cosine basis psi_k(r) = cos(k pi r) at the points r:
+    one row per point, one column per k."""
+    w = np.arange(basis.size) * np.pi
+    return w**order * np.cos(np.outer(np.atleast_1d(r), w) + order * np.pi / 2)
 
 
 def assemble_moment_system(spec: MomentProblemSpec) -> DenseLinearSystem:
-    """Build the square system: moment rows <r^(theta+n-1), psi_j> then constraint rows."""
+    """Build the square system: moment rows <r^(theta+n-1), psi_j>, then constraint rows;
+    the right-hand side is e_0, and nu(n) divides the solution.
+
+    On the monomials psi_j = r^j every row is exact, as `Fraction`s: moment rows
+    1/(theta+n+j), boundary rows j!/(j-k)! (zero for j < k), origin rows k! [j = k].
+    The cosine moment rows take a Gauss rule, far inside its superexponential
+    regime, and `_basis_values` gives the cosine constraint rows.
+    """
     if spec.n_rows != spec.n_unknowns:
         raise MomentSystemError(
             f"system is {spec.n_rows}x{spec.n_unknowns}, not square: "
             f"{spec.moments + 1} moment rows + {spec.constraint_rows} constraint rows "
             f"require degree {spec.moments + spec.constraint_rows}"
         )
-    # one Gauss rule for both bases; its order covers the polynomial case exactly
-    # and is far inside the superexponential regime for the trig case
-    max_power = spec.moments + spec.dim - 1
-    x, w = gauss_legendre(max((max_power + spec.degree) // 2 + 2, 24)).mapped(0.0, 1.0)
-    powers = np.arange(spec.moments + 1)[:, None] + spec.dim - 1
-    rows = [(w * x**powers) @ _basis_values(spec.basis, x)]
-    labels = [f"moment theta={theta}" for theta in range(spec.moments + 1)]
-    for k in range(spec.boundary_smoothness):
-        rows.append(_basis_values(spec.basis, 1.0, k))
-        labels.append(f"d^{k} eta/dr^{k}(1) = 0")
-    for k in range(1, spec.origin_smoothness):
-        rows.append(_basis_values(spec.basis, 0.0, k))
-        labels.append(f"d^{k} eta/dr^{k}(0) = 0")
-    mat = np.vstack(rows)
-    rhs = np.zeros(spec.n_unknowns)
-    rhs[0] = 1.0 / spec.normalization.nu(spec.dim)
+    boundary, origin = range(spec.boundary_smoothness), range(1, spec.origin_smoothness)
+    labels = ([f"moment theta={theta}" for theta in range(spec.moments + 1)]
+              + [f"d^{k} eta/dr^{k}(1) = 0" for k in boundary]
+              + [f"d^{k} eta/dr^{k}(0) = 0" for k in origin])
+    if spec.basis.kind is BasisKind.COSINE:
+        max_power = spec.moments + spec.dim - 1
+        x, w = gauss_legendre(max((max_power + spec.degree) // 2 + 2, 24)).mapped(0.0, 1.0)
+        powers = np.arange(spec.moments + 1)[:, None] + spec.dim - 1
+        mat = np.vstack([(w * x**powers) @ _basis_values(spec.basis, x)]
+                        + [_basis_values(spec.basis, 1.0, k) for k in boundary]
+                        + [_basis_values(spec.basis, 0.0, k) for k in origin])
+    else:
+        from fractions import Fraction  # imported here: only polynomial solves pay for it
+
+        js = range(spec.degree + 1)
+        mat = np.array([[Fraction(1, theta + spec.dim + j) for j in js]
+                        for theta in range(spec.moments + 1)]
+                       + [[Fraction(math.perm(j, k)) for j in js] for k in boundary]
+                       + [[Fraction(math.factorial(k) * (j == k)) for j in js] for k in origin],
+                       dtype=object)
+    rhs = np.zeros(spec.n_unknowns, dtype=int)
+    rhs[0] = 1
     return DenseLinearSystem(matrix=mat, rhs=rhs, row_labels=tuple(labels))
 
 
-def _first_small_pivot(rows: list) -> tuple | None:
-    """(column, row, pivot) of the first pivot below 1e-13 that getrf meets, or None.
+def solve_dense(system: DenseLinearSystem) -> np.ndarray:
+    """Gaussian elimination with scaled partial pivoting and back substitution, in the
+    entries' own arithmetic; fails loudly on a relative pivot below 1e-13.
 
-    Gaussian elimination with partial pivoting on lists of Python floats (the
-    systems are tiny, and numpy's per-call overhead would dominate): it keeps
-    getrf's pivot choice, the first row of largest magnitude, and only the
-    pivots, since LAPACK gives the solution.  `row` indexes the input rows;
-    `rows` is overwritten.
+    `Fraction` entries are solved exactly and only the solution is rounded to
+    floats; float entries take float arithmetic.  Each candidate pivot is taken
+    relative to its row's largest entry, so the pivots are those of partial
+    pivoting (getrf's choice: the first row of largest magnitude) on the
+    equilibrated rows, and the 1e-13 threshold is relative to the pivot row's
+    scale.  Only the comparisons are made in floats: the rows are not divided,
+    which would double the exact work.  A failing pivot names the constraint of
+    the row that the permutation put there.  The systems are tiny, so Python
+    lists beat numpy's per-call overhead.
     """
-    n = len(rows)
+    n = len(system.rhs)
+    if np.shape(system.matrix) != (n, n) or np.shape(system.rhs) != (n,):
+        raise MomentSystemError("system must be square with matching rhs")
+    labels = system.row_labels or tuple(f"row {i}" for i in range(n))
+    rows = [row + [b] for row, b in zip(np.asarray(system.matrix).tolist(),
+                                         np.asarray(system.rhs).tolist())]
+    scale = [max(abs(float(v)) for v in row[:n]) or 1.0 for row in rows]
     order = list(range(n))
     for col in range(n):
-        p = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        p = max(range(col, n), key=lambda i: abs(float(rows[i][col])) / scale[order[i]])
         rows[col], rows[p] = rows[p], rows[col]
         order[col], order[p] = order[p], order[col]
         top = rows[col]
-        if abs(top[col]) < 1e-13:
-            return col, order[col], top[col]
+        if abs(float(top[col])) / scale[order[col]] < 1e-13:
+            raise SingularSystemError(
+                f"singular moment system: pivot {float(top[col]):.3e} at column {col} "
+                f"(constraint '{labels[order[col]]}')"
+            )
         for row in rows[col + 1:]:
             f = row[col] / top[col]
-            for j in range(col + 1, n):
-                row[j] -= f * top[j]
-    return None
-
-
-def solve_dense(system: DenseLinearSystem) -> np.ndarray:
-    """LAPACK gesv (`numpy.linalg.solve`) on the row-equilibrated matrix; fails loudly
-    on pivot < 1e-13.
-
-    Dividing each row by its largest entry makes partial pivoting pick the
-    pivots of scaled partial pivoting on the original rows, and the pivot
-    threshold is relative to the pivot row's scale.  gesv does not report its
-    pivots, so `_first_small_pivot` repeats the elimination to check them; a
-    failing pivot names the constraint of the row that the permutation put there.
-    """
-    a = np.asarray(system.matrix, dtype=float)
-    b = np.asarray(system.rhs, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise MomentSystemError("system must be square with matching rhs")
-    labels = system.row_labels or tuple(f"row {i}" for i in range(n))
-    scale = np.max(np.abs(a), axis=1)
-    scale[scale == 0.0] = 1.0
-    scaled = a / scale[:, None]
-    small = _first_small_pivot(scaled.tolist())
-    if small is not None:
-        col, row, pivot = small
-        raise SingularSystemError(
-            f"singular moment system: pivot {pivot * scale[row]:.3e} at column {col} "
-            f"(constraint '{labels[row]}')"
-        )
-    return np.linalg.solve(scaled, b / scale)
+            if f:  # the constraint rows are mostly zeros
+                for j in range(col + 1, n + 1):
+                    row[j] -= f * top[j]
+    x = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+    return np.array(x, dtype=float)
 
 
 @dataclass(frozen=True)
 class EtaKernel:
-    """Solution of a moment problem: basis coefficients plus (Legendre) monomial form,
-    evaluated through its `profile()` and serialized by `to_json`."""
+    """Solution of a moment problem, evaluated through its `profile()` and serialized by
+    `to_json`.
+
+    `coeffs` are ascending monomial coefficients in r for a polynomial spec, the
+    printed form of Table 1 (the exact solution divided by nu(n) in floats), and
+    the weights of cos(k pi r) for a cosine spec.
+    """
 
     spec: MomentProblemSpec
     coeffs: np.ndarray
-    monomial: np.ndarray | None = None
     name: str = ""
 
     def profile(self) -> RadialProfile:
-        if self.spec.basis.kind is BasisKind.SHIFTED_LEGENDRE:
-            return poly_profile(self.monomial)
-        return cosine_profile(self.coeffs)
+        if self.spec.basis.kind is BasisKind.COSINE:
+            return cosine_profile(self.coeffs)
+        return poly_profile(self.coeffs)
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps({
             "name": self.name,
             "dim": self.spec.dim,
             "m": self.spec.moments,
@@ -274,23 +262,14 @@ class EtaKernel:
             "normalization": self.spec.normalization.value,
             "boundary_smoothness": self.spec.boundary_smoothness,
             "origin_smoothness": self.spec.origin_smoothness,
-        }
-        if self.monomial is not None:
-            payload["monomial"] = list(map(float, self.monomial))
-        return json.dumps(payload, sort_keys=True)
+        }, sort_keys=True)
 
 
 def solve_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
-    """Solve the assembled system; Legendre solutions also carry monomial coordinates."""
-    system = assemble_moment_system(spec)
-    beta = solve_dense(system)
-    monomial = None
-    if spec.basis.kind is BasisKind.SHIFTED_LEGENDRE:
-        monomial = _legendre_to_monomial(spec.degree) @ beta
-    beta.setflags(write=False)
-    if monomial is not None:
-        monomial.setflags(write=False)
-    return EtaKernel(spec=spec, coeffs=beta, monomial=monomial, name=name)
+    """Solve the assembled system and divide by nu(n): monomial or cosine coefficients."""
+    coeffs = solve_dense(assemble_moment_system(spec)) / spec.normalization.nu(spec.dim)
+    coeffs.setflags(write=False)
+    return EtaKernel(spec=spec, coeffs=coeffs, name=name)
 
 
 def radial_moment_residuals(kernel, upto: int, dim: int | None = None) -> np.ndarray:

@@ -11,8 +11,9 @@ row that names the unit's key columns and the exception's type and text, so
 one failed kernel never hides the others and a gate whose input failed reports
 an error instead of vanishing.  A config fault (a gate naming a kernel that is
 not listed or not in its 'a:b' or 'a > b' form, a per-kernel list of the wrong
-length, a number key outside the grammar of `_parse_number`, a format other than
-csv or json) raises ConfigError before any unit runs; a number key's error names it.
+length, expected_R beside a rate band, a number key outside the grammar of
+`_parse_number`, a format other than csv or json) raises ConfigError before any
+unit runs; a number key's error, the H schedule's included, names the key.
 
 `STUDIES` is the one table of every study's config keys and their defaults:
 `parse_config_text` rejects keys outside it and fills in the rest.  The CLI
@@ -95,25 +96,31 @@ def _number(opts: dict, key: str, integral: bool = False):
     return int(values[0]) if integral else values[0]
 
 
-def parse_h_schedule(text: str) -> list[float]:
-    """Parse '2^-2..2^-6' (dyadic, descending) or a comma list like 'pi,pi/2,0.25'."""
+def parse_h_schedule(text: str, key: str | None = None) -> list[float]:
+    """Parse '2^-2..2^-6' (dyadic, descending) or a comma list like 'pi,pi/2,0.25';
+    an error names `key`, the config key that gave the schedule, when one is given."""
     text = text.strip()
-    if ".." in text:
-        a, b = _positive_widths([_parse_number(t) for t in text.split("..", 1)], text)
-        ka, kb = math.log2(a), math.log2(b)
-        if abs(ka - round(ka)) > 1e-12 or abs(kb - round(kb)) > 1e-12:
-            raise ConfigError(f"range schedule must be dyadic: {text}")
-        ka, kb = int(round(ka)), int(round(kb))
-        if ka < kb:
-            ka, kb = kb, ka
-        return [2.0**k for k in range(ka, kb - 1, -1)]
-    values = [_parse_number(t) for t in text.split(",") if t.strip()]
-    return sorted(_positive_widths(values, text), reverse=True)
+    try:
+        if ".." in text:
+            a, b = _positive_widths([_parse_number(t) for t in text.split("..", 1)], text)
+            ka, kb = math.log2(a), math.log2(b)
+            if abs(ka - round(ka)) > 1e-12 or abs(kb - round(kb)) > 1e-12:
+                raise ConfigError(f"range schedule must be dyadic: {text}")
+            ka, kb = int(round(ka)), int(round(kb))
+            if ka < kb:
+                ka, kb = kb, ka
+            return [2.0**k for k in range(ka, kb - 1, -1)]
+        values = [_parse_number(t) for t in text.split(",") if t.strip()]
+        return sorted(_positive_widths(values, text), reverse=True)
+    except ConfigError as exc:
+        if key is None:
+            raise
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _positive_widths(values: list[float], text: str) -> list[float]:
     if not values or not all(0.0 < v < math.inf for v in values):
-        raise ConfigError(f"bad H schedule: every width must be positive and finite: {text}")
+        raise ConfigError(f"every width must be positive and finite: {text}")
     return values
 
 
@@ -306,7 +313,7 @@ def _map_rows(fn, items):
 
 def _weakstar(opts: dict):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts["H"])
+    Hs = parse_h_schedule(opts["H"], "H")
     tol = _number(opts, "parity_tolerance")
     band = [None if opts[key] is None else _number(opts, key)
             for key in ("slope_min", "slope_max")]
@@ -342,11 +349,13 @@ def _weakstar(opts: dict):
 
 def _helmholtz(opts: dict, dim: int):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts["H"])
+    Hs = parse_h_schedule(opts["H"], "H")
     k0, cutoff, tol = (_number(opts, key) for key in ("k0", "cutoff", "tolerance"))
     expected_R, rate_min, rate_max, expected_rate = (
         _per_kernel(opts, key, names)
         for key in ("expected_R", "rate_min", "rate_max", "expected_rate"))
+    if expected_R is not None and (rate_min is not None or rate_max is not None):
+        raise ConfigError("expected_R and rate_min/rate_max are two gates; set one of them")
     if rate_max is not None and rate_min is None:
         raise ConfigError("rate_max needs rate_min")
 
@@ -385,7 +394,7 @@ def _helmholtz(opts: dict, dim: int):
 
 def _sobolev(opts: dict):
     names = _csv_list(opts["kernels"])
-    Hs = parse_h_schedule(opts["H"])
+    Hs = parse_h_schedule(opts["H"], "H")
     alphas = _numbers("alpha", opts["alpha"])
     k0, tol = _number(opts, "k0"), _number(opts, "tolerance")
     wspecs = [elliptic.WeightedNormSpec(alpha=alpha) for alpha in alphas]
@@ -420,7 +429,7 @@ def advect_runs(opts: dict):
         return spectral.pointwise_error_after_periods(
             spectral.AdvectionRun(grid=grid, initial=initial, t_final=t_final))
 
-    return parse_h_schedule(opts["H"]), run
+    return parse_h_schedule(opts["H"], "H"), run
 
 
 def _advect(opts: dict):
@@ -477,7 +486,7 @@ def kdv_runs(opts: dict):
         return spectral.kdv_solve(spectral.KdVRun(grid=grid, initial=initial, dt=dt,
                                                   t_final=t_final, snapshots=snapshots))
 
-    return parse_h_schedule(opts["H"]), run
+    return parse_h_schedule(opts["H"], "H"), run
 
 
 def _kdv(opts: dict):

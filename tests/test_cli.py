@@ -164,6 +164,22 @@ def test_non_dyadic_range_schedule_is_an_error(capsys):
     assert "dyadic" in capsys.readouterr().err
 
 
+# a malformed schedule names its key, as every other number key does
+@pytest.mark.parametrize("argv, message", [
+    (["weakstar", "--kernels", "eta_1_1_1d", "--H", "abc"], "H: 'abc' is not a real number"),
+    (["weakstar", "--kernels", "eta_1_1_1d", "--H", "2^-2..x"], "H: 'x' is not a real number"),
+    (["helmholtz1d", "--kernels", "eta_1_1_1d", "--H", "2^-2..0.3"],
+     "H: range schedule must be dyadic: 2^-2..0.3"),
+    (["advect", "--kernels", "eta_1_1_1d", "--H", "0,0.5"],
+     "H: every width must be positive and finite: 0,0.5"),
+])
+def test_a_malformed_schedule_is_an_error_naming_its_key(capsys, argv, message):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # every width of a schedule is checked before any is computed with
 @pytest.mark.parametrize("command, schedule", [
     ("weakstar", "inf..2^-3"), ("weakstar", "nan..2^-3"), ("weakstar", "0..2^-3"),
@@ -291,6 +307,17 @@ def test_per_kernel_list_of_wrong_length_is_an_error(tmp_path, capsys, key):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{key} must list one value per kernel" in err
+
+
+# expected_R and a rate band would gate one table twice; only one of them could hold
+@pytest.mark.parametrize("band", [["--rate-min", "3.5"], ["--rate-min", "1.9", "--rate-max", "2.1"],
+                                  ["--rate-max", "2.1"]])
+def test_expected_r_beside_a_rate_band_is_an_error(capsys, band):
+    assert main(["helmholtz1d", "--kernels", "eta_1_2_1d", "--H", "2^-2..2^-3",
+                 "--expected-R", "1.99", *band]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: expected_R and rate_min/rate_max are two gates; set one of them\n"
 
 
 def test_rate_max_without_rate_min_is_an_error(tmp_path, capsys):
@@ -487,14 +514,14 @@ def test_helm1d_table_cells(tables):
     _, rows = tables["helm1d"]
     assert [row["E"] for row in rows] == [
         "0.0217887032888", "0.00566363327813", "0.0014297950947", "0.000358322390075",
-        "0.0122883613906", "0.00334750231687", "0.000854683819365", "0.000214793450236",
-        "0.00072507714794", "4.73381176621e-05", "2.99095183842e-06", "1.8744243177e-07",
+        "0.0122883613906", "0.00334750231687", "0.000854683819366", "0.000214793450237",
+        "0.000725077147941", "4.73381176627e-05", "2.99095183892e-06", "1.87442432298e-07",
         "0.0612095119416", "0.017276740899", "0.00445349438151", "0.00112194841519",
         "0.00562832995546", "0.000395240708255", "2.54335088461e-05", "1.60122797205e-06"]
     assert [row["R"] for row in rows] == [
         "", "1.94378058125", "1.98591944571", "1.99647830833",
         "", "1.87613559109", "1.96962233901", "1.9924408085",
-        "", "3.93706026005", "3.98432575548", "3.99608519851",
+        "", "3.93706026004", "3.98432575525", "3.99608519469",
         "", "1.82492477297", "1.95582141272", "1.98893142855",
         "", "3.83190345601", "3.95792912924", "3.98947988341"]
 

@@ -1,14 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
 import deltareg
@@ -22,15 +22,12 @@ from deltareg.moments import (
     Normalization,
     SingularSystemError,
     assemble_moment_system,
-    _basis_values,
-    _first_small_pivot,
-    _legendre_to_monomial,
     moment_residuals,
     radial_moment_residuals,
     solve_dense,
     solve_moment_problem,
 )
-from deltareg.quadrature import convergence_slope, gauss_legendre, weak_star_error
+from deltareg.quadrature import convergence_slope, weak_star_error
 
 PI = math.pi
 
@@ -51,68 +48,31 @@ def cosine_spec(dim, m, p, s=0, norm=Normalization.SURFACE_MEASURE):
     )
 
 
-def closed_form_legendre(k, r):
-    # independent oracle: alternating binomial sum in exact rational arithmetic
-    from fractions import Fraction
-
-    rq = Fraction(r)
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += math.comb(k, j) * math.comb(k + j, j) * (-rq) ** j
-    return (-1) ** k * math.sqrt(2 * k + 1) * float(total)
-
-
-def legendre(k, r):
-    """Orthonormal shifted Legendre psi_k at r, from the moment layer's basis helper."""
-    return _basis_values(BasisFamily(BasisKind.SHIFTED_LEGENDRE, k), r)[:, k]
-
-
-# ---------------------------------------------------------------------------
-# shifted Legendre basis
-# ---------------------------------------------------------------------------
-
-def test_legendre_examples():
-    assert legendre(0, 0.7) == pytest.approx([1.0], abs=1e-15)
-    assert legendre(1, 0.5) == pytest.approx([0.0], abs=1e-15)
-    assert legendre(1, 1.0) == pytest.approx([math.sqrt(3)], abs=1e-14)
-
-
-@given(st.integers(min_value=0, max_value=12),
-       st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=120, deadline=None)
-def test_legendre_recurrence_matches_closed_form(k, r):
-    assert legendre(k, r)[0] == pytest.approx(
-        closed_form_legendre(k, r), abs=1e-12, rel=1e-12)
-
-
-def test_legendre_orthonormality():
-    rule = gauss_legendre(14)
-    nodes = 0.5 * (rule.nodes + 1.0)
-    weights = 0.5 * rule.weights
-    psi = _basis_values(BasisFamily(BasisKind.SHIFTED_LEGENDRE, 12), nodes)
-    assert psi.T @ (weights[:, None] * psi) == pytest.approx(np.eye(13), abs=1e-12)
-
-
-def test_monomial_conversion_matches_eval():
-    # column k of the Legendre-to-monomial matrix against the closed form of
-    # psi_k; raw high-degree monomial sums cancel, so the tolerance is looser
-    # than the kernel-level round-trip bound tested below
-    to_monomial = _legendre_to_monomial(8)
-    for k in range(9):
-        for r in np.linspace(0, 1, 7):
-            assert np.polyval(to_monomial[::-1, k], r) == pytest.approx(
-                closed_form_legendre(k, r), abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
 
 def test_assemble_mass_only_is_one_by_one():
+    # the right-hand side is e_0; nu(1) = 2 divides the solution afterwards
     system = assemble_moment_system(legendre_spec(1, 0, 0))
     assert system.matrix.shape == (1, 1)
-    beta = solve_dense(system)
-    assert beta[0] == pytest.approx(0.5, abs=1e-14)
+    assert solve_dense(system).tolist() == [1.0]
+    assert solve_moment_problem(legendre_spec(1, 0, 0)).coeffs.tolist() == [0.5]
+
+
+def test_polynomial_rows_are_exact_in_closed_form():
+    # moment rows 1/(theta+n+j), boundary rows j!/(j-k)!, origin rows k! [j = k]
+    system = assemble_moment_system(legendre_spec(2, 2, 5, s=2, origin=2))
+    assert system.matrix.tolist() == [
+        [Fraction(1, 2 + j) for j in range(6)],
+        [Fraction(1, 3 + j) for j in range(6)],
+        [Fraction(1, 4 + j) for j in range(6)],
+        [1, 1, 1, 1, 1, 1],
+        [0, 1, 2, 3, 4, 5],
+        [0, 1, 0, 0, 0, 0],
+    ]
+    assert all(type(v) is Fraction for v in system.matrix.flat)
+    assert system.rhs.tolist() == [1, 0, 0, 0, 0, 0]
 
 
 def test_assemble_rejects_non_square():
@@ -130,19 +90,20 @@ def test_assemble_two_moment_with_continuity_is_4x4():
 def test_assemble_2d_reproduces_printed_linear_kernel():
     spec = legendre_spec(2, 1, 1, norm=Normalization.PAPER_TABLE1_2D)
     kernel = solve_moment_problem(spec)
-    assert kernel.monomial == pytest.approx([18 / PI, -24 / PI], abs=1e-12)
+    assert kernel.coeffs.tolist() == [18 / PI, -24 / PI]
 
 
 def test_solver_row_scaling_invariance():
+    # integer scales keep the Fraction system exact, so the solution cannot move
     system = assemble_moment_system(legendre_spec(1, 2, 5, s=2, origin=2))
     base = solve_dense(system)
-    scales = np.array([2.0**s for s in (-3, 5, 1, -7, 2, 4)])
+    scales = np.array([3, 160, 7, 1, 12, 45])
     scaled = DenseLinearSystem(
         matrix=system.matrix * scales[:, None],
         rhs=system.rhs * scales,
         row_labels=system.row_labels,
     )
-    assert solve_dense(scaled) == pytest.approx(base, abs=1e-12)
+    assert solve_dense(scaled).tolist() == base.tolist() == [9, 0, -300, 900, -945, 336]
 
 
 def test_singular_system_fails_loudly():
@@ -150,6 +111,16 @@ def test_singular_system_fails_loudly():
     system = DenseLinearSystem(matrix=mat, rhs=np.array([1.0, 2.0]),
                                row_labels=("mass", "dup"))
     with pytest.raises(SingularSystemError, match="pivot"):
+        solve_dense(system)
+
+
+def test_exactly_singular_fraction_system_names_its_constraint():
+    row = [Fraction(1, 2), Fraction(1, 3)]
+    system = DenseLinearSystem(matrix=np.array([row, row], dtype=object),
+                               rhs=np.array([1, 0]), row_labels=("mass", "dup"))
+    with pytest.raises(SingularSystemError,
+                       match=r"^singular moment system: pivot 0\.000e\+00 at column 1 "
+                             r"\(constraint 'dup'\)$"):
         solve_dense(system)
 
 
@@ -177,8 +148,9 @@ def test_tiny_equilibrated_pivot_is_singular(mat):
 
 
 def test_pivot_check_matches_getrf():
-    # the check repeats getrf's elimination; both must stop at the same column, and,
-    # unless the candidates there are all rounding noise, name the same row
+    # the solver eliminates as getrf does: both must stop at the same column and,
+    # unless the candidates there are all rounding noise, name the same row; where
+    # every getrf pivot passes, the solver solves
     from scipy.linalg.lapack import dgetrf
 
     rng = np.random.default_rng(5)
@@ -195,15 +167,20 @@ def test_pivot_check_matches_getrf():
         a /= np.max(np.abs(a), axis=1)[:, None]
         lu, piv, _ = dgetrf(a)
         small = np.flatnonzero(np.abs(np.diag(lu)) < 1e-13)
-        got = _first_small_pivot(a.tolist())
-        assert (got is None) == (small.size == 0)
-        if got is None:
+        system = DenseLinearSystem(matrix=a, rhs=np.ones(n))
+        if small.size == 0:  # backward stable: a small residual against |x|
+            x = solve_dense(system)
+            assert np.max(np.abs(a @ x - 1.0)) <= 1e-13 * n * max(1.0, np.max(np.abs(x)))
             continue
         col, perm = int(small[0]), list(range(n))
         for i, p in enumerate(piv[: col + 1]):  # getrf swaps row i with row p, in order
             perm[i], perm[p] = perm[p], perm[i]
-        assert got[0] == col and abs(got[2]) < 1e-13
-        assert noise_tie or got[1] == perm[col]
+        with pytest.raises(SingularSystemError) as err:
+            solve_dense(system)
+        got = re.fullmatch(r"singular moment system: pivot (\S+) at column (\d+) "
+                           r"\(constraint 'row (\d+)'\)", str(err.value))
+        assert abs(float(got[1])) < 1e-13 and int(got[2]) == col
+        assert noise_tie or int(got[3]) == perm[col]
 
 
 def test_pivot_above_threshold_solves():
@@ -249,7 +226,8 @@ def test_package_imports_and_solves_without_scipy():
 
 # Printed Table-1 forms as (catalog name, moment problem, coefficients): monomial
 # coefficients for the polynomial kernels, cosine weights for the trigonometric
-# ones; the 2D forms carry the printed nu(2) = pi convention.
+# ones.  The 2D forms carry the printed nu(2) = pi convention: a 2D polynomial
+# kernel is listed by its printed integers, which nu divides in floats.
 P2 = Normalization.PAPER_TABLE1_2D
 D_COS2 = 9 * PI**4 - 104 * PI**2 + 48
 
@@ -264,14 +242,13 @@ TABLE_1D = [
 ]
 
 TABLE_2D = [
-    ("eta_0_1_2d", legendre_spec(2, 0, 1, s=1, norm=P2), [6 / PI, -6 / PI]),
-    ("eta_1_1_2d", legendre_spec(2, 1, 1, norm=P2), [18 / PI, -24 / PI]),
-    ("eta_1_2_2d", legendre_spec(2, 1, 2, s=1, norm=P2), [36 / PI, -96 / PI, 60 / PI]),
-    ("eta_2_2_2d", legendre_spec(2, 2, 2, norm=P2), [72 / PI, -240 / PI, 180 / PI]),
-    ("eta_2_3_2d", legendre_spec(2, 2, 3, s=1, norm=P2),
-     [120 / PI, -600 / PI, 900 / PI, -420 / PI]),
+    ("eta_0_1_2d", legendre_spec(2, 0, 1, s=1, norm=P2), [6, -6]),
+    ("eta_1_1_2d", legendre_spec(2, 1, 1, norm=P2), [18, -24]),
+    ("eta_1_2_2d", legendre_spec(2, 1, 2, s=1, norm=P2), [36, -96, 60]),
+    ("eta_2_2_2d", legendre_spec(2, 2, 2, norm=P2), [72, -240, 180]),
+    ("eta_2_3_2d", legendre_spec(2, 2, 3, s=1, norm=P2), [120, -600, 900, -420]),
     ("eta_2_5_2d", legendre_spec(2, 2, 5, s=2, origin=2, norm=P2),
-     [84 / PI, 0.0, -2100 / PI, 5880 / PI, -5880 / PI, 2016 / PI]),
+     [84, 0, -2100, 5880, -5880, 2016]),
 ]
 
 TABLE_COS = {
@@ -291,10 +268,16 @@ PRINTED = TABLE_1D + TABLE_2D + [
     (name, spec, coeffs) for name, (spec, coeffs) in TABLE_COS.items()]
 
 
-@pytest.mark.parametrize("spec,expected", [(spec, c) for _, spec, c in TABLE_1D + TABLE_2D])
-def test_polynomial_kernel_regeneration(spec, expected):
+def _printed_coeffs(printed, dim, nu):
+    # a 1D form is printed as it is; a 2D one as integers over nu, divided in floats
+    return printed if dim == 1 else [c / nu for c in printed]
+
+
+# the exact solve reproduces every printed polynomial form bit for bit
+@pytest.mark.parametrize("spec,printed", [(spec, c) for _, spec, c in TABLE_1D + TABLE_2D])
+def test_polynomial_kernel_regeneration(spec, printed):
     kernel = solve_moment_problem(spec)
-    assert kernel.monomial == pytest.approx(expected, abs=1e-10)
+    assert kernel.coeffs.tolist() == _printed_coeffs(printed, spec.dim, PI)
 
 
 def test_printed_forms_cover_every_table1_kernel():
@@ -306,7 +289,10 @@ def test_printed_forms_cover_every_table1_kernel():
 def test_catalog_profile_matches_printed_form(name, spec, printed):
     # the catalog solves under SurfaceMeasure, nu(2) = 2 pi: half the printed 2D form
     prof = catalog_lookup(name).profile()
-    coeffs = np.asarray(prof.pieces[0].coeffs if prof.is_polynomial else prof.cos_coeffs)
+    if prof.is_polynomial:
+        assert list(prof.pieces[0].coeffs) == _printed_coeffs(printed, spec.dim, 2 * PI)
+        return
+    coeffs = np.asarray(prof.cos_coeffs)
     expected = np.asarray(printed) * (0.5 if spec.dim == 2 else 1.0)
     assert coeffs.shape == expected.shape
     assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -362,7 +348,7 @@ def test_cosine_rejects_redundant_origin_constraints():
 
 def test_solution_satisfies_smoothness_constraints():
     kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2))
-    slope = polyder(kernel.monomial)
+    slope = polyder(kernel.coeffs)
     assert abs(kernel.profile().eval(1.0)) <= 1e-10
     assert abs(polyval(1.0, slope)) <= 1e-10
     assert abs(polyval(0.0, slope)) <= 1e-10
@@ -391,20 +377,12 @@ def test_radial_residuals_expose_unmatched_third_order():
     assert moment_residuals(kernel, 3)[3] == 0.0
 
 
-def test_round_trip_basis_to_monomial():
-    kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2))
-    rs = np.linspace(0.0, 1.0, 100)
-    from_basis = _basis_values(kernel.spec.basis, rs) @ kernel.coeffs
-    from_monomial = np.polyval(kernel.monomial[::-1], rs)
-    assert np.max(np.abs(from_basis - from_monomial)) <= 1e-11
-
-
 def test_nonuniqueness_extra_direction_preserves_moments():
     base = solve_moment_problem(legendre_spec(1, 2, 3, s=1))
     extended = solve_moment_problem(legendre_spec(1, 2, 4, s=2))
     for kernel in (base, extended):
         assert np.max(np.abs(moment_residuals(kernel, 2))) <= 1e-10
-    assert not np.allclose(extended.monomial[:4], np.append(base.monomial, 0.0)[:4])
+    assert not np.allclose(extended.coeffs[:4], np.append(base.coeffs, 0.0)[:4])
 
 
 def test_condition_estimate_present():
@@ -419,8 +397,8 @@ def test_condition_estimate_present():
 def test_json_carries_spec_and_exact_coefficients():
     kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2), name="quintic")
     payload = json.loads(kernel.to_json())
-    assert payload["coeffs"] == list(kernel.coeffs)
-    assert payload["monomial"] == list(kernel.monomial)
+    assert payload["coeffs"] == [4.5, 0.0, -150.0, 450.0, -472.5, 168.0]
+    assert "monomial" not in payload
     assert payload["name"] == "quintic"
     assert payload["basis"] == "shifted_legendre"
     assert (payload["dim"], payload["m"], payload["p"]) == (1, 2, 5)
@@ -473,7 +451,8 @@ def test_every_square_problem_meets_its_rows_and_weak_order(spec):
     system = assemble_moment_system(spec)
     kernel = solve_moment_problem(spec)
     bound = 1e-12 * system.condition_estimate
-    assert np.max(np.abs(system.matrix @ kernel.coeffs - system.rhs)) <= bound
+    x = kernel.coeffs * spec.normalization.nu(spec.dim)  # the system's own solution
+    assert np.max(np.abs(np.asarray(system.matrix, dtype=float) @ x - system.rhs)) <= bound
     assert np.max(np.abs(radial_moment_residuals(kernel, spec.moments))) <= bound
     # weak-star rate H^(q+1), q the highest moment matched: odd ball moments
     # vanish by symmetry, so an even m also matches m + 1

@@ -99,8 +99,8 @@ _NUMBER_KEYS = {
     "helmholtz1d": ("kernels = eta_0_1_1d", ["k0", "tolerance"]),
     "helmholtz2d": ("kernels = eta_0_1_2d", ["k0", "tolerance"]),
     "helmholtz2d_sobolev": ("kernels = eta_0_1_2d", ["k0", "tolerance"]),
-    "advect": ("kernels = eta_1_1_1d", ["amp_tolerance", "phase_tolerance", "N"]),
-    "kdv": ("", ["dt", "mass_tolerance", "N"]),
+    "advect": ("kernels = eta_1_1_1d", ["amp_tolerance", "phase_tolerance", "N", "T"]),
+    "kdv": ("", ["dt", "mass_tolerance", "N", "T"]),
 }
 
 
@@ -111,6 +111,16 @@ def test_a_malformed_number_key_is_a_config_error_naming_it(study, key, value):
     config = parse_config_text(f"study = {study}\n{_NUMBER_KEYS[study][0]}\n{key} = {value}")
     with pytest.raises(reports.ConfigError, match=f"^{key}"):
         run_study(config)
+
+
+# a study's schedule error names H; a bare parse, as of a T schedule, names no key
+def test_a_schedule_error_names_the_key_it_is_given():
+    with pytest.raises(reports.ConfigError, match="^'x' is not a real number$"):
+        reports.parse_h_schedule("x")
+    with pytest.raises(reports.ConfigError, match="^T: range schedule must be dyadic: 1..0.3$"):
+        reports.parse_h_schedule("1..0.3", "T")
+    with pytest.raises(reports.ConfigError, match="^H: 'x' is not a real number$"):
+        run_study(parse_config_text("study = kdv\nH = pi,x"))
 
 
 def test_number_keys_take_the_study_grammar():

@@ -7,6 +7,8 @@ import importlib.resources
 import json
 import sys
 
+import numpy as np
+
 from . import spectral
 from .kernels import catalog_json, catalog_lookup, catalog_names, eval_delta
 from .moments import (
@@ -129,13 +131,13 @@ def _advect_detail(config, args) -> int:
 
 
 def _kdv_detail(config, args) -> int:
-    Hs, run = kdv_runs(config.options)
     snapshots = tuple(_numbers("snapshots", args.snapshots or ""))
+    Hs, run = kdv_runs(config.options, snapshots)
     if not config.out:
         raise ConfigError("kdv --detail writes a snapshot CSV and a .spectra.csv beside it; "
                           "name the snapshot file with --out")
     H = _one("kdv", "H", Hs)
-    result = run(H, snapshots)
+    result = run(H)
     grid = result.grid
     lines = ["x," + ",".join(f"u(t={t:g})" for t in result.times)]
     for i, x in enumerate(grid.nodes):
@@ -143,8 +145,9 @@ def _kdv_detail(config, args) -> int:
     _write_output(("\n".join(lines) + "\n").encode(), config.out)
     spec_lines = ["k," + ",".join(f"|u_hat|(t={t:g})" for t in result.times)]
     k = grid.full_wavenumbers
+    spectra = np.abs(np.fft.fft(result.snapshots, axis=1))
     for i in range(grid.n):
-        spec_lines.append(f"{k[i]:.12g}," + ",".join(f"{s[i]:.12g}" for s in result.spectra))
+        spec_lines.append(f"{k[i]:.12g}," + ",".join(f"{s[i]:.12g}" for s in spectra))
     with open(config.out + ".spectra.csv", "wb") as fh:
         fh.write(("\n".join(spec_lines) + "\n").encode())
     name = config.options["source"].removeprefix("kernel:")  # kdv_runs checked the source

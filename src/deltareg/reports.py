@@ -21,7 +21,9 @@ generates each study's subcommand from it, one flag per key, and the flags are
 overrides that go through `parse_config_text` too.  The spectral studies build
 their runs through `advect_runs` and `kdv_runs`, which sample each run's source
 on the run's grid and which the CLI's `--detail` calls as well, so a detail run
-is a run of the study.
+is a run of the study.  The kdv study's runs march as one batch on its first
+unit (`spectral.kdv_batch`); each unit still solves, and fails, on its own run,
+so the table keeps one row per H and one error row per failed run.
 """
 
 from __future__ import annotations
@@ -465,12 +467,15 @@ def _advect(opts: dict):
                partial(ordering_rows, hi_name, lo_name))
 
 
-def kdv_runs(opts: dict):
-    """The kdv study's H schedule, and run(H, snapshots=()) -> KdVResult.
+def kdv_runs(opts: dict, snapshots: tuple = ()):
+    """The kdv study's H schedule, and run(H) -> KdVResult.
 
     The source is 'kernel:<catalog name>', a 1D kernel at width H, or 'gaussian',
     the Gaussian of `spectral.gaussian_source` with sigma = H.  A run marches the
-    source sampled at the grid's nodes.
+    source sampled at the grid's nodes and records `snapshots` besides 0 and T.
+    The first run samples every H and ties the runs (`spectral.kdv_batch`), so
+    its `kdv_solve` marches all of them as one batch; each run(H) still makes its
+    own `kdv_solve` call and gets its own result or blow-up error.
     """
     source = opts["source"]
     name = source.split(":", 1)[1] if source.startswith("kernel:") else None
@@ -479,14 +484,22 @@ def kdv_runs(opts: dict):
                           f"not '{source}'")
     t_final, dt = _number(opts, "T"), _number(opts, "dt")
     grid = spectral.PeriodicGrid1D(n=_number(opts, "N", integral=True), length=16.0 * math.pi)
+    Hs = parse_h_schedule(opts["H"], "H")
+    tied = {}  # H -> its run, once the first run has sampled them all
 
-    def run(H, snapshots=()):
-        initial = (spectral.gaussian_source(grid.nodes, H) if name is None
-                   else _resolve_kernel(name, 1)[0](H).eval(grid.nodes))
-        return spectral.kdv_solve(spectral.KdVRun(grid=grid, initial=initial, dt=dt,
-                                                  t_final=t_final, snapshots=snapshots))
+    def sample(H):
+        return (spectral.gaussian_source(grid.nodes, H) if name is None
+                else _resolve_kernel(name, 1)[0](H).eval(grid.nodes))
 
-    return parse_h_schedule(opts["H"], "H"), run
+    def run(H):
+        if not tied:
+            runs = {h: spectral.KdVRun(grid=grid, initial=sample(h), dt=dt, t_final=t_final,
+                                       snapshots=snapshots) for h in Hs}
+            spectral.kdv_batch(runs.values())
+            tied.update(runs)
+        return spectral.kdv_solve(tied[H])
+
+    return Hs, run
 
 
 def _kdv(opts: dict):

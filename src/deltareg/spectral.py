@@ -4,6 +4,12 @@ integrating-factor RK4 for the KdV equation, with spectral diagnostics.
 A run marches grid data: its initial values sampled at the grid's nodes.  The
 study that builds a run owns its source (a regularized kernel, or the reference
 Gaussian `gaussian_source`) and samples it there.
+
+Runs that share their arithmetic march once.  Advection runs on one grid with
+one dt and step count share the grid's leapfrog multiplier.  KdV runs tied by
+`kdv_batch` (one grid object, dt, t_final and snapshots) march as the rows of
+one RK4 spectrum on the first `kdv_solve` of any of them; each run still has its
+own `kdv_solve` call, result and blow-up error.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ __all__ = [
     "leapfrog_multiplier",
     "leapfrog_phase_factors",
     "pointwise_error_after_periods",
+    "kdv_batch",
     "kdv_solve",
     "gaussian_source",
     "conserved_quantities",
@@ -226,6 +233,8 @@ class KdVRun:
     dt: float = 1e-4  # marched as t_final / round(t_final / dt)
     t_final: float = 0.05
     snapshots: tuple = ()  # times recorded besides 0 and t_final
+    # the runs marched with this one and their outcomes, set by `kdv_batch`
+    _tie: _KdVTie | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_run(self)
@@ -236,10 +245,35 @@ class KdVResult:
     grid: PeriodicGrid1D
     times: np.ndarray
     snapshots: np.ndarray  # (n_times, N)
-    spectra: np.ndarray  # |u_hat| per snapshot
     mass: np.ndarray
     momentum: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+
+@dataclass
+class _KdVTie:
+    """Runs that march as one batch, and once marched, id(run) -> KdVResult or BlowUpError."""
+
+    runs: tuple
+    outcomes: dict | None = None
+
+
+def kdv_batch(runs) -> tuple:
+    """Tie KdV runs so that the first `kdv_solve` of any of them marches them all.
+
+    The runs must share one grid object, dt, t_final and snapshots, since they
+    march as the rows of one spectrum.  The outcomes are kept on the tie, which the
+    runs hold, so they live and die with the runs; each `kdv_solve` of a tied run
+    then returns that run's own result or raises its own BlowUpError.
+    """
+    runs = tuple(runs)
+    if len({(id(r.grid), r.dt, r.t_final, tuple(r.snapshots)) for r in runs}) != 1:
+        raise ValueError("kdv_batch ties one or more KdV runs, which must share one grid "
+                         "object, dt, t_final and snapshots")
+    tie = _KdVTie(runs)
+    for run in runs:
+        object.__setattr__(run, "_tie", tie)
+    return runs
 
 
 def kdv_solve(run: KdVRun) -> KdVResult:
@@ -247,11 +281,37 @@ def kdv_solve(run: KdVRun) -> KdVResult:
 
     The stiff dispersive term is removed exactly with the factor exp(i k^3 s),
     s anchored at the start of each step, so exp(i k^3 dt/2) and exp(i k^3 dt)
-    are built once per run (Trefethen, Spectral Methods in MATLAB, program 27);
+    are built once per march (Trefethen, Spectral Methods in MATLAB, program 27);
     up to rounding this is RK4 with the factor exp(-i k^3 t) anchored at t = 0.
     The quadratic term 3 (u^2)_x is evaluated pseudospectrally on real FFTs with
-    2/3-rule dealiasing.  Aborts with a diagnostic when max|u| > 1e6.
+    2/3-rule dealiasing.  Raises BlowUpError when max|u| > 1e6.
+
+    A run tied by `kdv_batch` marches with the others on the first call for any of
+    them, each run a row of one (runs, N/2 + 1) spectrum; every call returns the
+    run's own result or raises its own error.  An untied run is a batch of one.
     """
+    tie = run._tie or _KdVTie((run,))
+    if tie.outcomes is None:
+        tie.outcomes = dict(zip(map(id, tie.runs), _kdv_march(tie.runs)))
+    outcome = tie.outcomes[id(run)]
+    if isinstance(outcome, BlowUpError):
+        raise BlowUpError(*outcome.args)
+    return outcome
+
+
+def _blown_rows(w: np.ndarray, bound: float) -> np.ndarray:
+    """Rows of w with a non-finite entry or one of modulus above bound."""
+    return ~np.all(np.isfinite(w), axis=1) | (np.max(np.abs(w), axis=1) > bound)
+
+
+def _kdv_march(runs: tuple) -> list:
+    """March runs that share grid, dt, t_final and snapshots as one spectrum.
+
+    Returns each run's KdVResult or BlowUpError.  A row leaves the batch at the
+    step it blows up at; the rows are independent, so the others march on and
+    each ends bit for bit as it would alone.
+    """
+    run = runs[0]
     grid = run.grid
     dt = run.dt
     n_steps = int(round(run.t_final / dt))
@@ -269,50 +329,57 @@ def kdv_solve(run: KdVRun) -> KdVResult:
     k = grid.wavenumbers
     E = np.exp(0.5j * dt * k**3)
     E2 = E * E
+    # the products RK4 forms with the factors, taken once: dt E c is (dt E) c
+    # and 2 E (b + c) is (2 E)(b + c) as Python evaluates them
+    dtE, twoE = dt * E, 2.0 * E
     gm = -3j * k
     gm[k > (2.0 / 3.0) * k[-1]] = 0.0
 
     def nonlinear(w):
-        # spectrum of -3 (u^2)_x for the field with spectrum w
+        # spectrum of -3 (u^2)_x for the fields with spectra w
         return gm * np.fft.rfft(np.fft.irfft(w, grid.n) ** 2)
 
-    v = np.fft.rfft(np.asarray(run.initial, dtype=float))
-    outputs, out_times = [], []
-    mass, momentum = [], []
-
-    def record(step):
-        u = np.fft.irfft(v, grid.n)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
-            raise BlowUpError(f"solution blew up at t = {step * dt:.6g}")
-        outputs.append(u)
-        out_times.append(step * dt)
-        m, p = conserved_quantities(u, grid)
-        mass.append(m)
-        momentum.append(p)
-
-    record(0)
-    # a blowing-up run overflows before the finiteness checks below catch it
+    outcomes = [None] * len(runs)
+    snapshots = [[] for _ in runs]
+    times = []
+    live = np.arange(len(runs))  # the run of each row of v
+    # a blowing-up row overflows before the finiteness checks below catch it
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            a = nonlinear(v)
-            b = nonlinear(E * (v + 0.5 * dt * a))
-            c = nonlinear(E * v + 0.5 * dt * b)
-            d = nonlinear(E2 * v + dt * E * c)
-            v = E2 * v + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+        v = np.fft.rfft(np.array([r.initial for r in runs], dtype=float))
+        for step in range(n_steps + 1):
+            if step:
+                a = nonlinear(v)
+                b = nonlinear(E * (v + 0.5 * dt * a))
+                c = nonlinear(E * v + 0.5 * dt * b)
+                E2v = E2 * v
+                d = nonlinear(E2v + dtE * c)
+                v = E2v + (dt / 6.0) * (E2 * a + twoE * (b + c) + d)
             if step in snap_steps:
-                record(step)
+                u = np.fft.irfft(v, grid.n)
+                blown = _blown_rows(u, 1e6)
+                for i, row in zip(live[~blown], u[~blown]):
+                    snapshots[i].append(row)
+                times.append(step * dt)
             elif step % 200 == 0:
-                if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e7:
-                    raise BlowUpError(f"solution blew up at t = {step * dt:.6g}")
+                blown = _blown_rows(v, 1e7)
+            else:
+                continue
+            for i in live[blown]:
+                outcomes[i] = BlowUpError(f"solution blew up at t = {step * dt:.6g}")
+            v, live = v[~blown], live[~blown]
+            if not live.size:
+                break
 
-    snaps = np.asarray(outputs)
-    spectra = np.abs(np.fft.fft(snaps, axis=1))
-    return KdVResult(
-        grid=grid, times=np.asarray(out_times), snapshots=snaps, spectra=spectra,
-        mass=np.asarray(mass), momentum=np.asarray(momentum),
-        metadata=dict(dt=dt, n_steps=n_steps, t_final=run.t_final,
-                      n=grid.n, length=grid.length),
-    )
+    for i in live:
+        snaps = np.asarray(snapshots[i])
+        mass, momentum = zip(*(conserved_quantities(u, grid) for u in snaps))
+        outcomes[i] = KdVResult(
+            grid=grid, times=np.asarray(times), snapshots=snaps,
+            mass=np.asarray(mass), momentum=np.asarray(momentum),
+            metadata=dict(dt=dt, n_steps=n_steps, t_final=run.t_final,
+                          n=grid.n, length=grid.length),
+        )
+    return outcomes
 
 
 def com_displacement(result: KdVResult) -> float:

@@ -3,6 +3,7 @@ import functools
 import importlib.resources
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import optimize, special
 from deltareg.cli import _COMMAND_FLAGS, build_parser, main
 from deltareg.kernels import catalog_lookup
 from deltareg.quadrature import gauss_legendre, integrate_panels
-from deltareg.reports import STUDIES
+from deltareg.reports import STUDIES, kdv_runs, parse_config_text
 
 from test_elliptic import sobolev_oracle
 
@@ -20,16 +21,46 @@ GATED_TABLES = {"weakstar-1d": 50, "weakstar-2d": 22, "helm1d": 20, "helm2d": 15
                 "helm2d-sobolev": 63, "advect-dispersion": 3, "kdv-impulse": 3}
 
 
+# the CSVs this package emits for the gated tables; a change that moves a cell
+# updates its golden file in the same commit
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+
 @pytest.fixture(scope="module")
-def tables(tmp_path_factory):
+def table_files(tmp_path_factory):
+    """table -> (exit code, the CSV `reproduce` wrote), all tables in one process."""
     out_dir = tmp_path_factory.mktemp("tables")
     results = {}
     for table in GATED_TABLES:
         out = out_dir / f"{table}.csv"
-        code = main(["reproduce", "--table", table, "--out", str(out)])
+        results[table] = (main(["reproduce", "--table", table, "--out", str(out)]), out)
+    return results
+
+
+@pytest.fixture(scope="module")
+def tables(table_files):
+    results = {}
+    for table, (code, out) in table_files.items():
         with open(out, newline="") as fh:
             results[table] = (code, list(csv.DictReader(fh)))
     return results
+
+
+def _csv_cells(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("table", sorted(GATED_TABLES))
+def test_reproduce_table_matches_its_golden_file(table_files, table):
+    # columns, keys, statuses and every printed 12-digit cell, exactly
+    got, want = _csv_cells(table_files[table][1]), _csv_cells(GOLDEN / f"{table}.csv")
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    changed = [(i, column, g, w) for i, (got_row, want_row) in enumerate(zip(got, want))
+               for column, g, w in zip(want[0], got_row, want_row) if g != w]
+    assert changed == []
+    assert got == want
 
 
 def test_every_shipped_config_is_a_gated_table():
@@ -120,6 +151,12 @@ def test_kdv_detail_writes_snapshots_and_spectra(tmp_path):
     assert len(snapshots) == len(spectra) == 65
     # fft layout: the Nyquist wavenumber N/2 * 2 pi / L is carried negative
     assert [float(line.split(",")[0]) for line in spectra[33:35]] == [-4.0, -3.875]
+    # each column is |fft| of the run's snapshot, full layout, in the same order
+    _, run = kdv_runs(parse_config_text("study = kdv\nH = pi\nN = 64\nT = 0.001").options)
+    moduli = np.abs(np.fft.fft(run(math.pi).snapshots, axis=1))
+    assert moduli.shape == (2, 64)
+    assert [line.split(",")[1:] for line in spectra[1:]] == [
+        [f"{s[i]:.12g}" for s in moduli] for i in range(64)]
 
 
 # a KdV source is 'gaussian' or 'kernel:<catalog name>'; a typo must not run a Gaussian

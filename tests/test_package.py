@@ -94,9 +94,20 @@ def test_the_traced_bench_counts_the_steps_of_each_spectral_run():
                                                      t_final=2 * math.pi),
             "kdv_solve": spectral.KdVRun(grid=grid, initial=np.zeros(grid.n), dt=1e-3,
                                          t_final=5e-3)}
+    counters = {attr: counter for _, owner, attr, counter in _layertrace()._targets()
+                if owner is spectral}
     steps = {attr: counter((runs[attr],), {}, getattr(spectral, attr)(runs[attr]))
-             for _, owner, attr, counter in _layertrace()._targets() if owner is spectral}
+             for attr, counter in counters.items()}
     assert steps == {"advect_leapfrog": 128, "kdv_solve": 5}
+    # tied KdV runs march once, on the first call, yet each call returns its own
+    # result and the tracer counts that run's own steps, once per call
+    tied = spectral.kdv_batch(
+        spectral.KdVRun(grid=grid, initial=amp * np.cos(grid.nodes), dt=1e-3, t_final=5e-3)
+        for amp in (1.0, 2.0))
+    for run in tied:
+        result = spectral.kdv_solve(run)
+        np.testing.assert_allclose(result.snapshots[0], run.initial, rtol=0, atol=1e-15)
+        assert counters["kdv_solve"]((run,), {}, result) == 5
 
 
 @pytest.mark.parametrize("config, solve", [

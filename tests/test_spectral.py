@@ -5,6 +5,7 @@ import pytest
 
 from deltareg import spectral
 from deltareg.kernels import catalog_lookup
+from deltareg.reports import parse_config_text, run_study
 from deltareg.spectral import (
     AdvectionRun,
     BlowUpError,
@@ -15,6 +16,7 @@ from deltareg.spectral import (
     com_displacement,
     conserved_quantities,
     gaussian_source,
+    kdv_batch,
     kdv_solve,
     leapfrog_multiplier,
     leapfrog_phase_factors,
@@ -277,12 +279,22 @@ def test_conserved_quantities_soliton_closed_forms():
     assert momentum == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("c", [0.5, 1.0])
-def test_soliton_speed_tracking(c):
+_SOLITON_SPEEDS = (0.5, 1.0)
+
+
+@pytest.fixture(scope="module")
+def soliton_runs():
+    # the speed cases share grid, dt, t_final and snapshots, so they march as one batch
     grid = _kdv_grid()
-    run = KdVRun(grid=grid, initial=soliton(grid.nodes, c=c), dt=2e-4, t_final=1.0,
-                 snapshots=(0.5,))
-    result = kdv_solve(run)
+    return dict(zip(_SOLITON_SPEEDS, kdv_batch(
+        KdVRun(grid=grid, initial=soliton(grid.nodes, c=c), dt=2e-4, t_final=1.0,
+               snapshots=(0.5,)) for c in _SOLITON_SPEEDS)))
+
+
+@pytest.mark.parametrize("c", _SOLITON_SPEEDS)
+def test_soliton_speed_tracking(soliton_runs, c):
+    result = kdv_solve(soliton_runs[c])
+    grid = result.grid
     x0 = peak_location(result.snapshots[0], grid)
     x1 = peak_location(result.snapshots[-1], grid)
     assert (x1 - x0) / 1.0 == pytest.approx(c, rel=0.02)
@@ -357,13 +369,11 @@ def test_kdv_rejects_snapshot_outside_run(t):
         kdv_solve(run)
 
 
-def test_dealias_keeps_rough_run_high_modes_and_spectra_keep_full_fft_layout():
+def test_dealias_keeps_rough_run_high_modes():
     grid = _kdv_grid()
     run = KdVRun(grid=grid, initial=catalog_lookup("eta_2_5_1d")(math.pi / 4).eval(grid.nodes),
                  dt=1e-4, t_final=0.02)
     result = kdv_solve(run)
-    assert result.spectra.shape == (2, grid.n)
-    assert np.array_equal(result.spectra, np.abs(np.fft.fft(result.snapshots, axis=1)))
     # the 2/3 rule leaves the modes above the cutoff (Nyquist aside, which the real
     # snapshot drops) to the linear factor alone, so their moduli stay put; without
     # it they move by 0.19 here
@@ -371,6 +381,77 @@ def test_dealias_keeps_rough_run_high_modes_and_spectra_keep_full_fft_layout():
     high = (k > (2.0 / 3.0) * k[-1]) & (k < k[-1])
     first, last = np.abs(np.fft.rfft(result.snapshots, axis=1))
     assert np.max(np.abs(last[high] - first[high])) <= 1e-12 * np.max(first)
+
+
+def _tied_runs(grid, scales, **kw):
+    kw = dict(dt=1e-4, t_final=0.01, snapshots=(0.005,)) | kw
+    return [KdVRun(grid=grid, initial=scale * soliton(grid.nodes), **kw) for scale in scales]
+
+
+def _same_result(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("times", "snapshots", "mass", "momentum")) and a.metadata == b.metadata
+
+
+def test_tied_runs_match_their_solo_runs_and_a_blown_run_keeps_its_own_error():
+    grid = _kdv_grid()
+    scales = (1.0, 2e6, 0.5)
+    tied = kdv_batch(_tied_runs(grid, scales))
+    solo = _tied_runs(grid, scales)
+    with pytest.raises(BlowUpError) as solo_error:
+        kdv_solve(solo[1])
+    for _ in range(2):  # the first call marches the batch, the second reads it
+        for i in (0, 2):
+            result = kdv_solve(tied[i])
+            assert _same_result(result, kdv_solve(solo[i]))
+            np.testing.assert_allclose(result.snapshots[0], tied[i].initial, rtol=0, atol=1e-15)
+        with pytest.raises(BlowUpError) as tied_error:
+            kdv_solve(tied[1])
+        assert str(tied_error.value) == str(solo_error.value) == "solution blew up at t = 0.005"
+
+
+def test_a_row_blown_mid_march_leaves_the_others_marching():
+    # 2e4 x soliton passes the t = 0 bound and is caught by the spectrum check at
+    # step 200, between the snapshots; the other row marches 100 steps on
+    grid = _kdv_grid()
+    scales = (2e4, 1.0)
+    tied = kdv_batch(_tied_runs(grid, scales, t_final=0.03, snapshots=()))
+    with pytest.raises(BlowUpError, match=r"at t = 0\.02$"):
+        kdv_solve(tied[0])
+    assert _same_result(kdv_solve(tied[1]),
+                        kdv_solve(_tied_runs(grid, scales, t_final=0.03, snapshots=())[1]))
+
+
+def test_a_study_with_one_blowing_up_width_has_one_error_row():
+    # the study ties its runs; the smallest width blows up, the others match solo studies
+    def rows(H):
+        report = run_study(parse_config_text(f"study = kdv\nH = {H}\nN = 128\nT = 0.02\n"
+                                             "dt = 1e-3"))
+        return report.rows
+
+    tied = rows("pi, pi/2, 0.02")
+    assert [row["status"] for row in tied] == ["ok", "ok", "error"]
+    assert tied[2]["H"] == 0.02
+    assert tied[2]["message"] == "BlowUpError: solution blew up at t = 0.02"
+    assert tied[:2] == rows("pi") + rows("pi/2")
+
+
+@pytest.mark.parametrize("change", [
+    dict(grid=PeriodicGrid1D(n=512, length=16 * math.pi)),
+    dict(dt=2e-4), dict(t_final=0.02), dict(snapshots=(0.002,)),
+], ids=["grid-object", "dt", "t_final", "snapshots"])
+def test_tied_runs_must_share_grid_object_dt_t_final_and_snapshots(change):
+    grid = _kdv_grid()
+    [run] = _tied_runs(grid, (1.0,))
+    other = KdVRun(**(dict(grid=grid, initial=run.initial, dt=run.dt, t_final=run.t_final,
+                           snapshots=run.snapshots) | change))
+    with pytest.raises(ValueError, match="must share one grid object"):
+        kdv_batch([run, other])
+
+
+def test_an_empty_tie_is_an_error():
+    with pytest.raises(ValueError, match="one or more KdV runs"):
+        kdv_batch([])
 
 
 # ---------------------------------------------------------------------------

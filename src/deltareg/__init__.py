@@ -9,7 +9,6 @@ from .kernels import (
     catalog_json,
     catalog_lookup,
     catalog_names,
-    eval_delta,
     tensor_product,
 )
 from .moments import (

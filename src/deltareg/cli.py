@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import spectral
-from .kernels import catalog_json, catalog_lookup, catalog_names, eval_delta
+from .kernels import catalog_json, catalog_lookup, catalog_rows
 from .moments import (
     BasisFamily,
     BasisKind,
@@ -66,16 +66,20 @@ def _cmd_kernel(args) -> int:
         if args.format == "json":
             _write_output(catalog_json().encode() + b"\n", args.out)
         else:
-            lines = ["name,dim,moments,weak_order,smoothness,support_factor,source"]
-            for name in catalog_names():
-                e = catalog_lookup(name).entry
-                lines.append(f"{name},{e.dim},{e.moments},{e.weak_order},"
-                             f"{e.smoothness},{e.support_factor:g},{e.source}")
+            rows = catalog_rows()
+            columns = [c for c in rows[0] if c != "closed_form"]  # its commas stay in the JSON
+            lines = [",".join(columns)] + [",".join(
+                f"{row[c]:g}" if isinstance(row[c], float) else str(row[c]) for c in columns)
+                for row in rows]
             _write_output(("\n".join(lines) + "\n").encode(), args.out)
         return 0
     if args.action == "eval":
         delta = catalog_lookup(args.name)(_number(vars(args), "H"))
-        _write_output(f"{eval_delta(delta, _numbers('at', args.at)):.12g}\n".encode(), args.out)
+        point = _numbers("at", args.at)
+        if len(point) != delta.dim:
+            raise ConfigError(f"expected a point of dimension {delta.dim}, got '{args.at}'")
+        value = delta.eval(point[0] if delta.dim == 1 else point)
+        _write_output(f"{value:.12g}\n".encode(), args.out)
         return 0
     if args.action == "moments":
         builder = catalog_lookup(args.name)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .moments import BasisFamily, BasisKind, MomentProblemSpec, solve_moment_problem
+from .moments import (BasisFamily, BasisKind, MomentProblemSpec, solve_moment_problem,
+                      weak_star_order)
 from .profiles import PolyPiece, RadialProfile, cosine_profile, poly_profile
 
 __all__ = [
@@ -20,9 +21,9 @@ __all__ = [
     "catalog_lookup",
     "catalog_names",
     "catalog_entries",
+    "catalog_rows",
     "catalog_json",
     "tensor_product",
-    "eval_delta",
 ]
 
 
@@ -82,26 +83,17 @@ def _check_support_scale(H: float) -> None:
         raise ValueError(f"H must be positive and finite, got {H}")
 
 
-def eval_delta(delta: RegularizedDelta, x) -> float:
-    """Evaluate delta_H at a single point (sequence of length dim, or scalar in 1D)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (delta.dim,):
-        raise ValueError(f"expected a point of dimension {delta.dim}, got shape {x.shape}")
-    if delta.dim == 1:
-        return float(delta.eval(x[0]))
-    return float(delta.eval(x))
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog kernel's description.  A Table-1 `smoothness` is the boundary constraint
+    C^(s-1) that its moment problem imposes, s = builder_spec["s"], and L1 for s = 0: so
+    the cosine kernels read C0 though they attain C1."""
+
     name: str
     dim: int
-    moments: int
-    weak_order: int
     smoothness: str
     closed_form: str
     source: str
-    support_factor: float = 1.0
     builder_spec: dict | None = None
 
 
@@ -129,6 +121,11 @@ class KernelBuilder:
             boundary_smoothness=b["s"], origin_smoothness=b["origin"],
         ))
 
+    @cached_property
+    def weak_order(self) -> int:
+        """q of the weak-* rate H^(q+1), from the profile's moments on first read."""
+        return weak_star_order(self.profile(), self.entry.dim)
+
     def __call__(self, H: float) -> RegularizedDelta:
         _check_support_scale(H)
         return RegularizedDelta(dim=self.entry.dim, name=self.entry.name,
@@ -138,55 +135,47 @@ class KernelBuilder:
 _CATALOG: dict[str, KernelBuilder] = {}
 
 
-def _register(name, dim, moments, weak_order, smoothness, closed_form, source,
-              builder_spec=None, printed=None):
-    entry = CatalogEntry(
-        name=name, dim=dim, moments=moments, weak_order=weak_order, smoothness=smoothness,
-        closed_form=closed_form, source=source,
-        support_factor=printed.support if printed is not None else 1.0,
-        builder_spec=builder_spec,
-    )
+def _register(name, dim, smoothness, closed_form, source, builder_spec=None, printed=None):
+    entry = CatalogEntry(name, dim, smoothness, closed_form, source, builder_spec)
     _CATALOG[name] = KernelBuilder(entry=entry, printed=printed)
 
 
 # ---- Table 1: profiles solved from builder_spec under SurfaceMeasure --------
 # The closed forms are the printed ones (2D under nu(2) = pi, i.e. twice the
 # solved profile); tests/test_moments.py checks the solved coefficients against them.
-_register("eta_1_0_1d", 1, 1, 1, "L1", "1/2", "table1",
+_register("eta_1_0_1d", 1, "L1", "1/2", "table1",
           builder_spec=dict(m=0, p=0, s=0, origin=0))
-_register("eta_1_1_1d", 1, 1, 1, "C0", "1 - r", "table1",
+_register("eta_1_1_1d", 1, "C0", "1 - r", "table1",
           builder_spec=dict(m=0, p=1, s=1, origin=0))
-_register("eta_1_2_1d", 1, 1, 1, "C0", "3 - 9 r + 6 r^2", "table1",
+_register("eta_1_2_1d", 1, "C0", "3 - 9 r + 6 r^2", "table1",
           builder_spec=dict(m=1, p=2, s=1, origin=0))
-_register("eta_2_2_1d", 1, 2, 3, "L1", "9/2 - 18 r + 15 r^2", "table1",
+_register("eta_2_2_1d", 1, "L1", "9/2 - 18 r + 15 r^2", "table1",
           builder_spec=dict(m=2, p=2, s=0, origin=0))
-_register("eta_2_3_1d", 1, 2, 3, "C0", "-30 r^3 + 60 r^2 - 36 r + 6", "table1",
+_register("eta_2_3_1d", 1, "C0", "-30 r^3 + 60 r^2 - 36 r + 6", "table1",
           builder_spec=dict(m=2, p=3, s=1, origin=0))
-_register("eta_2_5_1d", 1, 2, 3, "C1",
-          "168 r^5 - 945/2 r^4 + 450 r^3 - 150 r^2 + 9/2", "table1",
+_register("eta_2_5_1d", 1, "C1", "168 r^5 - 945/2 r^4 + 450 r^3 - 150 r^2 + 9/2", "table1",
           builder_spec=dict(m=2, p=5, s=2, origin=2))
-_register("eta_0_1_2d", 2, 1, 1, "C0", "(6/pi) (1 - r)", "table1",
+_register("eta_0_1_2d", 2, "C0", "(6/pi) (1 - r)", "table1",
           builder_spec=dict(m=0, p=1, s=1, origin=0))
-_register("eta_1_1_2d", 2, 1, 1, "L1", "(6/pi) (3 - 4 r)", "table1",
+_register("eta_1_1_2d", 2, "L1", "(6/pi) (3 - 4 r)", "table1",
           builder_spec=dict(m=1, p=1, s=0, origin=0))
-_register("eta_1_2_2d", 2, 1, 1, "C0", "(12/pi) (5 r^2 - 8 r + 3)", "table1",
+_register("eta_1_2_2d", 2, "C0", "(12/pi) (5 r^2 - 8 r + 3)", "table1",
           builder_spec=dict(m=1, p=2, s=1, origin=0))
-_register("eta_2_2_2d", 2, 2, 3, "L1", "(12/pi) (15 r^2 - 20 r + 6)", "table1",
+_register("eta_2_2_2d", 2, "L1", "(12/pi) (15 r^2 - 20 r + 6)", "table1",
           builder_spec=dict(m=2, p=2, s=0, origin=0))
-_register("eta_2_3_2d", 2, 2, 3, "C0", "(-60/pi) (7 r^3 - 15 r^2 + 10 r - 2)", "table1",
+_register("eta_2_3_2d", 2, "C0", "(-60/pi) (7 r^3 - 15 r^2 + 10 r - 2)", "table1",
           builder_spec=dict(m=2, p=3, s=1, origin=0))
-_register("eta_2_5_2d", 2, 2, 3, "C1",
-          "(84/pi) (24 r^5 - 70 r^4 + 70 r^3 - 25 r^2 + 1)", "table1",
+_register("eta_2_5_2d", 2, "C1", "(84/pi) (24 r^5 - 70 r^4 + 70 r^3 - 25 r^2 + 1)", "table1",
           builder_spec=dict(m=2, p=5, s=2, origin=2))
-_register("eta_1_cos_1d", 1, 1, 1, "C0", "(1/2) (1 + cos(pi r))", "table1",
+_register("eta_1_cos_1d", 1, "C0", "(1/2) (1 + cos(pi r))", "table1",
           builder_spec=dict(m=0, p=1, s=1, origin=0, basis="cosine"))
-_register("eta_2_cos_1d", 1, 2, 3, "C0",
+_register("eta_2_cos_1d", 1, "C0",
           "1/2 + (23 pi^2/192 - 1/16) cos(pi r) + (pi^2/6) cos(2 pi r) "
           "+ (3 pi^2/64 + 9/16) cos(3 pi r)", "table1",
           builder_spec=dict(m=2, p=3, s=1, origin=0, basis="cosine"))
-_register("eta_1_cos_2d", 2, 1, 1, "C0", "(2 pi / (pi^2 - 4)) (cos(pi r) + 1)", "table1",
+_register("eta_1_cos_2d", 2, "C0", "(2 pi / (pi^2 - 4)) (cos(pi r) + 1)", "table1",
           builder_spec=dict(m=0, p=1, s=1, origin=0, basis="cosine"))
-_register("eta_2_cos_2d", 2, 2, 3, "C0",
+_register("eta_2_cos_2d", 2, "C0",
           "-(144 pi + (pi (45 pi^4 + 32 pi^2 - 48)/16) cos(pi r) "
           "+ 2 pi (9 pi^4 - 80 pi^2 + 48) cos(2 pi r) "
           "+ (81 pi (3 pi^4 - 32 pi^2 + 48)/16) cos(3 pi r)) / (9 pi^4 - 104 pi^2 + 48)",
@@ -194,11 +183,11 @@ _register("eta_2_cos_2d", 2, 2, 3, "C0",
           builder_spec=dict(m=2, p=3, s=1, origin=0, basis="cosine"))
 
 # ---- literature kernels: no moment spec, the printed profile is the source ----
-_register("eta_hat2", 1, 1, 1, "C0", "1/4 (2 - |z|) on [-2, 2]", "hat_literature",
+_register("eta_hat2", 1, "C0", "1/4 (2 - |z|) on [-2, 2]", "hat_literature",
           printed=poly_profile([0.5, -0.25], support=2.0))
-_register("eta_cos", 1, 1, 1, "C0", "1/4 (1 + cos(pi z / 2)) on [-2, 2]", "cos_literature",
+_register("eta_cos", 1, "C0", "1/4 (1 + cos(pi z / 2)) on [-2, 2]", "cos_literature",
           printed=cosine_profile([0.25, 0.25], support=2.0))
-_register("eta_cubic", 1, 2, 3, "C0",
+_register("eta_cubic", 1, "C0",
           "1 - |z|/2 - z^2 + |z|^3/2 on [0, 1]; 1 - 11|z|/6 + z^2 - |z|^3/6 on (1, 2]",
           "cubic_literature",
           printed=RadialProfile(pieces=(
@@ -231,17 +220,21 @@ def catalog_entries() -> list[CatalogEntry]:
     return [b.entry for _, b in sorted(_CATALOG.items())]
 
 
-def catalog_json() -> str:
+def catalog_rows() -> list[dict]:
+    """A `kernel list` row per catalog name, aliases included; `moments` counts the even
+    ball moments matched, theta = 0 among them."""
     rows = []
     for name in catalog_names():
-        e = catalog_lookup(name).entry
-        rows.append({
-            "name": name, "dim": e.dim, "moments": e.moments,
-            "weak_order": e.weak_order, "smoothness": e.smoothness,
-            "closed_form": e.closed_form, "source": e.source,
-            "support_factor": e.support_factor,
-        })
-    return json.dumps(rows, indent=2, sort_keys=True)
+        b = catalog_lookup(name)
+        e, q = b.entry, b.weak_order
+        rows.append(dict(name=name, dim=e.dim, moments=(q + 1) // 2, weak_order=q,
+                         smoothness=e.smoothness, support_factor=b.profile().support,
+                         source=e.source, closed_form=e.closed_form))
+    return rows
+
+
+def catalog_json() -> str:
+    return json.dumps(catalog_rows(), indent=2, sort_keys=True)
 
 
 def tensor_product(kernel: str | KernelBuilder, H: float) -> RegularizedDelta:

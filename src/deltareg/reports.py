@@ -255,7 +255,7 @@ def _resolve_kernel(spec_str: str, dim: int | None = None):
     kernel_dim = 2 if tensor else builder.entry.dim
     if dim not in (None, kernel_dim):
         raise ConfigError(f"{spec_str} is not a {dim}D kernel")
-    return (partial(tensor_product, builder) if tensor else builder), builder.entry, kernel_dim
+    return (partial(tensor_product, builder) if tensor else builder), builder, kernel_dim
 
 
 def _csv_list(text: str) -> list[str]:
@@ -326,13 +326,12 @@ def _weakstar(opts: dict):
     slopes: dict[str, float] = {}
 
     def kernel_rows(name):
-        make, entry, dim = _resolve_kernel(name)
+        make, builder, dim = _resolve_kernel(name)
         Es = _map_rows(lambda H: weak_star_error(make(H)), Hs)
         fit = convergence_slope(Hs, Es)
         slopes[name] = fit.slope
-        expected = entry.weak_order + 1
-        own = ((3.9, expected + 0.35) if entry.source == "cubic_literature"
-               else (expected - 0.1, expected + 0.1))
+        expected = builder.weak_order + 1  # a tensor square's is its axis profile's
+        own = (expected - 0.1, expected + 0.1)
         lo, hi = (o if b is None else b for o, b in zip(own, band))  # unset is the kernel's
         status = _status(lo <= fit.slope <= hi)
         return [dict(dim=dim, H=H, E_weak=E, ratio=R, slope=fit.slope, slope_min=lo,
@@ -370,7 +369,7 @@ def _helmholtz(opts: dict, dim: int):
     exact = cache(lambda: exact_profile(elliptic.exterior_nodes(dim, k0, cutoff), k0))
 
     def kernel_rows(idx, name):
-        make, entry, _ = _resolve_kernel(name, dim)
+        make = _resolve_kernel(name, dim)[0]
         u = exact()
         profiles = [solve(problem(kernel=make(H), k0=k0), u.nodes) for H in Hs]
         Es = [elliptic.pointwise_error(u, u_reg, cutoff) for u_reg in profiles]

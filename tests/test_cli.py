@@ -112,7 +112,7 @@ def test_csv_rows_have_header_width_and_match_json(tmp_path):
                 assert cell == str(value)
 
 
-# eta_cubic has its own default band; a configured one must still override it
+# a configured band overrides the kernel's own
 @pytest.mark.parametrize("kernel", ["eta_1_1_1d", "eta_cubic"])
 def test_failing_gate_exits_2(tmp_path, capsys, kernel):
     config = tmp_path / "study.cfg"
@@ -274,6 +274,23 @@ def test_a_malformed_number_flag_is_an_error_naming_it(capsys, flag, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("name, dim, at",
+                         [("eta_1_1_2d", 2, "0.1"), ("eta_1_1_1d", 1, "0.1,0.2")],
+                         ids=["2d-one-coordinate", "1d-two-coordinates"])
+def test_kernel_eval_rejects_a_point_of_another_dimension(capsys, name, dim, at):
+    assert main(["kernel", "eval", "--name", name, "--H", "0.5", "--at", at]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: expected a point of dimension {dim}")
+
+
+# the catalog's columns and derived orders, byte for byte
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_list_matches_its_golden_file(capsys, fmt):
+    assert main(["kernel", "list", "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"kernel-list.{fmt}").read_text()
 
 
 @pytest.mark.parametrize("H", ["nan", "inf", "0"])

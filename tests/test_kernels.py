@@ -11,11 +11,11 @@ from deltareg.kernels import (
     catalog_json,
     catalog_lookup,
     catalog_names,
-    eval_delta,
     tensor_product,
 )
 from deltareg.moments import moment_residuals
-from deltareg.quadrature import gauss_legendre, integrate_panels, weak_star_error
+from deltareg.quadrature import (convergence_slope, gauss_legendre, integrate_panels,
+                                 weak_star_error)
 
 RNG = np.random.default_rng(1234)
 
@@ -38,23 +38,17 @@ def test_unknown_name_lists_available():
 
 def test_eval_examples():
     box = catalog_lookup("eta_1_0_1d")(0.25)
-    assert eval_delta(box, [0.1]) == pytest.approx(2.0, abs=1e-14)
+    assert box.eval(0.1) == pytest.approx(2.0, abs=1e-14)
     hat = catalog_lookup("eta_1_1_1d")(1.0)
-    assert eval_delta(hat, [1.0]) == 0.0
-    assert eval_delta(hat, [-1.0]) == 0.0
-
-
-def test_eval_dimension_mismatch():
-    hat2d = catalog_lookup("eta_1_1_2d")(0.5)
-    with pytest.raises(ValueError):
-        eval_delta(hat2d, [0.1])
+    assert hat.eval(1.0) == 0.0
+    assert hat.eval(-1.0) == 0.0
 
 
 def test_tensor_peak_value():
     # each axis has half-width H / sqrt(2), so the peak is 1 / h^2 = 2 / H^2
     H = 0.5
     delta = tensor_product("eta_1_1_1d", H)
-    assert eval_delta(delta, [0.0, 0.0]) == pytest.approx(2.0 / H**2, abs=1e-12)
+    assert delta.eval([0.0, 0.0]) == pytest.approx(2.0 / H**2, abs=1e-12)
 
 
 @pytest.mark.parametrize("name, half_width", [("eta_1_1_1d", 1 / math.sqrt(2)),
@@ -65,8 +59,8 @@ def test_tensor_square_fits_the_ball(name, half_width):
     assert delta.half_width == pytest.approx(half_width, abs=1e-15)
     assert delta.support_radius == pytest.approx(1.0, abs=1e-14)
     # support is the full square: nonzero just inside its corners, zero just outside
-    assert eval_delta(delta, [0.7, 0.7]) > 0.0
-    assert eval_delta(delta, [0.71, 0.0]) == 0.0
+    assert delta.eval([0.7, 0.7]) > 0.0
+    assert delta.eval([0.71, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
@@ -168,9 +162,21 @@ def test_mass_is_scale_invariant_and_unit(name):
 @pytest.mark.parametrize("name", sorted(REQUIRED_NAMES))
 def test_catalog_moment_residuals(name):
     builder = catalog_lookup(name)
-    res = moment_residuals(builder.profile(), builder.entry.moments,
-                           dim=builder.entry.dim)
+    res = moment_residuals(builder.profile(), builder.weak_order, dim=builder.entry.dim)
     assert np.max(np.abs(res)) <= 1e-10
+
+
+# the weak-* rate H^(q+1) the weak-star gate expects, q the order derived from the
+# kernel's moments; a tensor square takes its axis profile's order
+@pytest.mark.parametrize("name", catalog_names() + [
+    f"tensor:{name}" for name in ("eta_1_1_1d", "eta_2_3_1d", "eta_2_5_1d", "eta_cubic")])
+def test_weak_star_slope_matches_the_derived_order(name):
+    builder = catalog_lookup(name.removeprefix("tensor:"))
+    Hs = [2.0**-k for k in range(2, 7)]
+    deltas = [tensor_product(builder, H) if name.startswith("tensor:") else builder(H)
+              for H in Hs]
+    slope = convergence_slope(Hs, [weak_star_error(delta) for delta in deltas]).slope
+    assert abs(slope - (builder.weak_order + 1)) <= 0.1
 
 
 # |<delta_H, 1> - 1|, the mass defect, stays at rounding level for every kernel the
@@ -219,3 +225,12 @@ def test_entries_carry_builder_specs_for_table_kernels():
     for entry in catalog_entries():
         if entry.source == "table1":
             assert entry.builder_spec is not None
+
+
+# a Table-1 label is the imposed boundary constraint, not the smoothness attained
+def test_table1_smoothness_is_the_imposed_boundary_constraint():
+    table1 = [e for e in catalog_entries() if e.source == "table1"]
+    assert len(table1) == 16
+    for e in table1:
+        s = e.builder_spec["s"]
+        assert e.smoothness == ("L1" if s == 0 else f"C{s - 1}"), e.name

@@ -26,7 +26,9 @@ from deltareg.moments import (
     radial_moment_residuals,
     solve_dense,
     solve_moment_problem,
+    weak_star_order,
 )
+from deltareg.profiles import poly_profile
 from deltareg.quadrature import convergence_slope, weak_star_error
 
 PI = math.pi
@@ -195,10 +197,16 @@ def test_package_imports_and_solves_without_scipy():
     # scipy serves only the 2D studies' Bessel functions (scipy.special); the package,
     # its CLI and the moment solve must not load scipy, and the Sobolev and pointwise
     # 2D studies load no more of it than scipy.special (scipy.optimize alone raises
-    # the helm2d bench's peak RSS by a fifth); importing builds no Green's-function table
+    # the helm2d bench's peak RSS by a fifth); importing builds no Green's-function
+    # table, solves no moment problem, derives no weak order and loads no fractions,
+    # and the catalog's solves and derivations load no scipy
     code = (
         "import sys, deltareg, deltareg.cli\n"
-        "print(deltareg.elliptic._greens_factors.cache_info().currsize)\n"
+        "print(deltareg.elliptic._greens_factors.cache_info().currsize, "
+        "deltareg.kernels._solved_profile.cache_info().currsize, "
+        "sum('weak_order' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
+        "'fractions' in sys.modules)\n"
+        "deltareg.kernels.catalog_json()\n"
         "from deltareg.moments import BasisFamily, BasisKind, MomentProblemSpec, "
         "solve_moment_problem\n"
         "solve_moment_problem(MomentProblemSpec(dim=2, moments=2, degree=3, "
@@ -217,7 +225,7 @@ def test_package_imports_and_solves_without_scipy():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split("\n")[:3] == ["0", "[]", "[]"]
+    assert done.stdout.split("\n")[:3] == ["0 0 0 False", "[]", "[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +465,22 @@ def test_every_square_problem_meets_its_rows_and_weak_order(spec):
     # weak-star rate H^(q+1), q the highest moment matched: odd ball moments
     # vanish by symmetry, so an even m also matches m + 1
     q = spec.moments + (spec.moments % 2 == 0)
+    assert weak_star_order(kernel) == q
     Hs = [2.0**-k for k in range(1, 5)]
     deltas = [RegularizedDelta(dim=spec.dim, name="eta", profile=kernel.profile(),
                                half_width=H) for H in Hs]
     errors = [weak_star_error(delta) for delta in deltas]
     assert convergence_slope(Hs, errors).slope == pytest.approx(q + 1, abs=0.25)
+
+
+def test_weak_star_order_needs_unit_mass():
+    with pytest.raises(ValueError, match="mass"):
+        weak_star_order(poly_profile([1.0]), dim=1)  # mass 2
+
+
+def test_weak_star_order_needs_a_moment_that_does_not_vanish_by_theta_8():
+    # m = 8 matches every moment up to theta = 9
+    kernel = solve_moment_problem(legendre_spec(1, 8, 8))
+    with pytest.raises(ValueError, match="theta = 8"):
+        weak_star_order(kernel)
+    assert weak_star_order(solve_moment_problem(legendre_spec(1, 6, 6))) == 7

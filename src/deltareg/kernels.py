@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -97,29 +97,34 @@ class CatalogEntry:
     builder_spec: dict | None = None
 
 
-@lru_cache(maxsize=None)
-def _solved_profile(spec: MomentProblemSpec) -> RadialProfile:
-    # one solve per moment problem and process, on first use
-    return solve_moment_problem(spec).profile()
-
-
 @dataclass(frozen=True)
 class KernelBuilder:
-    """Catalog entry plus a constructor parameterized by the support scale H."""
+    """Catalog entry plus a constructor parameterized by the support scale H.  Its moment
+    problem (`spec`, None for a literature kernel), profile and weak order are each
+    derived once per process, on first use."""
 
     entry: CatalogEntry
     printed: RadialProfile | None = None  # literature kernels only; Table-1 ones are solved
 
-    def profile(self) -> RadialProfile:
-        """The radial profile: printed for literature kernels, else solved from builder_spec."""
-        if self.printed is not None:
-            return self.printed
+    @cached_property
+    def spec(self) -> MomentProblemSpec | None:
+        """The moment problem of builder_spec under SurfaceMeasure; None for literature kernels."""
         e, b = self.entry, self.entry.builder_spec
+        if b is None:
+            return None
         kind = BasisKind.COSINE if b.get("basis") == "cosine" else BasisKind.SHIFTED_LEGENDRE
-        return _solved_profile(MomentProblemSpec(
+        return MomentProblemSpec(
             dim=e.dim, moments=b["m"], degree=b["p"], basis=BasisFamily(kind, b["p"]),
             boundary_smoothness=b["s"], origin_smoothness=b["origin"],
-        ))
+        )
+
+    @cached_property
+    def _profile(self) -> RadialProfile:
+        return self.printed if self.spec is None else solve_moment_problem(self.spec).profile()
+
+    def profile(self) -> RadialProfile:
+        """The radial profile: printed for literature kernels, else solved from `spec`."""
+        return self._profile
 
     @cached_property
     def weak_order(self) -> int:

@@ -4,10 +4,11 @@ A polynomial spec (`BasisKind.SHIFTED_LEGENDRE`: the polynomials of degree p)
 is posed on the monomials r^j, with exact `fractions.Fraction` rows in closed
 form.  A cosine spec (cos(k pi r)) takes its moment rows from a Gauss rule and
 its derivative rows at r = 0 and r = 1 from `_basis_values`.  Both systems have
-the right-hand side e_0 and go through one solver, `solve_dense`: partial
-pivoting on equilibrated rows with a pivot check, exact on Fractions.  nu(n)
-divides the solution once, in floats, so a 1D polynomial kernel's coefficients
-are its printed ones bit for bit.
+the right-hand side e_0 and go through one solver, `solve_dense`, with scaled
+partial pivoting and a pivot check: an exact system is eliminated fraction-free
+in integers and rounded to floats once, a float one in floats.  nu(n) divides
+the solution once, in floats, so a 1D polynomial kernel's coefficients are its
+printed ones bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -189,19 +191,23 @@ def assemble_moment_system(spec: MomentProblemSpec) -> DenseLinearSystem:
     return DenseLinearSystem(matrix=mat, rhs=rhs, row_labels=tuple(labels))
 
 
-def solve_dense(system: DenseLinearSystem) -> np.ndarray:
-    """Gaussian elimination with scaled partial pivoting and back substitution, in the
-    entries' own arithmetic; fails loudly on a relative pivot below 1e-13.
+def _ratio(num, den: int) -> float:
+    # num / den correctly rounded, as float(Fraction(num, den)) is: a zero is +0.0
+    return float(-num / -den if den < 0 else num / den)
 
-    `Fraction` entries are solved exactly and only the solution is rounded to
-    floats; float entries take float arithmetic.  Each candidate pivot is taken
-    relative to its row's largest entry, so the pivots are those of partial
-    pivoting (getrf's choice: the first row of largest magnitude) on the
-    equilibrated rows, and the 1e-13 threshold is relative to the pivot row's
-    scale.  Only the comparisons are made in floats: the rows are not divided,
-    which would double the exact work.  A failing pivot names the constraint of
-    the row that the permutation put there.  The systems are tiny, so Python
-    lists beat numpy's per-call overhead.
+
+def solve_dense(system: DenseLinearSystem) -> np.ndarray:
+    """Gaussian elimination with scaled partial pivoting; fails loudly on a relative
+    pivot below 1e-13, naming the constraint of the row the permutation put there.
+
+    An exact system (ints and `Fraction`s) is eliminated fraction-free in integers:
+    each row times the lcm of its denominators (its factor), each Bareiss update divided
+    exactly by the previous pivot, back substitution on det * x, and only x = X / det
+    rounded, correctly.  Any other system takes floats.  A candidate pivot, the
+    Gaussian-elimination entry (in integers: Bareiss entry / (previous pivot * factor)),
+    is taken in floats relative to its row's largest entry: the pivots of partial
+    pivoting (getrf's first row of largest magnitude) on the equilibrated rows.  The
+    systems are tiny, so Python lists beat numpy's per-call overhead.
     """
     n = len(system.rhs)
     if np.shape(system.matrix) != (n, n) or np.shape(system.rhs) != (n,):
@@ -209,28 +215,40 @@ def solve_dense(system: DenseLinearSystem) -> np.ndarray:
     labels = system.row_labels or tuple(f"row {i}" for i in range(n))
     rows = [row + [b] for row, b in zip(np.asarray(system.matrix).tolist(),
                                          np.asarray(system.rhs).tolist())]
-    scale = [max(abs(float(v)) for v in row[:n]) or 1.0 for row in rows]
-    order = list(range(n))
+    try:  # ints and Fractions have denominators, floats do not
+        factor = [math.lcm(*(v.denominator for v in row)) for row in rows]
+        rows = [[int(v.numerator * (d // v.denominator)) for v in row]
+                for row, d in zip(rows, factor)]
+        exact = True
+    except AttributeError:
+        factor, exact = [1] * n, False
+    scale = [max(map(abs, row[:n])) / d or 1.0 for row, d in zip(rows, factor)]
+    order, prev = list(range(n)), 1  # prev, the previous pivot, stays 1 for floats
     for col in range(n):
-        p = max(range(col, n), key=lambda i: abs(float(rows[i][col])) / scale[order[i]])
+        gauss = [_ratio(rows[i][col], prev * factor[order[i]]) for i in range(col, n)]
+        p = max(range(col, n), key=lambda i: abs(gauss[i - col]) / scale[order[i]])
+        top, pivot = rows[p], gauss[p - col]
         rows[col], rows[p] = rows[p], rows[col]
         order[col], order[p] = order[p], order[col]
-        top = rows[col]
-        if abs(float(top[col])) / scale[order[col]] < 1e-13:
+        if abs(pivot) / scale[order[col]] < 1e-13:
             raise SingularSystemError(
-                f"singular moment system: pivot {float(top[col]):.3e} at column {col} "
+                f"singular moment system: pivot {pivot:.3e} at column {col} "
                 f"(constraint '{labels[order[col]]}')"
             )
         for row in rows[col + 1:]:
-            f = row[col] / top[col]
-            if f:  # the constraint rows are mostly zeros
+            if exact:  # Bareiss: the division by the previous pivot is exact
+                f, t = row[col], top[col]
+                row[col + 1:] = [(t * a - f * b) // prev
+                                 for a, b in zip(row[col + 1:], top[col + 1:])]
+            elif f := row[col] / top[col]:  # the constraint rows are mostly zeros
                 for j in range(col + 1, n + 1):
                     row[j] -= f * top[j]
-    x = [0] * n
-    for i in reversed(range(n)):
-        row = rows[i]
-        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
-    return np.array(x, dtype=float)
+        prev = top[col] if exact else 1
+    x = [0] * n  # det * x, where det = prev is the determinant of the integer rows
+    for i, row in reversed(list(enumerate(rows))):
+        rest = prev * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = rest // row[i] if exact else rest / row[i]
+    return np.array([_ratio(v, prev) for v in x], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -247,10 +265,13 @@ class EtaKernel:
     coeffs: np.ndarray
     name: str = ""
 
+    @cached_property
+    def _profile(self) -> RadialProfile:
+        cosine = self.spec.basis.kind is BasisKind.COSINE
+        return (cosine_profile if cosine else poly_profile)(self.coeffs)
+
     def profile(self) -> RadialProfile:
-        if self.spec.basis.kind is BasisKind.COSINE:
-            return cosine_profile(self.coeffs)
-        return poly_profile(self.coeffs)
+        return self._profile
 
     def to_json(self) -> str:
         return json.dumps({

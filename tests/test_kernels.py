@@ -223,8 +223,29 @@ def test_catalog_json_round_trip():
 
 def test_entries_carry_builder_specs_for_table_kernels():
     for entry in catalog_entries():
+        builder = catalog_lookup(entry.name)
         if entry.source == "table1":
-            assert entry.builder_spec is not None
+            assert entry.builder_spec is not None and builder.spec.dim == entry.dim
+        else:
+            assert builder.spec is None
+
+
+def test_no_two_catalog_specs_are_equal():
+    specs = [catalog_lookup(e.name).spec for e in catalog_entries() if e.builder_spec]
+    assert len(specs) == len(set(specs)) == 16
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_each_kernel_builds_one_profile(name):
+    builder = catalog_lookup(name)
+    prof = builder.profile()
+    assert builder.profile() is prof and builder(0.5).profile is prof
+    if builder.entry.dim == 1:
+        assert tensor_product(name, 0.5).profile is prof
+
+
+def test_an_alias_shares_its_kernel_profile():
+    assert catalog_lookup("eta_hat1").profile() is catalog_lookup("eta_1_1_1d").profile()
 
 
 # a Table-1 label is the imposed boundary constraint, not the smoothness attained

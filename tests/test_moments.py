@@ -95,17 +95,51 @@ def test_assemble_2d_reproduces_printed_linear_kernel():
     assert kernel.coeffs.tolist() == [18 / PI, -24 / PI]
 
 
-def test_solver_row_scaling_invariance():
-    # integer scales keep the Fraction system exact, so the solution cannot move
+def _scaled_quintic_system():
+    # integer row scales keep the Fraction system exact
     system = assemble_moment_system(legendre_spec(1, 2, 5, s=2, origin=2))
-    base = solve_dense(system)
     scales = np.array([3, 160, 7, 1, 12, 45])
-    scaled = DenseLinearSystem(
-        matrix=system.matrix * scales[:, None],
-        rhs=system.rhs * scales,
-        row_labels=system.row_labels,
-    )
+    return DenseLinearSystem(matrix=system.matrix * scales[:, None], rhs=system.rhs * scales,
+                             row_labels=system.row_labels)
+
+
+def test_solver_row_scaling_invariance():
+    # the system is exact, so the solution cannot move
+    base = solve_dense(assemble_moment_system(legendre_spec(1, 2, 5, s=2, origin=2)))
+    scaled = _scaled_quintic_system()
     assert solve_dense(scaled).tolist() == base.tolist() == [9, 0, -300, 900, -945, 336]
+
+
+def _reference_solve(system):
+    # Gaussian elimination with scaled partial pivoting in the entries' own arithmetic,
+    # exact on Fractions: the solver's rule, without its integer rows
+    n, labels = len(system.rhs), system.row_labels or [f"row {i}" for i in range(len(system.rhs))]
+    rows = [row + [b] for row, b in zip(np.asarray(system.matrix).tolist(),
+                                         np.asarray(system.rhs).tolist())]
+    scale = [max(abs(float(v)) for v in row[:n]) or 1.0 for row in rows]
+    order = list(range(n))
+    for col in range(n):
+        p = max(range(col, n), key=lambda i: abs(float(rows[i][col])) / scale[order[i]])
+        rows[col], rows[p], order[col], order[p] = rows[p], rows[col], order[p], order[col]
+        top = rows[col]
+        if abs(float(top[col])) / scale[order[col]] < 1e-13:
+            raise SingularSystemError(f"singular moment system: pivot {float(top[col]):.3e} "
+                                      f"at column {col} (constraint '{labels[order[col]]}')")
+        for row in rows[col + 1:]:
+            f = row[col] / top[col]
+            if f:
+                row[col + 1:] = [a - f * b for a, b in zip(row[col + 1:], top[col + 1:])]
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return np.array(x, dtype=float)
+
+
+def _outcome(solve, system):
+    try:
+        return solve(system).tolist()
+    except SingularSystemError as err:
+        return str(err)
 
 
 def test_singular_system_fails_loudly():
@@ -203,7 +237,7 @@ def test_package_imports_and_solves_without_scipy():
     code = (
         "import sys, deltareg, deltareg.cli\n"
         "print(deltareg.elliptic._greens_factors.cache_info().currsize, "
-        "deltareg.kernels._solved_profile.cache_info().currsize, "
+        "sum('_profile' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
         "sum('weak_order' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
         "'fractions' in sys.modules)\n"
         "deltareg.kernels.catalog_json()\n"
@@ -402,6 +436,11 @@ def test_condition_estimate_present():
 # serialization
 # ---------------------------------------------------------------------------
 
+def test_eta_kernel_builds_one_profile():
+    kernel = solve_moment_problem(legendre_spec(1, 2, 3, s=1))
+    assert kernel.profile() is kernel.profile()
+
+
 def test_json_carries_spec_and_exact_coefficients():
     kernel = solve_moment_problem(legendre_spec(1, 2, 5, s=2, origin=2), name="quintic")
     payload = json.loads(kernel.to_json())
@@ -471,6 +510,70 @@ def test_every_square_problem_meets_its_rows_and_weak_order(spec):
                                half_width=H) for H in Hs]
     errors = [weak_star_error(delta) for delta in deltas]
     assert convergence_slope(Hs, errors).slope == pytest.approx(q + 1, abs=0.25)
+
+
+_POLYNOMIAL_CATALOG = [(e.name, catalog_lookup(e.name).spec) for e in catalog_entries()
+                       if e.builder_spec and e.builder_spec.get("basis") != "cosine"]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [assemble_moment_system(spec) for spec in SQUARE_SPECS]
+    + [assemble_moment_system(spec) for _, spec in _POLYNOMIAL_CATALOG] + [_scaled_quintic_system()],
+    ids=[_spec_id(spec) for spec in SQUARE_SPECS] + [name for name, _ in _POLYNOMIAL_CATALOG]
+    + ["scaled-quintic"])
+def test_solve_dense_matches_the_fraction_reference_bit_for_bit(system):
+    assert solve_dense(system).tolist() == _reference_solve(system).tolist()
+
+
+def test_polynomial_catalog_has_twelve_specs():
+    assert len(_POLYNOMIAL_CATALOG) == 12
+
+
+@pytest.mark.parametrize("rows", [[[Fraction(0), 1.0], [Fraction(0), 2.0]],
+                                  [[Fraction(1, 3), 1.0], [Fraction(2), 0.5]]])
+def test_a_system_mixing_fractions_and_floats_solves_as_the_reference(rows):
+    system = DenseLinearSystem(matrix=np.array(rows, dtype=object), rhs=np.ones(2))
+    assert _outcome(solve_dense, system) == _outcome(_reference_solve, system)
+
+
+def _small_exact_systems():
+    # seeded integer and Fraction matrices, rank-deficient by construction in 2 of 3
+    # (a row that combines two others, or a copy of one)
+    rng = np.random.default_rng(34)
+    cases = []
+    for trial in range(600):
+        n, fractions = int(rng.integers(1, 7)), trial % 2 == 1
+        a = rng.integers(-4, 5, (n, n)).tolist()
+        if fractions:
+            a = [[Fraction(v, int(rng.integers(1, 7))) for v in row] for row in a]
+        if n > 2 and trial % 3 == 1:
+            i, j, k = (int(v) for v in rng.choice(n, 3, replace=False))
+            c1, c2 = (Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                      if fractions else int(rng.integers(-3, 4)) for _ in range(2))
+            a[k] = [c1 * u + c2 * v for u, v in zip(a[i], a[j])]
+        elif n > 1 and trial % 3 == 2:
+            a[int(rng.integers(1, n))] = list(a[0])
+        cases.append(DenseLinearSystem(matrix=np.array(a, dtype=object if fractions else int),
+                                       rhs=rng.integers(-2, 3, n)))
+    return cases
+
+
+def test_exact_pivots_and_singular_messages_match_the_reference():
+    # the integer path must solve as the Fraction reference does, or fail at its column
+    # with its pivot and the label of the same permuted row
+    near = DenseLinearSystem(matrix=np.array([[Fraction(1), Fraction(1)],
+                                              [Fraction(1), 1 + Fraction(1, 10**14)]]),
+                             rhs=np.ones(2, dtype=int))
+    with pytest.raises(SingularSystemError, match=r"pivot 1\.000e-14 at column 1 "):
+        solve_dense(near)
+    singular = 0
+    for system in _small_exact_systems() + [near]:
+        as_fractions = np.vectorize(Fraction, otypes=[object])(system.matrix)
+        got = _outcome(solve_dense, system)
+        assert got == _outcome(_reference_solve, DenseLinearSystem(as_fractions, system.rhs))
+        singular += isinstance(got, str)
+    assert 150 < singular < 450, singular  # both solved and singular cases are checked
 
 
 def test_weak_star_order_needs_unit_mass():

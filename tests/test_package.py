@@ -21,6 +21,7 @@ import pytest
 
 import deltareg
 from deltareg import elliptic, reports, spectral
+from deltareg.kernels import catalog_entries, catalog_lookup
 
 _PACKAGE = Path(deltareg.__file__).resolve().parent
 _LAYERTRACE = _PACKAGE.parent.parent / "bench" / "layertrace.py"
@@ -132,16 +133,30 @@ def test_each_helmholtz_study_solves_once_per_kernel_and_width(monkeypatch, conf
     assert sorted(calls) == sorted([0.25, 0.125] * len(kernels))
 
 
-@pytest.mark.skipif(not _WORKLOADS.is_file(), reason="no bench/ beside src/")
-def test_the_untraced_bench_loads_every_workload_and_checks_every_catalog_solve(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
+    if not _WORKLOADS.is_file():
+        pytest.skip("no bench/ beside src/")
+    module = types.ModuleType("workloads")
+    module.__file__ = str(_WORKLOADS)
+    monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclasses look it up
+    exec(compile(_WORKLOADS.read_text(), str(_WORKLOADS), "exec"), vars(module))
+    return module
+
+
+def test_the_untraced_bench_loads_every_workload_and_checks_every_catalog_solve(workloads):
     # the bench builds moment specs and checks solves through the package's own names
     # (BasisKind, BasisFamily, solve_moment_problem(spec, name=), builder_spec); a
     # change that breaks one fails here, not only in a benchmark run
-    workloads = types.ModuleType("workloads")
-    workloads.__file__ = str(_WORKLOADS)
-    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
-    exec(compile(_WORKLOADS.read_text(), str(_WORKLOADS), "exec"), vars(workloads))
     loaded = {name: workloads.load(name, 1) for name in workloads.NAMES}
     assert all(workload.configs for workload in loaded.values())
     result = workloads.run_pass(loaded["kernels"])
     assert (result.solves, result.failed, result.errors) == (16, 0, [])
+
+
+def test_the_bench_builds_each_catalog_spec_as_the_catalog_does(workloads):
+    # the bench keeps its own copy of the builder_spec -> MomentProblemSpec mapping
+    entries = [e for e in catalog_entries() if e.builder_spec is not None]
+    assert len(entries) == 16
+    for entry in entries:
+        assert workloads._moment_spec(entry) == catalog_lookup(entry.name).spec

@@ -297,22 +297,22 @@ def solve_moment_problem(spec: MomentProblemSpec, name: str = "") -> EtaKernel:
 def radial_moment_residuals(kernel, upto: int, dim: int | None = None) -> np.ndarray:
     """Radial-reduction residuals nu(n) * integral(eta r^(theta+n-1)) - [theta=0], theta = 0..upto.
 
-    `kernel` is an EtaKernel, whose spec supplies the normalization and, unless
-    it is given, dim; or a RadialProfile, which needs `dim` and takes the
-    SurfaceMeasure normalization.  These are the literal moment rows of the
-    assembled system; no symmetry credit is taken for odd orders.
+    `kernel` is an EtaKernel, whose spec supplies the normalization and dim (a
+    different `dim` raises ValueError); or a RadialProfile, which needs `dim` and
+    takes the SurfaceMeasure normalization.  These are the literal moment rows of
+    the assembled system; no symmetry credit is taken for odd orders.
     """
     if upto < 0:
         raise ValueError("upto must be nonnegative")
     prof, normalization = kernel, Normalization.SURFACE_MEASURE
     if isinstance(kernel, EtaKernel):
-        prof, normalization = kernel.profile(), kernel.spec.normalization
-        dim = kernel.spec.dim if dim is None else dim
+        if dim not in (None, kernel.spec.dim):
+            raise ValueError(f"dim = {dim} for a {kernel.spec.dim}D kernel's moment problem")
+        prof, normalization, dim = kernel.profile(), kernel.spec.normalization, kernel.spec.dim
     if dim is None:
         raise TypeError("dimension required")
-    nu = normalization.nu(dim)
     theta = np.arange(upto + 1)
-    return np.array([nu * prof.moment(t + dim - 1) for t in theta]) - (theta == 0)
+    return normalization.nu(dim) * prof.moment(theta + dim - 1) - (theta == 0)
 
 
 def moment_residuals(kernel, upto: int, dim: int | None = None) -> np.ndarray:

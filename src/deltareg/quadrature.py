@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -14,6 +14,7 @@ __all__ = [
     "gauss_legendre",
     "integrate_panels",
     "weak_star_error",
+    "weak_star_errors",
     "convergence_slope",
     "SlopeFit",
     "QuadratureError",
@@ -52,14 +53,17 @@ def gauss_legendre(order: int) -> GaussRule:
     return GaussRule(nodes=nodes, weights=weights, order=order)
 
 
-def integrate_panels(f, edges, rule: GaussRule) -> float:
+def integrate_panels(f, edges, rule: GaussRule):
     """Composite Gauss integration with explicit panel edges (ascending).
 
-    `f` is called once, on every panel's nodes; panels of zero width are skipped.
-    The panel sums are added in order, as a per-panel loop would add them.
+    `f` is called once, on every panel's nodes (zero-width panels are skipped), and may
+    stack integrands on leading axes for an array of integrals.  The panel sums are
+    added in order, as a per-panel loop would add them.
     """
     x, w = _panels(edges, rule)
-    return _panel_sum(w, np.reshape(f(x.ravel()), x.shape))
+    fx = f(x.ravel())
+    total = _panel_sum(w, np.reshape(fx, np.shape(fx)[:-1] + x.shape))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _panels(edges, rule: GaussRule) -> tuple[np.ndarray, np.ndarray]:
@@ -68,11 +72,11 @@ def _panels(edges, rule: GaussRule) -> tuple[np.ndarray, np.ndarray]:
     return rule.mapped(edges[:-1][keep, None], edges[1:][keep, None])
 
 
-def _panel_sum(w, fx) -> float:
-    total = 0.0
-    for wi, fi in zip(w, fx):
-        total += float(np.dot(wi, fi))
-    return total
+# sum_p w_p . f_p in panel order, per stack index of fx; each dot a (1 x q) @ (q x 1)
+# matmul, which numpy sends to np.dot's kernel (a batched gemv moves 12-digit cells)
+def _panel_sum(w, fx):
+    dots = (w[:, None, :] @ fx[..., None])[..., 0, 0]
+    return reduce(np.add, (dots[..., p] for p in range(dots.shape[-1])), 0.0)
 
 
 def _gaussian(x, *rest):
@@ -101,53 +105,62 @@ def _weak_star_table(prof, dim: int, order: int) -> tuple:
     return table
 
 
-def _weak_star_once(delta, phi, order: int) -> float:
-    """One evaluation of the integral of delta_H against phi at Gauss order `order`.
+def _weak_star_sums(deltas, phi, order: int) -> np.ndarray:
+    """The integral of each delta_H (one profile, dim and kind) against phi at order `order`.
 
-    Radial kernels use a polar product rule: Gauss in rho on the breakpoint
-    panels, weighted by nu(n) rho^(n-1), times the mean of phi over the unit
-    directions, {+1, -1} in 1D and `order` equispaced angles in 2D (the periodic
-    trapezoid rule).  The tensor square takes that 1D rule on each axis: nodes
-    h rho_i s, s = +-1 in i-major order, each weighing w_i eta(rho_i), so the
-    integral is wx . (Phi wx) with Phi_kl = phi(x_k, x_l).  A call evaluates only
-    phi(h x); the rest is `_weak_star_table`, kept per (dim, order) in the
-    profile's `_weak_star` for every H and later call, not in a process-wide
-    cache: a profile from a list of pieces is unhashable.  A constant phi may
-    return a scalar: the sum is then phi times the mass, (sum wx)^2 for the square.
+    Radial kernels: Gauss in rho on the breakpoint panels, weighted by nu(n) rho^(n-1),
+    times the mean of phi over {+1, -1} in 1D or `order` equispaced angles in 2D, phi
+    taking (widths, rho, directions) arrays.  The tensor square takes that 1D rule on
+    each axis, one grid per width: nodes h rho_i s (s = +-1, i-major) weighing
+    wx_i = w_i eta(rho_i), so the integral is wx . (Phi wx).  The H-free rest is the
+    profile's `_weak_star_table`.  A constant phi may return a scalar.
     """
-    h = delta.half_width
-    if delta.is_radial:
-        rho, w, eta, *dirs, mean_w = _weak_star_table(delta.profile, delta.dim, order)
-        vals = phi(*(h * rho[:, None] * d for d in dirs))
-        mean_phi = vals @ mean_w if np.ndim(vals) else vals
-        nu = 2.0 if delta.dim == 1 else 2.0 * np.pi  # the measure of the unit sphere
-        return nu * _panel_sum(w, np.reshape(eta * mean_phi, w.shape))
-    rho, w, eta, signs, _ = _weak_star_table(delta.profile, 1, order)
-    x = (h * rho[:, None] * signs).ravel()
+    if deltas[0].is_radial:
+        rho, w, eta, *dirs, mean_w = _weak_star_table(deltas[0].profile, deltas[0].dim, order)
+        h = np.array([d.half_width for d in deltas])[:, None, None]
+        mean_phi = np.empty((h.size, eta.size))
+        # <= 4096 points a call (or one width): larger arrays page-fault on glibc's heap trim
+        step = max(1, 4096 // (eta.size * mean_w.size))
+        for i in range(0, h.size, step):
+            vals = phi(*(h[i:i + step] * rho[:, None] * d for d in dirs))
+            mean_phi[i:i + step] = vals @ mean_w if np.ndim(vals) else vals
+        nu = 2.0 if deltas[0].dim == 1 else 2.0 * np.pi  # the measure of the unit sphere
+        return nu * _panel_sum(w, np.reshape(eta * mean_phi, (h.size, *w.shape)))
+    rho, w, eta, signs, _ = _weak_star_table(deltas[0].profile, 1, order)
     wx = np.repeat(w.ravel() * eta, signs.size)
-    vals = phi(x[:, None], x[None, :])
-    return float(wx @ (vals @ wx)) if np.ndim(vals) else float(vals) * float(wx.sum()) ** 2
+    xs = ((d.half_width * rho[:, None] * signs).ravel() for d in deltas)
+    grids = (phi(x[:, None], x[None, :]) for x in xs)  # one width's grid at a time
+    return np.array([wx @ (g @ wx) if np.ndim(g) else float(g) * float(wx.sum()) ** 2
+                     for g in grids])
+
+
+def weak_star_errors(deltas, phi=None) -> list[float]:
+    """|integral of delta_H against phi - phi(0)| for each of a sequence of deltas.
+
+    The deltas differ only in H: one profile object, dimension and kind, else ValueError.
+    phi defaults to exp(-|x|^2) and need not be radial.  Each H is accepted at its first
+    Gauss-order doubling from 24 (radial nodes and, in 2D, angles alike) that moves it by
+    <= 1e-12, and only the rest go on; one unsettled at 192 raises QuadratureError.
+    """
+    if len({(id(d.profile), d.dim, d.is_radial) for d in deltas}) != 1:
+        raise ValueError("a weak-star sweep takes one kernel's widths: one profile, dim and kind")
+    phi = _gaussian if phi is None else phi
+    at_zero = float(phi(*(0.0,) * deltas[0].dim))
+    errors, todo = np.empty(len(deltas)), np.arange(len(deltas))
+    prev = _weak_star_sums(deltas, phi, _BASE_ORDER)
+    for order in (2 * _BASE_ORDER, 4 * _BASE_ORDER, 8 * _BASE_ORDER):
+        val = _weak_star_sums([deltas[i] for i in todo], phi, order)
+        done = np.abs(val - prev) <= 1e-12
+        errors[todo[done]] = np.abs(val[done] - at_zero)
+        todo, prev = todo[~done], val[~done]
+        if not todo.size:
+            return errors.tolist()
+    raise QuadratureError("weak-star quadrature failed to converge under order doubling")
 
 
 def weak_star_error(delta, phi=None) -> float:
-    """|integral of delta_H against the test function - value at 0|.
-
-    The test function defaults to exp(-|x|^2).  Integration runs in the rescaled
-    variable over the kernel support, with panel edges on every kernel
-    breakpoint; radial kernels integrate phi over the directions of every
-    radius, so phi need not be radial.  The result is accepted only once
-    doubling the Gauss order from 24 (radial nodes and, in 2D, angles alike)
-    moves it by <= 1e-12.  Each order's H-free table is built once per profile
-    and dimension and shared by every H and by the tensor square's axes
-    (`_weak_star_once`).
-    """
-    phi = _gaussian if phi is None else phi
-    val = _weak_star_once(delta, phi, _BASE_ORDER)
-    for order in (2 * _BASE_ORDER, 4 * _BASE_ORDER, 8 * _BASE_ORDER):
-        val, prev = _weak_star_once(delta, phi, order), val
-        if abs(val - prev) <= 1e-12:
-            return abs(val - float(phi(*(0.0,) * delta.dim)))
-    raise QuadratureError("weak-star quadrature failed to converge under order doubling")
+    """`weak_star_errors` of the one kernel delta_H: |<delta_H, phi> - phi(0)|."""
+    return weak_star_errors([delta], phi)[0]
 
 
 @dataclass(frozen=True)

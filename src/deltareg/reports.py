@@ -40,7 +40,8 @@ import numpy as np
 
 from . import elliptic, spectral
 from .kernels import catalog_lookup, catalog_names, tensor_product
-from .quadrature import convergence_slope, weak_star_error
+# no study calls weak_star_error: bench/layertrace.py wraps it by name, as _map_rows
+from .quadrature import convergence_slope, weak_star_error, weak_star_errors  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -304,7 +305,7 @@ def _status(ok: bool) -> str:
     return "ok" if ok else "fail"
 
 
-# a function of its own only because bench/layertrace.py wraps it to time each row
+# no study calls it since weak-star rows are one sweep; bench/layertrace.py wraps it by name
 def _map_rows(fn, items):
     return [fn(item) for item in items]
 
@@ -327,7 +328,7 @@ def _weakstar(opts: dict):
 
     def kernel_rows(name):
         make, builder, dim = _resolve_kernel(name)
-        Es = _map_rows(lambda H: weak_star_error(make(H)), Hs)
+        Es = weak_star_errors([make(H) for H in Hs])
         fit = convergence_slope(Hs, Es)
         slopes[name] = fit.slope
         expected = builder.weak_order + 1  # a tensor square's is its axis profile's

@@ -382,14 +382,15 @@ def test_rate_max_without_rate_min_is_an_error(tmp_path, capsys):
     assert "rate_max needs rate_min" in capsys.readouterr().err
 
 
-# each per-study subcommand with only its kernels and H flags, and the config that
-# says the same; both must take every other value from the study's one table
+# each per-study subcommand with only its kernels and H flags (and advect's T, 2pi: 8,192
+# steps, not the default 36pi's 147,456), and the config that says the same; both must
+# take every other value from the study's one table
 STUDY_FLAGS = {
     "weakstar": {"kernels": "eta_1_1_1d", "H": "2^-2..2^-3"},
     "helmholtz1d": {"kernels": "eta_1_2_1d", "H": "2^-2..2^-3"},
     "helmholtz2d": {"kernels": "eta_0_1_2d", "H": "2^-2..2^-3"},
     "helmholtz2d-sobolev": {"kernels": "eta_0_1_2d", "H": "2^-2..2^-3"},
-    "advect": {"kernels": "eta_1_1_1d", "H": "0.5"},
+    "advect": {"kernels": "eta_1_1_1d", "H": "0.5", "T": "2pi"},
     "kdv": {"H": "pi"},
 }
 
@@ -405,7 +406,7 @@ def test_subcommand_matches_study_config(tmp_path, command):
     config.write_text(f"study = {command}\n"
                       + "".join(f"{k} = {v}\n" for k, v in STUDY_FLAGS[command].items()))
     by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
-    code = main([command, *_flags(command, {"kernels", "H"}), "--out", str(by_flags)])
+    code = main([command, *_flags(command, {"kernels", "H", "T"}), "--out", str(by_flags)])
     assert code == main(["study", str(config), "--out", str(by_config)])
     assert by_flags.read_bytes() == by_config.read_bytes()
 

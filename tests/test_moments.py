@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder, polyint, polyval
 
 import deltareg
-from deltareg.kernels import RegularizedDelta, catalog_entries, catalog_lookup
+from deltareg.kernels import RegularizedDelta, catalog_entries, catalog_lookup, catalog_names
 from deltareg.moments import (
     BasisFamily,
     BasisKind,
@@ -28,8 +28,8 @@ from deltareg.moments import (
     solve_moment_problem,
     weak_star_order,
 )
-from deltareg.profiles import poly_profile
-from deltareg.quadrature import convergence_slope, weak_star_error
+from deltareg.profiles import PolyPiece, RadialProfile, poly_profile
+from deltareg.quadrature import convergence_slope, gauss_legendre, integrate_panels, weak_star_error
 
 PI = math.pi
 
@@ -232,14 +232,18 @@ def test_package_imports_and_solves_without_scipy():
     # its CLI and the moment solve must not load scipy, and the Sobolev and pointwise
     # 2D studies load no more of it than scipy.special (scipy.optimize alone raises
     # the helm2d bench's peak RSS by a fifth); importing builds no Green's-function
-    # table, solves no moment problem, derives no weak order and loads no fractions,
-    # and the catalog's solves and derivations load no scipy
+    # table, solves no moment problem, derives no weak order and loads no fractions
+    # and no more of numpy.polynomial than numpy itself does, and the catalog's solves
+    # and derivations load no scipy
     code = (
-        "import sys, deltareg, deltareg.cli\n"
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import deltareg, deltareg.cli\n"
         "print(deltareg.elliptic._greens_factors.cache_info().currsize, "
         "sum('_profile' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
         "sum('weak_order' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
-        "'fractions' in sys.modules)\n"
+        "'fractions' in sys.modules, "
+        "any(m.startswith('numpy.polynomial') for m in set(sys.modules) - before))\n"
         "deltareg.kernels.catalog_json()\n"
         "from deltareg.moments import BasisFamily, BasisKind, MomentProblemSpec, "
         "solve_moment_problem\n"
@@ -259,7 +263,7 @@ def test_package_imports_and_solves_without_scipy():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split("\n")[:3] == ["0 0 0 False", "[]", "[]"]
+    assert done.stdout.split("\n")[:3] == ["0 0 0 False False", "[]", "[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +423,19 @@ def test_radial_residuals_expose_unmatched_third_order():
     assert moment_residuals(kernel, 3)[3] == 0.0
 
 
+@pytest.mark.parametrize("upto", [0, 2, 8])
+def test_a_dimension_other_than_the_kernels_is_an_error(upto):
+    # the 1D eta_2_3 read as 2D gave the residuals of another problem, [-1, 0, 0.0898]
+    kernel = solve_moment_problem(legendre_spec(1, 2, 3, s=1))
+    for check in (radial_moment_residuals, moment_residuals):
+        with pytest.raises(ValueError, match="dim = 2 for a 1D kernel"):
+            check(kernel, upto, dim=2)
+        assert np.array_equal(check(kernel, upto, dim=1), check(kernel, upto))
+    with pytest.raises(ValueError, match="dim = 2 for a 1D kernel"):
+        weak_star_order(kernel, dim=2)
+    assert weak_star_order(kernel, dim=1) == weak_star_order(kernel) == 3
+
+
 def test_nonuniqueness_extra_direction_preserves_moments():
     base = solve_moment_problem(legendre_spec(1, 2, 3, s=1))
     extended = solve_moment_problem(legendre_spec(1, 2, 4, s=2))
@@ -510,6 +527,45 @@ def test_every_square_problem_meets_its_rows_and_weak_order(spec):
                                half_width=H) for H in Hs]
     errors = [weak_star_error(delta) for delta in deltas]
     assert convergence_slope(Hs, errors).slope == pytest.approx(q + 1, abs=0.25)
+
+
+def _reference_moment(prof, power: int) -> float:
+    """Oracle: numpy.polynomial's polyint (from each piece's lo) and polyval at its hi,
+    summed over the pieces; a cosine series takes the 32-point rule one power at a time."""
+    if not prof.is_polynomial:
+        return integrate_panels(lambda r: prof.eval(r) * r**power, prof.breakpoints,
+                                gauss_legendre(32))
+    total = 0.0
+    for piece in prof.pieces:
+        antideriv = polyint(np.concatenate([np.zeros(power), piece.coeffs]), lbnd=piece.lo)
+        total += float(polyval(piece.hi, antideriv))
+    return total
+
+
+# the 21 catalog names, the 130 square specs, and pieces of unequal degree off 0
+@pytest.mark.parametrize("prof", [catalog_lookup(name).profile() for name in catalog_names()]
+                         + [solve_moment_problem(spec).profile() for spec in SQUARE_SPECS]
+                         + [RadialProfile(pieces=(PolyPiece(0.0, 0.5, (1.0, 2.0, -3.0, 0.25)),
+                                                  PolyPiece(0.5, 1.25, [0.75, -0.5]),
+                                                  PolyPiece(1.25, 2.0, (2, -1))), support=2.0)])
+def test_moments_over_many_powers_match_one_power_at_a_time(prof):
+    powers = np.arange(9)
+    expected = [_reference_moment(prof, int(k)) for k in powers]
+    got = prof.moment(powers)
+    assert got.shape == (9,)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+    single = prof.moment(3)
+    assert type(single) is float and single.hex() == expected[3].hex()
+    assert prof.moment(np.array([4, 0, 4])).tolist() == [expected[4], expected[0], expected[4]]
+
+
+@pytest.mark.parametrize("name", ["eta_2_3_1d", "eta_cubic", "eta_2_cos_1d"])
+def test_a_negative_moment_power_is_an_error(name):
+    # a negative power would index the antiderivative table from its top degree
+    prof = catalog_lookup(name).profile()
+    for power in (-1, np.array([2, -1])):
+        with pytest.raises(ValueError, match="moment powers must be >= 0, not -1"):
+            prof.moment(power)
 
 
 _POLYNOMIAL_CATALOG = [(e.name, catalog_lookup(e.name).spec) for e in catalog_entries()

@@ -12,11 +12,12 @@ from deltareg.profiles import PolyPiece, RadialProfile, poly_profile
 from deltareg.quadrature import (
     QuadratureError,
     _gaussian,
-    _weak_star_once,
+    _weak_star_sums,
     convergence_slope,
     gauss_legendre,
     integrate_panels,
     weak_star_error,
+    weak_star_errors,
 )
 
 
@@ -167,8 +168,8 @@ def test_weak_star_tensor_path_factors_into_radial_paths(name, H):
     tensor = tensor_product(builder, H)
     axis = builder(tensor.half_width)
     for order in (24, 48):
-        product = _weak_star_once(axis, f, order) * _weak_star_once(axis, g, order)
-        assert _weak_star_once(tensor, lambda x, y: f(x) * g(y), order) == pytest.approx(
+        product = _weak_star_sums([axis], f, order)[0] * _weak_star_sums([axis], g, order)[0]
+        assert _weak_star_sums([tensor], lambda x, y: f(x) * g(y), order)[0] == pytest.approx(
             product, abs=1e-13)
 
 
@@ -190,8 +191,8 @@ def test_weak_star_covers_a_support_wider_than_two():
 def test_weak_star_order_doubling_floor(name):
     # doubling the base order 24 moves the sum by <= 1e-12 at H >= 1/64
     delta = catalog_lookup(name)(1 / 64)
-    a = _weak_star_once(delta, _gaussian, 24)
-    b = _weak_star_once(delta, _gaussian, 48)
+    [a] = _weak_star_sums([delta], _gaussian, 24)
+    [b] = _weak_star_sums([delta], _gaussian, 48)
     assert abs(a - b) <= 1e-12
 
 
@@ -237,9 +238,9 @@ def test_weak_star_table_matches_the_per_call_sum_exactly(spec):
         phi = _gaussian
         for order in (24, 48):
             expected = _per_call_weak_star_once(delta, phi, order)
-            assert _weak_star_once(delta, phi, order) == expected
+            assert _weak_star_sums([delta], phi, order)[0] == expected
             delta.profile._weak_star.clear()
-            assert _weak_star_once(delta, phi, order) == expected
+            assert _weak_star_sums([delta], phi, order)[0] == expected
     tables = delta.profile._weak_star.values()
     assert tables
     for array in (a for table in tables for a in table):
@@ -294,8 +295,94 @@ def test_weak_star_scalar_constant_test_function_is_mass(spec):
     # a constant phi may return a scalar; the sum is then the kernel's mass
     delta = _make_kernel(spec, 0.25)
     for order in (24, 48):
-        assert _weak_star_once(delta, lambda x, y: 2.0, order) == pytest.approx(2.0, abs=1e-13)
+        [mass] = _weak_star_sums([delta], lambda x, y: 2.0, order)
+        assert mass == pytest.approx(2.0, abs=1e-13)
     assert weak_star_error(delta, phi=lambda x, y: 1.0) <= 1e-13
+
+
+def _study_kernels(table):
+    from deltareg.reports import parse_config_text
+
+    text = (importlib.resources.files("deltareg") / "configs" / f"{table}.cfg").read_text()
+    return [name.strip() for name in parse_config_text(text).options["kernels"].split(",")]
+
+
+STUDY_HS = [2.0**-k for k in range(2, 7)]
+
+
+@pytest.mark.parametrize("spec", _study_kernels("weakstar-1d") + _study_kernels("weakstar-2d"))
+def test_sweep_matches_one_width_at_a_time(spec):
+    # every kernel of the two weak-star tables: the sweep over all H has the bits of one
+    # call per H, and each order's batched sums those of the per-call oracle
+    deltas = [_make_kernel(spec, H) for H in STUDY_HS]
+    assert weak_star_errors(deltas) == [weak_star_error(delta) for delta in deltas]
+    for order in (24, 48):
+        expected = [_per_call_weak_star_once(delta, _gaussian, order) for delta in deltas]
+        assert _weak_star_sums(deltas, _gaussian, order).tolist() == expected
+
+
+@pytest.mark.parametrize("spec, phi", [
+    ("eta_2_3_1d", lambda x: np.exp(0.8 * x) * np.cos(3 * x)),  # not even in x
+    ("eta_1_2_2d", lambda x, y: np.exp(-(x**2) - 4 * y**2 + x)),  # not radial
+    ("tensor:eta_cubic", lambda x, y: np.exp(x - y**2)),
+    ("eta_1_1_1d", lambda x: np.ones_like(x)),
+    ("eta_2_3_2d", lambda x, y: 2.0),  # a constant phi may return a scalar
+    ("tensor:eta_2_3_1d", lambda x, y: 2.0),
+])
+def test_sweep_matches_one_width_at_a_time_for_any_test_function(spec, phi):
+    deltas = [_make_kernel(spec, H) for H in STUDY_HS]
+    errors = weak_star_errors(deltas, phi)
+    assert errors == [weak_star_error(delta, phi) for delta in deltas]
+    assert all(type(e) is float for e in errors)
+
+
+def test_sweep_takes_only_the_unsettled_widths_to_the_next_order(monkeypatch):
+    # the Lorentzian needs order 96 at H = 1/2, while 1/4 and 1/8 settle at 48
+    import deltareg.quadrature as quadrature
+
+    def phi(x):
+        return 1.0 / (1.0 + ((x - 0.125) / 0.1) ** 2)
+
+    calls = []
+
+    def recording(deltas, phi, order):
+        calls.append((order, [delta.half_width for delta in deltas]))
+        return _weak_star_sums(deltas, phi, order)
+
+    deltas = [catalog_lookup("eta_1_1_1d")(H) for H in (0.5, 0.25, 0.125)]
+    one_at_a_time = [weak_star_error(delta, phi) for delta in deltas]
+    monkeypatch.setattr(quadrature, "_weak_star_sums", recording)
+    assert weak_star_errors(deltas, phi) == one_at_a_time
+    assert calls == [(24, [0.5, 0.25, 0.125]), (48, [0.5, 0.25, 0.125]), (96, [0.5])]
+
+
+def test_sweep_that_never_settles_raises():
+    # cos(3000 x) is not resolved by order 192 at H = 1/2, though it is at H = 1/64
+    deltas = [catalog_lookup("eta_1_1_1d")(H) for H in (2.0**-6, 0.5)]
+    with pytest.raises(QuadratureError, match="failed to converge"):
+        weak_star_errors(deltas, lambda x: np.cos(3000 * x))
+    with pytest.raises(QuadratureError, match="failed to converge"):
+        weak_star_error(deltas[1], lambda x: np.cos(3000 * x))
+    assert weak_star_errors(deltas[:1], lambda x: np.cos(3000 * x)) == [
+        weak_star_error(deltas[0], lambda x: np.cos(3000 * x))]
+
+
+@pytest.mark.parametrize("other", [
+    lambda H: catalog_lookup("eta_2_3_1d")(H),  # another profile
+    lambda H: catalog_lookup("eta_1_1_2d")(H),  # another dimension
+    lambda H: tensor_product("eta_1_1_1d", H),  # the same profile as a tensor square
+    lambda H: RegularizedDelta(dim=1, name="eta_1_1_1d", half_width=H,
+                               profile=poly_profile([1.0, -1.0])),  # an equal profile object
+])
+def test_sweep_of_two_kernels_is_an_error(other):
+    deltas = [catalog_lookup("eta_1_1_1d")(0.25), other(0.125)]
+    with pytest.raises(ValueError, match="one profile, dim and kind"):
+        weak_star_errors(deltas)
+
+
+def test_empty_sweep_is_an_error():
+    with pytest.raises(ValueError, match="one kernel's widths"):
+        weak_star_errors([])
 
 
 def test_weak_star_tables_hold_one_entry_per_geometry_and_order():

@@ -20,7 +20,7 @@ def _fail(*args, **kwargs):
 # (config, the name a study's unit calls through, its key columns) per study kind;
 # each config holds a single unit, so exactly one error row comes back
 FAILING_UNITS = {
-    "weakstar": ("kernels = eta_1_1_1d\nH = 2^-2..2^-3", (reports, "weak_star_error"),
+    "weakstar": ("kernels = eta_1_1_1d\nH = 2^-2..2^-3", (reports, "weak_star_errors"),
                  {"kernel"}),
     "helmholtz1d": ("kernels = eta_1_2_1d\nH = 2^-2..2^-3",
                     (elliptic, "solve_regularized_1d"), {"kernel"}),

@@ -5,9 +5,11 @@ Both geometries share one node solve: G = -scale a(min) b(max) convolved with th
 kernel in separable form, exact to quadrature at any nodes, with sines for a and b in
 1D and J0/Y0 ring factors in 2D. The pointwise error solves at `exterior_nodes`, and
 the weighted-Sobolev norm solves at its own Gauss radii and interpolates no profile.
-The Green's-function factors depend on the geometry alone, never on the kernel: the
-solves memoize them by (dim, k0, nodes) and (dim, k0, Gauss order, panel edges), so
-doubling passes and kernels on one geometry share them.
+What the geometry alone fixes, never the kernel's values, is memoized by value in three
+read-only `lru_cache`s, so doubling passes and kernels on one geometry share it:
+`_greens_factors` (the Green's-function factors on the panels at one Gauss order),
+`_panel_cut` (the node solve's panels and node factors) and `_sobolev_geometry` (the
+weighted-Sobolev norm's radii, weights and powers).
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class SolutionProfile:
     doubling_delta: float | None = None
 
     def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, not {self.dim}")
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("profile nodes must be strictly increasing")
 
@@ -209,45 +213,40 @@ def _ring_factors(r, k0: float):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _greens_factors(dim: int, k0: float, order: int, points: bytes) -> tuple:
-    """Read-only Green's-function factors of the dim-D node solve, memoized by value.
-
-    With order 0, a, b, a' and b' at the nodes `points` (bytes), in 2D with b(1) = 0
-    set exactly and also the point solution's u'. Otherwise that order's Gauss points y
-    on the panels with edges `points` and the weighted factors there, shape (2, panels,
-    order): w sin(k0 (1 +- y) / 2) in 1D, 2 pi y w times a and b in 2D. A pass of the
-    helm2d and helm2d-sobolev tables fills 32 entries (11 pointwise, 21 Sobolev) and
-    helm1d 17, so 64 keep a repeated pass from cycling the memo.
+def _greens_factors(dim: int, k0: float, order: int, edges: bytes) -> tuple:
+    """Read-only Green's-function factors of the dim-D node solve on the panels with
+    edges `edges` (bytes), memoized by value: that order's Gauss points y there and the
+    weighted factors, shape (2, panels, order): w sin(k0 (1 +- y) / 2) in 1D, 2 pi y w
+    times a and b in 2D. A pass of helm2d and helm2d-sobolev fills 24 entries, 12
+    `_panel_cut`s and 7 `_sobolev_geometry`s, and helm1d 16, 9 and 0; each memo holds
+    at least twice that, so a repeated pass hits every entry.
     """
-    x, half = np.frombuffer(points), 0.5 * k0
-    if order:
-        y, w = _panels(x, gauss_legendre(order))
-        factors = [y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0)[:2]) if dim == 2 else
-                   w * np.sin([half * (1.0 + y), half * (1.0 - y)])]
-    elif dim == 1:
-        factors = [np.sin(half * (1.0 + x)), np.sin(half * (1.0 - x)),
-                   half * np.cos(half * (1.0 + x)), -half * np.cos(half * (1.0 - x))]
-    else:
-        factors = [*_ring_factors(x, k0), exact_point_solution_2d_radial_deriv(x, k0)]
-        factors[1][x == 1.0] = 0.0
+    y, w = _panels(np.frombuffer(edges), gauss_legendre(order))
+    half = 0.5 * k0
+    factors = (y, 2.0 * np.pi * y * w * np.stack(_ring_factors(y, k0)[:2]) if dim == 2 else
+               w * np.sin([half * (1.0 + y), half * (1.0 - y)]))
     for f in factors:
         f.setflags(write=False)
-    return tuple(factors)
+    return factors
 
 
-def _separable_convolution(k, am, bm, factors, scale: float):
-    """Values and derivatives of the convolution of G(x, y) = -scale a(min) b(max).
-
-    `am` and `bm` are the panels' moments of a delta and b delta, in panel order, and
-    node j has the first k[j] panels on its left, so il, the moments of a delta left of
-    it, and ir, those of b delta right of it, are cumulative sums. `factors` holds a, b,
-    a' and b' at the nodes; returns u = -scale (b il + a ir) and
-    u' = -scale (b' il + a' ir).
-    """
-    a, b, da, db = factors
-    il = np.concatenate([[0.0], np.cumsum(am)])[k]
-    ir = np.concatenate([np.cumsum(bm[::-1])[::-1], [0.0]])[k]
-    return -scale * (b * il + a * ir), -scale * (db * il + da * ir)
+@lru_cache(maxsize=64)
+def _panel_cut(dim: int, k0: float, points: bytes, breakpoints: tuple, radius: float) -> tuple:
+    """Read-only node geometry of `_convolve` at the nodes `points` (bytes), memoized by
+    value: its panel edges as bytes, each node's panel index k, and a, b, a' and b' at the
+    nodes, in 2D with b(1) = 0 set exactly."""
+    nodes, pos, half = np.frombuffer(points), np.asarray(breakpoints), 0.5 * k0  # pos holds 0
+    edges = np.union1d([-pos, pos] if dim == 1 else pos, nodes[np.abs(nodes) < radius])
+    k = np.maximum(np.searchsorted(edges, nodes, "right") - 1, 0)
+    if dim == 1:
+        factors = (np.sin(half * (1.0 + nodes)), np.sin(half * (1.0 - nodes)),
+                   half * np.cos(half * (1.0 + nodes)), -half * np.cos(half * (1.0 - nodes)))
+    else:
+        factors = _ring_factors(nodes, k0)
+        factors[1][nodes == 1.0] = 0.0
+    for f in (k, *factors):
+        f.setflags(write=False)
+    return edges.tobytes(), k, factors
 
 
 def _convolve(dim: int, nodes: np.ndarray, delta: RegularizedDelta, k0: float):
@@ -258,22 +257,23 @@ def _convolve(dim: int, nodes: np.ndarray, delta: RegularizedDelta, k0: float):
     b(t) = sin(k0 (1 - t) / 2) and scale = 1 / (k0 sin k0); in 2D, a and b are the ring
     factors with the measure 2 pi s ds and scale = 1/4. The panels are the kernel's
     breakpoint intervals (mirrored in 1D) cut at every node strictly inside the
-    support, so no panel holds a node in its interior, where G has its kink; one Gauss
-    rule over all of them gives the moments that `_separable_convolution` sums. The
-    panels, each node's panel and the node factors are built once for every order.
+    support, so no panel holds a node in its interior, where G has its kink. One Gauss
+    rule gives each panel's moments am of a delta and bm of b delta; node j has the first
+    k[j] panels on its left, so il, the moments of a delta left of it, and ir, those of
+    b delta right of it, are cumulative sums, and u = -scale (b il + a ir) and
+    u' = -scale (b' il + a' ir).
     """
-    pos = np.asarray(delta.breakpoints_physical())  # holds 0
-    inside = nodes[np.abs(nodes) < delta.support_radius]
-    edges = np.unique(np.concatenate([-pos, pos, inside] if dim == 1 else [pos, inside]))
-    k = np.maximum(np.searchsorted(edges, nodes, "right") - 1, 0)
-    key, factors = edges.tobytes(), _greens_factors(dim, k0, 0, nodes.tobytes())[:4]
+    key, k, (a, b, da, db) = _panel_cut(dim, k0, nodes.tobytes(),
+                                        delta.breakpoints_physical(), delta.support_radius)
     profile = delta.eval if dim == 1 else delta.eval_radial
     scale = 1.0 / (k0 * math.sin(k0)) if dim == 1 else 0.25
 
     def convolve(order):
         y, weights = _greens_factors(dim, k0, order, key)
         am, bm = np.einsum("kij,ij->ki", weights, profile(y))
-        return _separable_convolution(k, am, bm, factors, scale)
+        il = np.concatenate([[0.0], np.cumsum(am)])[k]
+        ir = np.concatenate([np.cumsum(bm[::-1])[::-1], [0.0]])[k]
+        return -scale * (b * il + a * ir), -scale * (db * il + da * ir)
 
     return convolve
 
@@ -331,6 +331,8 @@ def exterior_nodes(dim: int, k0: float, cutoff: float) -> np.ndarray:
     b, at which u - u_H, a multiple of b beyond the kernel's support, peaks. They are
     1 - (2n + 1) pi / k0 in 1D and in 2D the zeros of b', by Newton steps with
     b'' = -b' / r - k0^2 b from each grid cell where b' changes sign."""
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, not {dim}")
     if not k0 > 0.0:
         raise ValueError("k0 must be positive")
     if not 0.0 < cutoff < 1.0:
@@ -377,14 +379,27 @@ _SOBOLEV_LEVELS = 24
 _SOBOLEV_WIDTH = 0.125
 
 
-def _sobolev_edges(delta: RegularizedDelta) -> np.ndarray:
-    """Panel edges on [r0, 1], r0 = R 2^-levels for the support radius R: the edges
-    R 2^j below 1, the kernel breakpoints and the multiples of the widest panel."""
-    R = delta.support_radius
-    geometric = R * 2.0 ** np.arange(-_SOBOLEV_LEVELS, math.ceil(-math.log2(R)))
-    uniform = np.arange(1, round(1.0 / _SOBOLEV_WIDTH) + 1) * _SOBOLEV_WIDTH
-    edges = np.unique(np.concatenate([geometric, uniform, delta.breakpoints_physical()]))
-    return edges[(edges >= geometric[0]) & (edges <= 1.0)]
+@lru_cache(maxsize=32)
+def _sobolev_geometry(k0: float, radius: float, breakpoints: tuple, alphas: tuple, order: int,
+                      levels: int, width: float) -> tuple:
+    """Read-only geometry of the norm, memoized by value: the radii of Gauss rules of
+    `order` and twice it on the panels of [r0, 1], r0 = radius 2^-levels, cut at radius
+    2^j, the breakpoints and the multiples of `width`; the point solution's u' there; each
+    rule's index into the radii and weights; and for each alpha r0^(2 alpha) / (4 pi alpha)
+    and r^(2 alpha + 1) on each rule."""
+    geometric = radius * 2.0 ** np.arange(-levels, math.ceil(-math.log2(radius)))
+    uniform = np.arange(1, round(1.0 / width) + 1) * width
+    edges = np.unique(np.concatenate([geometric, uniform, breakpoints]))
+    edges = edges[(edges >= geometric[0]) & (edges <= 1.0)]
+    rules = [[x.ravel() for x in _panels(edges, gauss_legendre(q))] for q in (order, 2 * order)]
+    radii, where = np.unique(np.concatenate([r for r, _ in rules]), return_inverse=True)
+    split = tuple(zip(np.split(where, [rules[0][0].size]), (w for _, w in rules)))
+    terms = tuple((edges[0] ** (2.0 * a) / (4.0 * math.pi * a),
+                   *(r ** (2.0 * a + 1) for r, _ in rules)) for a in alphas)
+    du = exact_point_solution_2d_radial_deriv(radii, k0)
+    for array in (radii, du, *(x for p in split for x in p), *(x for t in terms for x in t[1:])):
+        array.setflags(write=False)
+    return radii, du, split, terms
 
 
 def weighted_sobolev_error(problem: RadialHelmholtz2D,
@@ -394,27 +409,23 @@ def weighted_sobolev_error(problem: RadialHelmholtz2D,
 
     The radial form is 2 pi * integral of (u' - u_H')^2 r^(2 alpha + 1) dr over (0, 1].
     On [r0, 1] it takes Gauss rules of q and 2q points on the panels of
-    `_sobolev_edges`, with u_H' at both rules' radii from one node solve and u' in
-    closed form from its `_greens_factors` entry. On (0, r0) it takes
+    `_sobolev_geometry`, with u_H' at both rules' radii from one node solve and u' in
+    closed form from the same memo entry. On (0, r0) it takes
     u' - u_H' = -1/(2 pi r), whose next term is O(r log r), in closed form:
     r0^(2 alpha) / (4 pi alpha). The 2q values are returned once they agree with the
     q values to 1e-10 relative; otherwise QuadratureError is raised.
     """
-    edges = _sobolev_edges(problem.kernel)
-    rules = [_panels(edges, gauss_legendre(q)) for q in (_SOBOLEV_ORDER, 2 * _SOBOLEV_ORDER)]
-    radii, where = np.unique(np.concatenate([r.ravel() for r, _ in rules]),
-                             return_inverse=True)
-    u_reg = solve_regularized_2d_radial(problem, nodes=radii)
-    diff = _greens_factors(2, problem.k0, 0, radii.tobytes())[4] - u_reg.derivs
-    # each rule's radii, weights and (u' - u_H')^2, in the rule's order
-    samples = [(r.ravel(), w.ravel(), diff[i] ** 2)
-               for (r, w), i in zip(rules, np.split(where, [rules[0][0].size]))]
+    delta = problem.kernel
+    radii, du, split, terms = _sobolev_geometry(
+        problem.k0, delta.support_radius, delta.breakpoints_physical(),
+        tuple(w.alpha for w in wspecs), _SOBOLEV_ORDER, _SOBOLEV_LEVELS, _SOBOLEV_WIDTH)
+    diff = du - solve_regularized_2d_radial(problem, nodes=radii).derivs
+    # each rule's w (u' - u_H')^2, once for every alpha, in the rule's order
+    weighted = [w * diff[i] ** 2 for i, w in split]
     out = []
-    for wspec in wspecs:
-        ta = 2.0 * wspec.alpha
-        coarse, fine = (math.sqrt(edges[0] ** ta / (4.0 * math.pi * wspec.alpha)
-                                  + 2.0 * math.pi * float(np.sum(w * d2 * r ** (ta + 1))))
-                        for r, w, d2 in samples)
+    for inner, *powers in terms:
+        coarse, fine = (math.sqrt(inner + 2.0 * math.pi * float(np.sum(wd2 * p)))
+                        for wd2, p in zip(weighted, powers))
         if abs(fine - coarse) > 1e-10 * fine:
             raise QuadratureError("weighted-Sobolev norm failed the order-doubling check")
         out.append(fine)

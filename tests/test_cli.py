@@ -565,6 +565,39 @@ def test_advect_dispersion_table_cells(tables):
         assert float(row["phase_dev"]) <= 5e-9
 
 
+def _advect_oracle(name, H, n=1024, t_final=36 * math.pi):
+    """max |u(x, 0) - u(x, T)| of an advect row in closed form, with no march: leapfrog
+    from the principal-root start c_1 = rho c_0 gives every mode c_n = c_0 rho^n, and
+    rho^n = exp(-i n arcsin(k dt)) with the phase reduced mod 2 pi first (the
+    Nyquist mode's k is 0); dt = dx / 8 and T = 36 pi, as in the shipped config."""
+    dx = 2.0 * math.pi / n
+    dt = dx / 8.0
+    steps = round(t_final / dt)
+    assert abs(steps * dt - t_final) <= 1e-12 * t_final
+    u0 = catalog_lookup(name)(H).eval(-math.pi + np.arange(n) * dx)
+    k = np.arange(n // 2 + 1, dtype=float)
+    k[-1] = 0.0
+    phase = np.mod(steps * np.arcsin(k * dt), 2.0 * math.pi)
+    return float(np.max(np.abs(u0 - np.fft.irfft(np.fft.rfft(u0) * np.exp(-1j * phase), n))))
+
+
+def _near(cell, value, rel):
+    """The 12-digit cell is within half a unit of its last digit plus rel of value."""
+    quantum = 10.0 ** (math.floor(math.log10(abs(value))) - 11)
+    return abs(float(cell) - value) <= 0.5 * quantum + rel * abs(value)
+
+
+def test_advect_dispersion_cells_match_the_closed_form_march(tables):
+    # the marched max_error is 2.7e-14 (eta_1_1_1d) and 4.5e-15 (eta_2_3_1d) relative
+    # from the closed form, so 1e-13 bounds the gap with room, beyond the cells' rounding
+    _, rows = tables["advect-dispersion"]
+    oracle = {row["kernel"]: _advect_oracle(row["kernel"], float(row["H"])) for row in rows[:2]}
+    for row in rows[:2]:
+        assert _near(row["max_error"], oracle[row["kernel"]], 1e-13)
+    assert rows[2]["kernel"] == "ordering(eta_2_3_1d>eta_1_1_1d)"
+    assert _near(rows[2]["max_error"], oracle["eta_2_3_1d"] - oracle["eta_1_1_1d"], 1e-13)
+
+
 def test_helm1d_table_cells(tables):
     _, rows = tables["helm1d"]
     assert [row["E"] for row in rows] == [

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,9 +30,11 @@ from deltareg.elliptic import (
     weighted_sobolev_error,
 )
 from deltareg.kernels import catalog_lookup
+from deltareg.profiles import PolyPiece, RadialProfile
 from deltareg.quadrature import QuadratureError, gauss_legendre, integrate_panels
 from deltareg.reports import emit, parse_config_text, run_study
 
+from conftest import elliptic_memos
 from test_bessel import j0_series, y0_series
 
 K0 = 10.0
@@ -393,12 +396,12 @@ def test_2d_solve_raises_when_order_doubling_fails(monkeypatch, capsys):
     assert "order-doubling" in rows[0]["message"]
 
 
-def test_2d_solves_in_threads_that_grow_the_tables_match_serial_solves():
+def test_2d_solves_in_threads_that_grow_the_tables_match_serial_solves(clear_memos):
     problems = [RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(2.0**-k))
                 for k in (5, 4, 3, 2)]
-    elliptic._greens_factors.cache_clear()
+    clear_memos()
     serial = [solve_regularized_2d_radial(p, MESH).values for p in problems]
-    elliptic._greens_factors.cache_clear()
+    clear_memos()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -423,11 +426,12 @@ def test_2d_resonance_guard():
 
 
 # ---------------------------------------------------------------------------
-# memoized Green's-function factors of the node solves
+# memoized geometry of the node solves and the Sobolev norm
 # ---------------------------------------------------------------------------
 
 NODES_1D = np.linspace(-1.0, 1.0, 201)
 RADII_2D = np.linspace(0.01, 1.0, 100)
+MEMOS = ("_greens_factors", "_panel_cut", "_sobolev_geometry")
 
 
 def _node_solves():
@@ -437,51 +441,142 @@ def _node_solves():
     return one, two
 
 
-def test_node_solves_from_a_cold_and_a_warm_memo_are_identical():
-    elliptic._greens_factors.cache_clear()
+def _memo_sizes():
+    return [getattr(elliptic, name).cache_info().currsize for name in MEMOS]
+
+
+def test_the_memo_clearing_fixture_empties_every_elliptic_memo(clear_memos):
+    assert sorted(f.__name__ for f in elliptic_memos()) == sorted(MEMOS)
+    _node_solves()
+    assert all(_memo_sizes()[:2])
+    clear_memos()
+    assert _memo_sizes() == [0, 0, 0]
+    assert gauss_legendre.cache_info().currsize > 0  # imported memos are left alone
+
+
+def test_node_solves_from_a_cold_and_a_warm_memo_are_identical(clear_memos):
+    clear_memos()
     cold = _node_solves()
-    assert elliptic._greens_factors.cache_info().currsize > 0
+    assert all(_memo_sizes()[:2])
     for c, w in zip(cold, _node_solves()):
         assert np.array_equal(c.values, w.values) and np.array_equal(c.derivs, w.derivs)
 
 
-def test_every_memo_entry_is_read_only(monkeypatch):
-    original, entries = elliptic._greens_factors, []
+def _arrays(entry):
+    if isinstance(entry, np.ndarray):
+        yield entry
+    elif isinstance(entry, (tuple, list)):
+        for x in entry:
+            yield from _arrays(x)
 
-    def record(*key):
-        entries.append(original(*key))
-        return entries[-1]
 
-    original.cache_clear()
-    monkeypatch.setattr(elliptic, "_greens_factors", record)
+def test_every_memo_entry_is_read_only(monkeypatch, clear_memos):
+    entries = {name: [] for name in MEMOS}
+    clear_memos()
+    for name in MEMOS:
+        def record(*key, memo=getattr(elliptic, name), into=entries[name]):
+            into.append(memo(*key))
+            return into[-1]
+        monkeypatch.setattr(elliptic, name, record)
     _node_solves()
     weighted_sobolev_error(RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.25)),
                            [WeightedNormSpec(alpha=0.5)])
-    assert len(entries) > original.cache_info().currsize > 0
-    for shared in (x for entry in entries for x in entry):
-        with pytest.raises(ValueError, match="read-only"):
-            shared.flat[0] = 0.0
+    # three node solves, one of them the norm's, each at two or three Gauss orders
+    assert [len(entries[name]) for name in MEMOS[1:]] == [3, 1]
+    assert len(entries["_greens_factors"]) >= 6
+    for name in MEMOS:
+        shared = list(_arrays(entries[name]))
+        assert shared, name
+        for x in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = 0
+    assert all(isinstance(cut[0], bytes) for cut in entries["_panel_cut"])
 
 
-def test_memo_is_keyed_by_the_nodes_values():
+def test_memo_is_keyed_by_the_nodes_values(clear_memos):
     problem = Helmholtz1D(kernel=catalog_lookup("eta_0_1_1d")(0.25))
-    elliptic._greens_factors.cache_clear()
+    clear_memos()
     base = solve_regularized_1d(problem, NODES_1D)
     size = elliptic._greens_factors.cache_info().currsize
     # an equal copy shares the entries; a node outside the support moved by one ulp
-    # leaves the panels as they were and gets a node entry of its own
+    # gets a panel cut of its own with the same edges, so the panel factors are shared
     assert np.array_equal(solve_regularized_1d(problem, NODES_1D.copy()).values, base.values)
-    assert elliptic._greens_factors.cache_info().currsize == size
+    assert elliptic._panel_cut.cache_info()[:2] == (1, 1)  # hits, misses
     moved = NODES_1D.copy()
     moved[150] = np.nextafter(moved[150], 1.0)
     solve_regularized_1d(problem, moved)
-    entries = [elliptic._greens_factors(1, K0, 0, x.tobytes()) for x in (NODES_1D, moved)]
-    assert entries[0] is not entries[1]
-    assert elliptic._greens_factors.cache_info().currsize == size + 1
+    delta = problem.kernel
+    cuts = [elliptic._panel_cut(1, K0, x.tobytes(), delta.breakpoints_physical(),
+                                delta.support_radius) for x in (NODES_1D, moved)]
+    assert cuts[0] is not cuts[1] and cuts[0][0] == cuts[1][0]
+    assert elliptic._panel_cut.cache_info().currsize == 2
+    assert elliptic._greens_factors.cache_info().currsize == size
+
+
+def test_kernels_with_another_support_or_breakpoints_at_one_H_cut_their_own_panels(
+        clear_memos):
+    # at H = 1/8 eta_2_3_1d reaches 1/8, eta_cos and eta_cubic 1/4, and eta_cubic
+    # alone breaks at 1/8 inside its support
+    deltas = [catalog_lookup(name)(0.125) for name in ("eta_2_3_1d", "eta_cos", "eta_cubic")]
+    nodes = elliptic.exterior_nodes(1, K0, 0.1)
+
+    def solve(delta):
+        return solve_regularized_1d(Helmholtz1D(kernel=delta), nodes).values
+
+    cold = []
+    for delta in deltas:
+        clear_memos()
+        cold.append(solve(delta))
+    assert elliptic._panel_cut.cache_info().currsize == 1
+    assert all(np.array_equal(solve(delta), c) for delta, c in zip(deltas, cold))
+    assert elliptic._panel_cut.cache_info().currsize == 3
+
+
+def _on_other_geometries(delta):
+    """The one-piece kernel delta with its piece cut in two at 3/8 (a breakpoint that is
+    no edge of the norm's panels) and with its profile's support set to 2 (a new support
+    radius): the same function."""
+    (piece,) = delta.profile.pieces
+    halves = (PolyPiece(0.0, 0.375, piece.coeffs), PolyPiece(0.375, 1.0, piece.coeffs))
+    return [dataclasses.replace(delta, profile=RadialProfile(pieces=halves)),
+            dataclasses.replace(delta, profile=RadialProfile(pieces=(piece,), support=2.0))]
+
+
+def test_kernels_with_another_support_or_breakpoints_at_one_H_get_their_own_norm_geometry(
+        clear_memos):
+    delta = catalog_lookup("eta_0_1_2d")(0.125)
+    deltas = [delta, *_on_other_geometries(delta)]
+    alphas = (0.25, 0.9)
+    clear_memos()
+    norms = [weighted_sobolev_error(RadialHelmholtz2D(kernel=d),
+                                    [WeightedNormSpec(alpha=alpha) for alpha in alphas])
+             for d in deltas]
+    info = elliptic._sobolev_geometry.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    radii = {elliptic._sobolev_geometry(K0, d.support_radius, d.breakpoints_physical(), alphas,
+                                        elliptic._SOBOLEV_ORDER, elliptic._SOBOLEV_LEVELS,
+                                        elliptic._SOBOLEV_WIDTH)[0].tobytes() for d in deltas}
+    assert len(radii) == 3
+    for norm in norms[1:]:
+        assert norm == pytest.approx(norms[0], rel=1e-10)
+
+
+def test_each_alpha_list_gets_its_own_cold_values(clear_memos):
+    problem = RadialHelmholtz2D(kernel=catalog_lookup("eta_1_2_2d")(0.125))
+    lists = ([WeightedNormSpec(alpha=0.5)],
+             [WeightedNormSpec(alpha=alpha) for alpha in (0.25, 0.5, 0.9)],
+             [WeightedNormSpec(alpha=0.9)])
+    cold = []
+    for wspecs in lists:
+        clear_memos()
+        cold.append(weighted_sobolev_error(problem, wspecs))
+    assert elliptic._sobolev_geometry.cache_info().currsize == 1
+    assert [weighted_sobolev_error(problem, w) for w in lists * 2] == cold * 2
+    assert elliptic._sobolev_geometry.cache_info().currsize == 3
 
 
 def test_sobolev_norm_of_a_kernel_with_the_same_breakpoints_reuses_the_bessel_tables(
-        monkeypatch):
+        monkeypatch, clear_memos):
     # eta_0_1_2d and eta_2_3_2d both break at 0 and H, so their norms share the radii
     # and every pass's panels
     points = []
@@ -492,7 +587,7 @@ def test_sobolev_norm_of_a_kernel_with_the_same_breakpoints_reuses_the_bessel_ta
 
     monkeypatch.setattr(elliptic.bessel, "j0", j0)
     wspecs = [WeightedNormSpec(alpha=0.5)]
-    elliptic._greens_factors.cache_clear()
+    clear_memos()
     first = weighted_sobolev_error(RadialHelmholtz2D(kernel=catalog_lookup("eta_0_1_2d")(0.125)),
                                    wspecs)
     assert max(points) > 1
@@ -501,27 +596,34 @@ def test_sobolev_norm_of_a_kernel_with_the_same_breakpoints_reuses_the_bessel_ta
         RadialHelmholtz2D(kernel=catalog_lookup("eta_2_3_2d")(0.125)), wspecs)
     assert points and max(points) == 1  # only J0(k0)
     assert first != second
+    assert elliptic._sobolev_geometry.cache_info()[:2] == (1, 1)  # hits, misses
 
 
-def test_a_second_pass_of_the_2d_tables_misses_no_memo_entry():
-    # one pass of helm2d and helm2d-sobolev fills 32 entries; a memo smaller than that
-    # would cycle and miss on every repeated pass
-    configs = [parse_config_text((resources.files("deltareg") / "configs" / name).read_text())
-               for name in ("helm2d.cfg", "helm2d-sobolev.cfg")]
-    elliptic._greens_factors.cache_clear()
+def _table_config(name):
+    return parse_config_text((resources.files("deltareg") / "configs" / name).read_text())
+
+
+def test_a_second_pass_of_the_2d_tables_misses_no_memo_entry(clear_memos):
+    # one pass of helm2d and helm2d-sobolev fills 24 Green's-factor entries, 12 panel
+    # cuts and 7 norm geometries; a memo smaller than that would cycle and miss on
+    # every repeated pass
+    configs = [_table_config(name) for name in ("helm2d.cfg", "helm2d-sobolev.cfg")]
+    clear_memos()
     first = [emit(run_study(config)) for config in configs]
-    filled = elliptic._greens_factors.cache_info()
+    filled = [getattr(elliptic, name).cache_info() for name in MEMOS]
+    assert [info.currsize for info in filled] == [24, 12, 7]
     assert [emit(run_study(config)) for config in configs] == first
-    again = elliptic._greens_factors.cache_info()
-    assert again.misses == filled.misses and again.hits > filled.hits
+    for name, before in zip(MEMOS, filled):
+        again = getattr(elliptic, name).cache_info()
+        assert again.misses == before.misses and again.hits > before.hits, name
 
 
-def test_helmholtz1d_study_filling_the_memo_matches_a_warm_run():
-    config = parse_config_text(
-        "study = helmholtz1d\nkernels = eta_0_1_1d, eta_cubic\nH = 2^-2..2^-5")
-    elliptic._greens_factors.cache_clear()
+@pytest.mark.parametrize("table", ["helm1d", "helm2d", "helm2d-sobolev"])
+def test_a_helmholtz_table_filling_the_memos_matches_a_warm_run(clear_memos, table):
+    config = _table_config(f"{table}.cfg")
+    clear_memos()
     cold = emit(run_study(config))
-    assert elliptic._greens_factors.cache_info().currsize > 0
+    assert elliptic._panel_cut.cache_info().currsize > 0
     assert emit(run_study(config)) == cold
 
 
@@ -563,7 +665,8 @@ def test_pointwise_error_takes_the_cutoff_itself():
 @pytest.mark.parametrize("dim, name", [
     (1, name) for name in ("eta_0_1_1d", "eta_1_2_1d", "eta_2_3_1d", "eta_cos", "eta_cubic")
 ] + [(2, name) for name in ("eta_0_1_2d", "eta_1_2_2d", "eta_2_3_2d")])
-def test_pointwise_error_at_the_study_nodes_is_the_sup_of_a_fine_solve(dim, name):
+def test_pointwise_error_at_the_study_nodes_is_the_sup_of_a_fine_solve(dim, name,
+                                                                       clear_memos):
     if dim == 1:
         geometry, solve, exact = Helmholtz1D, solve_regularized_1d, exact_profile_1d
         fine = np.linspace(-1.0, 1.0, 200001)
@@ -575,7 +678,7 @@ def test_pointwise_error_at_the_study_nodes_is_the_sup_of_a_fine_solve(dim, name
     E = pointwise_error(exact(nodes, K0), solve(problem, nodes), 0.25)
     error = np.abs(exact(fine, K0).values - solve(problem, fine).values)
     error[np.abs(fine) < 0.25] = 0.0
-    elliptic._greens_factors.cache_clear()  # the fine grid's tables are large
+    clear_memos()  # the fine grid's tables are large
     if dim == 1:
         assert 0.25 < abs(fine[np.argmax(error)]) < 1.0
     assert E == pytest.approx(np.max(error), rel=1e-10)
@@ -611,6 +714,12 @@ def test_exterior_nodes_hold_the_edges_and_every_stationary_point_of_b(k0):
 def test_exterior_nodes_reject_a_wavenumber_that_is_not_positive(dim, k0):
     with pytest.raises(ValueError, match="^k0 must be positive$"):
         elliptic.exterior_nodes(dim, k0, 0.25)
+
+
+@pytest.mark.parametrize("dim", [0, 3, -1])
+def test_exterior_nodes_reject_a_dimension_other_than_1_or_2(dim):
+    with pytest.raises(ValueError, match=f"^dim must be 1 or 2, not {dim}$"):
+        elliptic.exterior_nodes(dim, K0, 0.25)
 
 
 def test_1d_two_moment_ratio_saturates_near_four():
@@ -738,3 +847,11 @@ def test_profile_nodes_must_increase():
     with pytest.raises(ValueError):
         SolutionProfile(nodes=np.array([0.0, 0.0, 1.0]), values=np.zeros(3),
                         derivs=np.zeros(3))
+
+
+# a dim other than 1 would otherwise pass for the radial 2D geometry
+@pytest.mark.parametrize("dim", [0, 3, -1])
+def test_profile_of_a_dimension_other_than_1_or_2_is_rejected(dim):
+    with pytest.raises(ValueError, match=f"^dim must be 1 or 2, not {dim}$"):
+        SolutionProfile(nodes=np.array([0.5, 0.75, 1.0]), values=np.zeros(3),
+                        derivs=np.zeros(3), dim=dim)

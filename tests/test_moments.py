@@ -231,15 +231,16 @@ def test_package_imports_and_solves_without_scipy():
     # scipy serves only the 2D studies' Bessel functions (scipy.special); the package,
     # its CLI and the moment solve must not load scipy, and the Sobolev and pointwise
     # 2D studies load no more of it than scipy.special (scipy.optimize alone raises
-    # the helm2d bench's peak RSS by a fifth); importing builds no Green's-function
-    # table, solves no moment problem, derives no weak order and loads no fractions
+    # the helm2d bench's peak RSS by a fifth); importing fills no `elliptic` memo,
+    # solves no moment problem, derives no weak order and loads no fractions
     # and no more of numpy.polynomial than numpy itself does, and the catalog's solves
     # and derivations load no scipy
     code = (
         "import sys, numpy\n"
         "before = set(sys.modules)\n"
         "import deltareg, deltareg.cli\n"
-        "print(deltareg.elliptic._greens_factors.cache_info().currsize, "
+        "print(sum(getattr(deltareg.elliptic, f).cache_info().currsize for f in "
+        "('_greens_factors', '_panel_cut', '_sobolev_geometry')), "
         "sum('_profile' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
         "sum('weak_order' in vars(b) for b in deltareg.kernels._CATALOG.values()), "
         "'fractions' in sys.modules, "
